@@ -59,11 +59,19 @@ def _load_model(args) -> TargetWeights:
     return weights
 
 
-def _load_adapter(args):
+def _load_adapter(args, model: TargetWeights):
     path = Path(args.adapter)
     if not path.is_file():
         raise UsageError(f"adapter file not found: {path}")
     adapter = serialize.load_adapter(path)
+    cfg = model.config
+    want = (cfg.d_model, cfg.n_heads, cfg.head_dim)
+    got = (adapter.d_model, adapter.attn.n_heads, adapter.attn.head_dim)
+    if got != want:
+        raise UsageError(
+            f"adapter {path} has (d_model, n_heads, head_dim) = {got}, "
+            f"but model {args.model} has {want}"
+        )
     if getattr(args, "f64", False):
         adapter = adapter.astype(np.float64)
     return adapter
@@ -173,7 +181,7 @@ def _divergence_report(prompt_idx, result, reference) -> str:
 
 def cmd_bench(args) -> int:
     model = _load_model(args)
-    adapter = _load_adapter(args)
+    adapter = _load_adapter(args, model)
     prompts = _bench_prompts(model, _load_corpus(args), args.n_tokens)
     policy = DraftPolicy(eta=args.eta, gamma_max=args.gamma)
     lat = calibrate_latency(model, adapter, reps=3, seed=args.seed, gamma=max(args.gamma, 1))
@@ -207,7 +215,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify_lossless(args) -> int:
     model = _load_model(args)
-    adapter = _load_adapter(args)
+    adapter = _load_adapter(args, model)
     prompts = _bench_prompts(model, _load_corpus(args), args.n_tokens)
     etas = _parse_grid(args.etas, float)
     gammas = _parse_grid(args.gammas, int)
@@ -232,7 +240,7 @@ def cmd_verify_lossless(args) -> int:
 
 def cmd_sweep(args) -> int:
     model = _load_model(args)
-    adapter = _load_adapter(args)
+    adapter = _load_adapter(args, model)
     prompts = _bench_prompts(model, _load_corpus(args), args.n_tokens)
     etas = _parse_grid(args.etas, float)
     gammas = _parse_grid(args.gammas, int)

@@ -4,12 +4,27 @@ Greedy losslessness is checked at zero tolerance, so every kernel here is
 *batch-shape stable*: the bits of an output row depend only on that row's
 inputs, never on how many rows were computed in the same call.  Concretely:
 
-- matrix products go through ``np.einsum`` on C-contiguous operands (BLAS
-  GEMM changes accumulation order with the batch shape; einsum does not),
-- reductions (softmax, rmsnorm) run along the last axis, which numpy
-  evaluates independently per row,
-- cached causal attention loops over query rows, so a batched call replays
-  the exact instruction sequence of one-token-at-a-time calls.
+- A matrix product is a stack of one BLAS GEMV per row,
+  ``np.matmul(a[:, None, :], b)[:, 0]``.  Every row is its own call with
+  the same shapes and strides, so it runs the same instructions whatever
+  the row count.  Plain ``a @ b`` is not stable: for two or more rows BLAS
+  switches from GEMV to a blocked GEMM whose accumulation order differs.
+- Attention scores and contexts are GEMVs over fixed 64-key chunks of the
+  cache, cut at absolute positions (the buffers are padded to whole
+  chunks).  A GEMV over a row's own keys would not do: BLAS handles matrix
+  rows in unrolled groups plus a remainder, so a key's arithmetic would
+  depend on how many keys the call holds, and that count differs between
+  the rows of one call.  In a chunk, a key's score depends only on the
+  query, the key and the key's offset in the chunk.
+- Keys a row may not see, including the padding past the cache length, get
+  a score of -inf, so their softmax weights are exactly 0.  The value rows
+  there are finite (padding and rolled-back rows are zeroed), so they add
+  exact zeros to a chunk's context; a chunk's weight sum is a fixed-length
+  64-term sum.  Chunks are folded in key order (``np.add.accumulate``), so
+  the chunks past a row's prefix, present in a batched call but not in the
+  row's own call, only add zeros at the end.
+- The other reductions (the max over keys, rmsnorm) are exact or run per
+  row over a length that does not depend on the row count.
 
 This makes a batched verification forward bit-identical to incremental
 decoding over the same prefix, which is what the acceptance suite relies on.
@@ -24,6 +39,15 @@ import numpy as np
 from .errors import CacheError, CapacityError, ConfigError, ShapeError
 
 
+_KEY_CHUNK = 64  # keys per attention GEMV; cache buffers are padded to a multiple
+_ROW_BLOCK = 32  # query rows per masked attention pass; bounds the score buffer
+
+
+def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as one GEMV per row of ``a`` (the module's matmul, unchecked)."""
+    return np.matmul(a[:, None, :], b)[:, 0]
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed, shape-independent accumulation order."""
     if a.ndim != 2 or b.ndim != 2:
@@ -34,7 +58,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.ascontiguousarray(a)
     if not b.flags["C_CONTIGUOUS"]:
         b = np.ascontiguousarray(b)
-    return np.einsum("ij,jk->ik", a, b)
+    return _row_gemv(a, b)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -137,12 +161,6 @@ class RopeTable:
         return rotated.view(self._real)
 
 
-def rope(x: np.ndarray, position: int, theta: float) -> np.ndarray:
-    """One-off rotary embedding of per-head vectors at ``position``."""
-    table = RopeTable(x.shape[-1], theta, position + 1, dtype=x.dtype)
-    return table.apply(x, position)
-
-
 @dataclass
 class AttentionParams:
     """Square projection weights of one multi-head attention block."""
@@ -163,25 +181,26 @@ class AttentionParams:
 
 
 class LayerKVCache:
-    """Per-layer key/value store with O(1) append and truncate.
+    """Per-layer key/value store with O(1) extend and truncate.
 
-    Buffers are preallocated at ``capacity`` rows; ``length`` marks how many
-    positions are filled.  Truncation only moves the length marker, which is
-    exactly the rollback semantics verification needs.
+    Buffers are preallocated at ``capacity`` rows, padded to a whole number
+    of key chunks; ``length`` marks how many positions are filled.
+    Truncation moves the length marker back, which is exactly the rollback
+    semantics verification needs, and zeroes the dropped value rows, so the
+    padding that attention reads past ``length`` always holds finite values.
     """
 
     def __init__(self, capacity: int, n_heads: int, head_dim: int, dtype=np.float32):
         self.capacity = capacity
-        self.k = np.empty((capacity, n_heads, head_dim), dtype=dtype)
-        self.v = np.empty((capacity, n_heads, head_dim), dtype=dtype)
+        rows = -(-capacity // _KEY_CHUNK) * _KEY_CHUNK
+        self.k = np.zeros((rows, n_heads, head_dim), dtype=dtype)
+        self.v = np.zeros((rows, n_heads, head_dim), dtype=dtype)
+        # (heads, chunks, _KEY_CHUNK, head_dim) views: one GEMV operand per head and chunk
+        chunked = (rows // _KEY_CHUNK, _KEY_CHUNK, n_heads, head_dim)
+        self.key_chunks = self.k.reshape(chunked).transpose(2, 0, 1, 3)
+        self.value_chunks = self.v.reshape(chunked).transpose(2, 0, 1, 3)
+        self.positions = np.arange(rows)
         self.length = 0
-
-    def append(self, k_row: np.ndarray, v_row: np.ndarray) -> None:
-        if self.length >= self.capacity:
-            raise CapacityError(f"KV cache full at {self.capacity} positions")
-        self.k[self.length] = k_row
-        self.v[self.length] = v_row
-        self.length += 1
 
     def extend(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         t = k_rows.shape[0]
@@ -194,6 +213,7 @@ class LayerKVCache:
     def truncate(self, to_length: int) -> None:
         if not 0 <= to_length <= self.length:
             raise CacheError(f"cannot truncate cache of length {self.length} to {to_length}")
+        self.v[to_length : self.length] = 0
         self.length = to_length
 
 
@@ -209,8 +229,9 @@ def causal_attention(
     ``x`` holds already-normalized inputs for positions
     ``start_pos..start_pos+T-1``; the call appends T K/V rows and returns the
     attention output (before any residual).  Row ``t`` attends to positions
-    ``0..start_pos+t``.  The per-row loop keeps batched calls bit-identical
-    to incremental ones.
+    ``0..start_pos+t``.  Query rows go through one masked pass per block of
+    ``_ROW_BLOCK`` rows, with the same code for T=1 and T>1, so row ``t``
+    equals a one-row call at ``start_pos+t`` bit for bit (module docstring).
     """
     if x.ndim != 2:
         raise ShapeError(f"attention input must be 2-D, got shape {x.shape}")
@@ -221,32 +242,37 @@ def causal_attention(
     if d != h * hd:
         raise ShapeError(f"attention input width {d} != n_heads*head_dim {h * hd}")
 
-    # x is freshly normalized (contiguous) and the weights are contiguous, so
-    # the einsum contraction below is the wrapped matmul minus its checks.
-    q = rope_table.apply_block(np.einsum("ij,jk->ik", x, params.wq).reshape(n_rows, h, hd), start_pos)
-    k = rope_table.apply_block(np.einsum("ij,jk->ik", x, params.wk).reshape(n_rows, h, hd), start_pos)
-    v = np.einsum("ij,jk->ik", x, params.wv).reshape(n_rows, h, hd)
+    q = rope_table.apply_block(_row_gemv(x, params.wq).reshape(n_rows, h, hd), start_pos)
+    k = rope_table.apply_block(_row_gemv(x, params.wk).reshape(n_rows, h, hd), start_pos)
+    v = _row_gemv(x, params.wv).reshape(n_rows, h, hd)
     cache.extend(k, v)
-    keys = cache.k[: cache.length]
-    values = cache.v[: cache.length]
+    q *= x.dtype.type(1.0 / np.sqrt(hd))
 
-    # The score rectangle batches per-element dot products; each query row's
-    # softmax and context reduce over exactly its own prefix so that the
-    # result matches one-token-at-a-time calls bit for bit.
-    scores = np.einsum("thd,phd->thp", q, keys) * x.dtype.type(1.0 / np.sqrt(hd))
-    ctx = np.empty((n_rows, d), dtype=x.dtype)
-    for t in range(n_rows):
-        visible = scores[t, :, : start_pos + t + 1]
-        visible -= visible.max(axis=-1, keepdims=True)
-        np.exp(visible, out=visible)
-        visible /= visible.sum(axis=-1, keepdims=True)
-        ctx[t] = np.einsum("hp,phd->hd", visible, values[: start_pos + t + 1]).reshape(d)
-    return np.einsum("ij,jk->ik", ctx, params.wo)
+    last_visible = np.arange(start_pos, start_pos + n_rows)[:, None, None]
+    ctx = np.empty((n_rows, h, hd), dtype=x.dtype)
+    for b0 in range(0, n_rows, _ROW_BLOCK):
+        b1 = min(b0 + _ROW_BLOCK, n_rows)
+        n_chunks = -(-(start_pos + b1) // _KEY_CHUNK)
+        span = n_chunks * _KEY_CHUNK
+        # w[t, h, p]: one GEMV per (row, head, chunk) against that chunk's keys
+        w = np.matmul(cache.key_chunks[:, :n_chunks], q[b0:b1, :, None, :, None])
+        w = w.reshape(b1 - b0, h, span)
+        np.copyto(w, -np.inf, where=cache.positions[:span] > last_visible[b0:b1])
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w = w.reshape(b1 - b0, h, n_chunks, 1, _KEY_CHUNK)
+        den = w.sum(axis=-1)
+        num = np.matmul(w, cache.value_chunks[:, :n_chunks])
+        if n_chunks > 1:  # one chunk is its own fold
+            den = np.add.accumulate(den, axis=2)
+            num = np.add.accumulate(num, axis=2)
+        ctx[b0:b1] = num[:, :, -1, 0] / den[:, :, -1]
+    return _row_gemv(ctx.reshape(n_rows, d), params.wo)
 
 
 def gated_ffn(
     x: np.ndarray, gate: np.ndarray, up: np.ndarray, down: np.ndarray
 ) -> np.ndarray:
     """SwiGLU feed-forward: ``down(silu(x @ gate) * (x @ up))``."""
-    hidden = silu(np.einsum("ij,jk->ik", x, gate)) * np.einsum("ij,jk->ik", x, up)
-    return np.einsum("ij,jk->ik", hidden, down)
+    hidden = silu(_row_gemv(x, gate)) * _row_gemv(x, up)
+    return _row_gemv(hidden, down)

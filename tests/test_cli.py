@@ -5,7 +5,9 @@ import pytest
 
 from selfspec import gen_passthrough_model, passthrough_adapter
 from selfspec.cli import main
+from selfspec.adapter import AdapterWeights
 from selfspec.engine import DecodeSession
+from selfspec.kernels import AttentionParams
 from selfspec.model import forward_remaining
 from selfspec.serialize import read_corpus, save_adapter, save_weights
 
@@ -254,6 +256,34 @@ class TestSweep:
             "--corpus", str(corpus), "--etas", "0", "--gammas", "2",
             "--n-tokens", "8", "--exit-layer", "1", "--out", str(out),
         ]) == 0
+
+
+class TestAdapterShapeCheck:
+    """An adapter whose shape differs from the model's is refused at load.
+
+    The fixture model is (d_model, n_heads, head_dim) = (32, 4, 8).  Without
+    the check these adapters fail deep inside a kernel (an rmsnorm scale
+    mismatch, or a rope head_dim mismatch).
+    """
+
+    @pytest.mark.parametrize("shape", [(64, 4, 16), (32, 2, 16), (32, 8, 4)],
+                             ids=["d_model", "n_heads", "head_dim"])
+    @pytest.mark.parametrize("command", ["bench", "verify-lossless", "sweep"])
+    def test_mismatch_exit_2_names_both_shapes(self, tmp_path, artifacts, capsys, shape, command):
+        model, _, corpus = artifacts
+        d, heads, hd = shape
+        adapter = tmp_path / "other.knga"
+        zeros = (np.zeros((d, d), dtype=np.float32) for _ in range(4))
+        save_adapter(AdapterWeights(
+            input_norm=np.ones(d, dtype=np.float32),
+            attn=AttentionParams(*zeros, n_heads=heads, head_dim=hd),
+            output_norm=np.ones(d, dtype=np.float32),
+        ), adapter)
+        code = main([command, "--model", str(model), "--adapter", str(adapter),
+                     "--corpus", str(corpus), "--n-tokens", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(shape) in err and "(32, 4, 8)" in err
 
 
 class TestParser:

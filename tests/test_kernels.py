@@ -13,7 +13,6 @@ from selfspec.kernels import (
     gated_ffn,
     matmul,
     rmsnorm,
-    rope,
     silu,
     softmax,
 )
@@ -136,7 +135,7 @@ class TestRmsnorm:
 class TestRope:
     def test_position_zero_is_identity(self):
         x = RNG.standard_normal((4, 16)).astype(np.float32)
-        assert np.allclose(rope(x, 0, 10000.0), x, atol=1e-7)
+        assert np.allclose(RopeTable(16, 10000.0, 1).apply(x, 0), x, atol=1e-7)
 
     def test_norm_preserved(self):
         table = RopeTable(16, 10000.0, 64)
@@ -152,7 +151,7 @@ class TestRope:
     def test_closed_form_rotation(self):
         # head_dim 2 at position 1: one pair rotated by exactly 1 radian.
         v = np.array([[1.0, 0.0]], dtype=np.float32)
-        out = rope(v, 1, 10000.0)
+        out = RopeTable(2, 10000.0, 2).apply(v, 1)
         assert np.allclose(out, [[np.cos(1.0), np.sin(1.0)]], atol=1e-6)
 
     def test_inverse_roundtrip(self):
@@ -287,3 +286,88 @@ class TestCacheAndFfn:
         g = x @ gate
         expected = ((g / (1 + np.exp(-g))) * (x @ up)) @ down
         assert np.allclose(gated_ffn(x, gate, up, down), expected, atol=1e-10)
+
+
+class TestBatchInvariance:
+    """Row t of a T-row call equals a one-row call on row t, bit for bit.
+
+    Greedy losslessness rests on this, so it is checked per kernel: a numpy
+    or BLAS change that breaks it fails here, not as a rare divergence in
+    the decoding suites.  Shapes are the desk model's.
+    """
+
+    D, HEADS, HEAD_DIM, FFN, VOCAB = 64, 4, 16, 172, 256
+    ROWS = range(1, 8)
+    # 125 and 318: the rows of one call reach into different numbers of 64-key chunks
+    STARTS = (0, 7, 63, 64, 125, 300, 318)
+
+    @staticmethod
+    def _assert_rows_match(batched, single_row):
+        for t in range(batched.shape[0]):
+            assert np.array_equal(batched[t], single_row(t)), f"row {t} of {batched.shape[0]}"
+
+    def _attention_setup(self, dtype):
+        rng = np.random.default_rng(7)
+        mats = (rng.standard_normal((self.D, self.D)).astype(dtype) * dtype(0.3) for _ in range(4))
+        params = AttentionParams(*mats, n_heads=self.HEADS, head_dim=self.HEAD_DIM)
+        return rng, params, RopeTable(self.HEAD_DIM, 10000.0, 512, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(D, D), (D, FFN), (FFN, D), (D, VOCAB)])
+    def test_matmul(self, dtype, shape):
+        rng = np.random.default_rng(1)
+        b = rng.standard_normal(shape).astype(dtype)
+        for rows in self.ROWS:
+            a = rng.standard_normal((rows, shape[0])).astype(dtype)
+            self._assert_rows_match(matmul(a, b), lambda t: matmul(a[t : t + 1], b)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gated_ffn(self, dtype):
+        rng = np.random.default_rng(2)
+        gate, up = (rng.standard_normal((self.D, self.FFN)).astype(dtype) for _ in range(2))
+        down = rng.standard_normal((self.FFN, self.D)).astype(dtype)
+        for rows in self.ROWS:
+            x = rng.standard_normal((rows, self.D)).astype(dtype)
+            self._assert_rows_match(
+                gated_ffn(x, gate, up, down), lambda t: gated_ffn(x[t : t + 1], gate, up, down)[0]
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rmsnorm(self, dtype):
+        rng = np.random.default_rng(3)
+        scale = rng.standard_normal(self.D).astype(dtype)
+        for rows in self.ROWS:
+            x = rng.standard_normal((rows, self.D)).astype(dtype)
+            self._assert_rows_match(rmsnorm(x, scale), lambda t: rmsnorm(x[t : t + 1], scale)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_causal_attention_after_cached_prefix(self, dtype, start):
+        rng, params, table = self._attention_setup(dtype)
+        cache = LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype)
+        prefix = (start, self.HEADS, self.HEAD_DIM)
+        cache.extend(rng.standard_normal(prefix).astype(dtype), rng.standard_normal(prefix).astype(dtype))
+        for rows in self.ROWS:
+            x = rng.standard_normal((rows, self.D)).astype(dtype)
+            batched = causal_attention(params, x, cache, start, table)
+            cache.truncate(start)
+            singles = [causal_attention(params, x[t : t + 1], cache, start + t, table)[0]
+                       for t in range(rows)]
+            cache.truncate(start)
+            self._assert_rows_match(batched, lambda t: singles[t])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("start", [0, 21])
+    def test_causal_attention_long_prefill_matches_incremental(self, dtype, start):
+        # 420 rows cross several query-row blocks and 64-key chunks; from 21
+        # the blocks are not aligned with the chunks.
+        rng, params, table = self._attention_setup(dtype)
+        prefix = rng.standard_normal((start, self.D)).astype(dtype)
+        x = rng.standard_normal((420, self.D)).astype(dtype)
+        caches = [LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype) for _ in range(2)]
+        for cache in caches:
+            causal_attention(params, prefix, cache, 0, table)
+        batched = causal_attention(params, x, caches[0], start, table)
+        singles = [causal_attention(params, x[t : t + 1], caches[1], start + t, table)[0]
+                   for t in range(420)]
+        self._assert_rows_match(batched, lambda t: singles[t])
