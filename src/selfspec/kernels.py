@@ -23,8 +23,8 @@ inputs, never on how many rows were computed in the same call.  Concretely:
   64-term sum.  Chunks are folded in key order (``np.add.accumulate``), so
   the chunks past a row's prefix, present in a batched call but not in the
   row's own call, only add zeros at the end.
-- The other reductions (the max over keys, rmsnorm) are exact or run per
-  row over a length that does not depend on the row count.
+- rmsnorm's mean square is one BLAS dot per row, and the max over keys is
+  exact in any order.
 
 This makes a batched verification forward bit-identical to incremental
 decoding over the same prefix, which is what the acceptance suite relies on.
@@ -85,11 +85,8 @@ def rmsnorm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     scale = np.asarray(scale)
     if x.shape[-1] != scale.shape[-1] or scale.ndim != 1:
         raise ShapeError(f"rmsnorm scale {scale.shape} does not match input {x.shape}")
-    d = x.dtype.type(x.shape[-1])
-    if x.ndim == 1:
-        ms = np.einsum("i,i->", x, x) / d
-    else:
-        ms = (np.einsum("...ij,...ij->...i", x, x) / d)[..., None]
+    # one BLAS dot per row, like the GEMV rows of matmul
+    ms = np.matmul(x[..., None, :], x[..., :, None])[..., 0] / x.dtype.type(x.shape[-1])
     return scale * (x / np.sqrt(ms + x.dtype.type(eps)))
 
 
