@@ -23,7 +23,6 @@ from .kernels import (
     causal_attention,
     matmul,
     rmsnorm,
-    softmax,
 )
 from .model import RMS_EPS, FeatureBlock, KVCacheSet, TargetWeights
 from .seeding import generator
@@ -142,11 +141,16 @@ def draft_logits(
     softmax probability and token its greedy argmax.  Passing more than one
     feature advances the adapter cache over all of them (the catch-up batch
     of a fully accepted round) while predicting only from the last.
+
+    The top-1 probability is ``1 / sum(exp(logits - logits[token]))``: the
+    same bits as ``max(softmax(logits))``, whose top entry is ``exp(0) = 1``
+    over the same sum, without building the probability vector.
     """
     refined = adapter_forward(adapter, features, caches.adapter, model.rope)
     logits = matmul(refined[-1:], model.lm_head)[0]
-    probs = softmax(logits)
-    return logits, float(np.max(probs)), argmax_token(logits)
+    token = argmax_token(logits)
+    confidence = logits.dtype.type(1) / np.sum(np.exp(logits - logits[token]))
+    return logits, float(confidence), token
 
 
 class AdapterVariant(enum.Enum):

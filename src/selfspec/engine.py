@@ -36,25 +36,17 @@ class DraftPolicy:
     """Drafting stops when top-1 confidence <= eta or after gamma_max drafts.
 
     The stop comparison is inclusive, so ``eta=1.0`` keeps exactly one
-    (always low-confidence) draft per round; ``skip_certain_probes`` elides
-    even that probe, trading uniform traces for pure vanilla behavior.
+    (always low-confidence) draft per round; ``gamma_max=0`` drafts nothing.
     """
 
     eta: float = 0.6
     gamma_max: int = 6
-    skip_certain_probes: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
         if self.gamma_max < 0:
             raise ConfigError(f"gamma_max must be >= 0, got {self.gamma_max}")
-
-    @property
-    def effective_gamma(self) -> int:
-        if self.skip_certain_probes and self.eta >= 1.0:
-            return 0
-        return self.gamma_max
 
 
 class StopReason(enum.Enum):
@@ -67,8 +59,7 @@ class StopReason(enum.Enum):
 class RoundTrace:
     """Accounting for one draft/verify round.
 
-    ``emitted`` counts tokens actually kept; it equals ``accepted_drafts + 1``
-    except on a final round truncated at the requested token budget.
+    ``emitted`` counts tokens kept; it always equals ``accepted_drafts + 1``.
     """
 
     drafted: int
@@ -142,9 +133,14 @@ class DecodeSession:
             self._backlog = []
         return draft_logits(self.model, self.adapter, feature, self.caches)
 
-    def draft_window(self, policy: DraftPolicy) -> DraftWindow:
-        """Draft until threshold / step budget / capacity; return the unit."""
+    def draft_window(self, policy: DraftPolicy, max_drafts: int | None = None) -> DraftWindow:
+        """Draft until threshold / step budget / capacity; return the unit.
+
+        The step budget is ``gamma_max``, lowered to ``max_drafts`` when given,
+        e.g. so that a round never drafts tokens the caller cannot keep.
+        """
         max_len = self.model.config.max_seq_len
+        gamma = policy.gamma_max if max_drafts is None else min(policy.gamma_max, max_drafts)
         current = self.tokens[-1]
         rows: list[np.ndarray] = []
         drafts: list[int] = []
@@ -157,7 +153,7 @@ class DecodeSession:
             if threshold_hit:
                 reason = StopReason.THRESHOLD
                 break
-            if len(drafts) == policy.effective_gamma:
+            if len(drafts) == gamma:
                 reason = StopReason.MAX_STEPS
                 break
             if self.caches.shallow_len >= max_len:
@@ -210,7 +206,9 @@ def generate(
 
     Output tokens are exactly those of the vanilla greedy reference for any
     adapter and policy; a result that had to stop at the context limit is
-    flagged ``truncated`` instead of raising.
+    flagged ``truncated`` instead of raising.  A round drafts at most
+    ``n_tokens - len(out) - 1`` tokens, so every token it emits is kept: a
+    one-token request verifies a single row and drafts nothing.
     """
     session = DecodeSession(model, adapter, prompt)
     rounds: list[RoundTrace] = []
@@ -218,15 +216,14 @@ def generate(
     while len(out) < n_tokens:
         if len(session.tokens) > model.config.max_seq_len:
             return GenerationResult(tokens=out, rounds=rounds, truncated=True)
-        window = session.draft_window(policy)
+        window = session.draft_window(policy, n_tokens - len(out) - 1)
         accepted, emitted = session.verify_window(window)
-        kept = emitted[: n_tokens - len(out)]
-        out.extend(kept)
+        out.extend(emitted)
         rounds.append(
             RoundTrace(
                 drafted=len(window.drafts),
                 accepted_drafts=accepted,
-                emitted=len(kept),
+                emitted=len(emitted),
                 confidences=window.confidences,
                 stop_reason=window.stop_reason,
             )

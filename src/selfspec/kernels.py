@@ -9,8 +9,11 @@ inputs, never on how many rows were computed in the same call.  Concretely:
   the same shapes and strides, so it runs the same instructions whatever
   the row count.  Plain ``a @ b`` is not stable: for two or more rows BLAS
   switches from GEMV to a blocked GEMM whose accumulation order differs.
+- The q, k and v projections are one ``np.matmul`` of the rows against the
+  stacked ``(3, d, d)`` weights: the same GEMV per row and plane as three
+  separate products, in one dispatch.
 - Attention scores and contexts are GEMVs over fixed 64-key chunks of the
-  cache, cut at absolute positions (the buffers are padded to whole
+  cache, cut at absolute positions (the buffers are grown by whole
   chunks).  A GEMV over a row's own keys would not do: BLAS handles matrix
   rows in unrolled groups plus a remainder, so a key's arithmetic would
   depend on how many keys the call holds, and that count differs between
@@ -18,7 +21,7 @@ inputs, never on how many rows were computed in the same call.  Concretely:
   query, the key and the key's offset in the chunk.
 - Keys a row may not see, including the padding past the cache length, get
   a score of -inf, so their softmax weights are exactly 0.  The value rows
-  there are finite (padding and rolled-back rows are zeroed), so they add
+  there are finite (grown and rolled-back rows are zeroed), so they add
   exact zeros to a chunk's context; a chunk's weight sum is a fixed-length
   64-term sum.  Chunks are folded in key order (``np.add.accumulate``), so
   the chunks past a row's prefix, present in a batched call but not in the
@@ -32,14 +35,15 @@ decoding over the same prefix, which is what the acceptance suite relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CacheError, CapacityError, ConfigError, ShapeError
 
 
-_KEY_CHUNK = 64  # keys per attention GEMV; cache buffers are padded to a multiple
+_KEY_CHUNK = 64  # keys per attention GEMV; cache buffers hold a whole number of chunks
 _ROW_BLOCK = 32  # query rows per masked attention pass; bounds the score buffer
 
 
@@ -160,7 +164,12 @@ class RopeTable:
 
 @dataclass
 class AttentionParams:
-    """Square projection weights of one multi-head attention block."""
+    """Square projection weights of one multi-head attention block.
+
+    After construction ``wq``, ``wk`` and ``wv`` are the three contiguous
+    planes of one ``(3, d, d)`` array ``wqkv``, which attention projects
+    with in one call; in-place edits of a plane reach it.
+    """
 
     wq: np.ndarray
     wk: np.ndarray
@@ -168,6 +177,7 @@ class AttentionParams:
     wo: np.ndarray
     n_heads: int
     head_dim: int
+    wqkv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.n_heads * self.head_dim
@@ -175,37 +185,64 @@ class AttentionParams:
             w = getattr(self, name)
             if w.shape != (d, d):
                 raise ShapeError(f"attention weight {name} must be {d}x{d}, got {w.shape}")
+        self.wqkv = np.stack((self.wq, self.wk, self.wv))
+        self.wq, self.wk, self.wv = self.wqkv
+
+
+@lru_cache(maxsize=16)
+def _causal_mask(rows: int) -> np.ndarray:
+    """Read-only ``(rows, rows)`` view: ``mask[p, j]`` is ``j > p``.
+
+    Row ``p`` is the window of one 1-D ramp that turns true after its first
+    ``p + 1`` entries, so the table costs about ``2 * rows`` bytes.
+    """
+    ramp = np.arange(2 * rows - 1) >= rows
+    return np.lib.stride_tricks.sliding_window_view(ramp, rows)[::-1]
 
 
 class LayerKVCache:
-    """Per-layer key/value store with O(1) extend and truncate.
+    """Per-layer key/value store, grown by chunk, with O(1) truncate.
 
-    Buffers are preallocated at ``capacity`` rows, padded to a whole number
-    of key chunks; ``length`` marks how many positions are filled.
-    Truncation moves the length marker back, which is exactly the rollback
-    semantics verification needs, and zeroes the dropped value rows, so the
-    padding that attention reads past ``length`` always holds finite values.
+    The buffers start empty and grow in whole key chunks, at least doubling
+    each time, up to ``capacity`` rows padded to a whole chunk; ``length``
+    marks how many positions are filled.  Growing copies the filled rows and
+    zeroes the rest.  Truncation moves the length marker back, which is
+    exactly the rollback semantics verification needs, and zeroes the
+    dropped value rows, so the rows that attention reads past ``length``
+    always hold finite values.
     """
 
     def __init__(self, capacity: int, n_heads: int, head_dim: int, dtype=np.float32):
         self.capacity = capacity
-        rows = -(-capacity // _KEY_CHUNK) * _KEY_CHUNK
-        self.k = np.zeros((rows, n_heads, head_dim), dtype=dtype)
-        self.v = np.zeros((rows, n_heads, head_dim), dtype=dtype)
-        # (heads, chunks, _KEY_CHUNK, head_dim) views: one GEMV operand per head and chunk
-        chunked = (rows // _KEY_CHUNK, _KEY_CHUNK, n_heads, head_dim)
-        self.key_chunks = self.k.reshape(chunked).transpose(2, 0, 1, 3)
-        self.value_chunks = self.v.reshape(chunked).transpose(2, 0, 1, 3)
-        self.positions = np.arange(rows)
+        self._max_chunks = -(-capacity // _KEY_CHUNK)
         self.length = 0
+        self.k = self.v = np.zeros((0, n_heads, head_dim), dtype=dtype)
+        self._grow(0)
+
+    def _grow(self, end: int) -> None:
+        """Reallocate to hold ``end`` rows: at least double, at most the capacity."""
+        held = self.k.shape[0] // _KEY_CHUNK
+        chunks = min(max(-(-end // _KEY_CHUNK), 2 * held), self._max_chunks)
+        k = np.zeros((chunks * _KEY_CHUNK, *self.k.shape[1:]), dtype=self.k.dtype)
+        v = np.zeros_like(k)
+        k[: self.length] = self.k[: self.length]
+        v[: self.length] = self.v[: self.length]
+        self.k, self.v = k, v
+        # (heads, chunks, _KEY_CHUNK, head_dim) views: one GEMV operand per head and chunk
+        chunked = (chunks, _KEY_CHUNK, *k.shape[1:])
+        self.key_chunks = k.reshape(chunked).transpose(2, 0, 1, 3)
+        self.value_chunks = v.reshape(chunked).transpose(2, 0, 1, 3)
 
     def extend(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         t = k_rows.shape[0]
-        if self.length + t > self.capacity:
+        end = self.length + t
+        if end > self.capacity:
             raise CapacityError(f"KV cache full at {self.capacity} positions")
-        self.k[self.length : self.length + t] = k_rows
-        self.v[self.length : self.length + t] = v_rows
-        self.length += t
+        if end > self.k.shape[0]:
+            self._grow(end)
+        self.k[self.length : end] = k_rows
+        self.v[self.length : end] = v_rows
+        self.length = end
 
     def truncate(self, to_length: int) -> None:
         if not 0 <= to_length <= self.length:
@@ -239,13 +276,13 @@ def causal_attention(
     if d != h * hd:
         raise ShapeError(f"attention input width {d} != n_heads*head_dim {h * hd}")
 
-    q = rope_table.apply_block(_row_gemv(x, params.wq).reshape(n_rows, h, hd), start_pos)
-    k = rope_table.apply_block(_row_gemv(x, params.wk).reshape(n_rows, h, hd), start_pos)
-    v = _row_gemv(x, params.wv).reshape(n_rows, h, hd)
-    cache.extend(k, v)
-    q *= x.dtype.type(1.0 / np.sqrt(hd))
+    # one GEMV per row and weight plane; rope rotates the q and k heads together
+    qkv = np.matmul(x[:, None, None, :], params.wqkv).reshape(n_rows, 3, h, hd)
+    qk = rope_table.apply_block(qkv[:, :2].reshape(n_rows, 2 * h, hd), start_pos)
+    cache.extend(qk[:, h:], qkv[:, 2])
+    q = qk[:, :h] * x.dtype.type(1.0 / np.sqrt(hd))
 
-    last_visible = np.arange(start_pos, start_pos + n_rows)[:, None, None]
+    mask = _causal_mask(cache.k.shape[0])
     ctx = np.empty((n_rows, h, hd), dtype=x.dtype)
     for b0 in range(0, n_rows, _ROW_BLOCK):
         b1 = min(b0 + _ROW_BLOCK, n_rows)
@@ -254,7 +291,7 @@ def causal_attention(
         # w[t, h, p]: one GEMV per (row, head, chunk) against that chunk's keys
         w = np.matmul(cache.key_chunks[:, :n_chunks], q[b0:b1, :, None, :, None])
         w = w.reshape(b1 - b0, h, span)
-        np.copyto(w, -np.inf, where=cache.positions[:span] > last_visible[b0:b1])
+        np.copyto(w, -np.inf, where=mask[start_pos + b0 : start_pos + b1, None, :span])
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w = w.reshape(b1 - b0, h, n_chunks, 1, _KEY_CHUNK)

@@ -13,6 +13,7 @@ from selfspec import (
     vanilla_greedy_decode,
 )
 from selfspec.errors import CacheError, ConfigError
+from selfspec.kernels import softmax
 from selfspec.model import FeatureBlock, forward_shallow
 
 from oracles import rms
@@ -87,6 +88,52 @@ class TestDraftLogits:
             assert token == 0  # tie-break to the lowest index
         finally:
             zero_head.lm_head[:] = saved
+
+
+class TestDraftConfidence:
+    """The probe's confidence is ``max(softmax(logits))``, bit for bit."""
+
+    @staticmethod
+    def _probes(model, adapter, edit_head):
+        model = model.astype(model.dtype)  # a private copy whose head may change
+        edit_head(model.lm_head)
+        caches = KVCacheSet(model.config)
+        for token in (8, 3, 5, 1):
+            features = forward_shallow(model, [token], caches)
+            yield draft_logits(model, adapter, features, caches)
+
+    def _assert_matches_softmax(self, model, adapter, edit_head):
+        for logits, confidence, _ in self._probes(model, adapter, edit_head):
+            assert confidence == float(np.max(softmax(logits)))
+
+    def test_random_logits(self, small_model, small_adapter):
+        self._assert_matches_softmax(small_model, small_adapter, lambda head: None)
+
+    def test_tied_logits(self, small_model, small_adapter):
+        def all_equal(head):
+            head[:] = 0.5
+        self._assert_matches_softmax(small_model, small_adapter, all_equal)
+
+        def duplicate_columns(head):
+            head[:, 1::2] = head[:, 0::2]
+        for logits, confidence, token in self._probes(small_model, small_adapter, duplicate_columns):
+            assert np.sum(logits == logits[token]) >= 2
+            assert confidence == float(np.max(softmax(logits)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_logits_of_magnitude_1e4(self, small_model, small_adapter, sign):
+        def widen(head):
+            head *= np.float32(sign * 1e4 / 3.0)
+        for logits, confidence, _ in self._probes(small_model, small_adapter, widen):
+            assert np.max(np.abs(logits)) > 1e3
+            assert confidence == float(np.max(softmax(logits)))
+
+    def test_nan_logits_give_nan(self, small_model, small_adapter):
+        def poison(head):
+            head[:, 5] = np.nan
+        for logits, confidence, _ in self._probes(small_model, small_adapter, poison):
+            assert np.isnan(logits[5])
+            assert np.isnan(confidence)
 
 
 class TestInitAdapter:

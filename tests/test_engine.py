@@ -59,9 +59,9 @@ class TestDraftWindow:
         assert len(window.features) == 2
 
     def test_skip_certain_probes_flag(self, small_model, small_adapter):
-        # With the flag on, an always-triggering threshold elides the probe
-        # entirely; output is still the greedy reference.
-        policy = DraftPolicy(eta=1.0, gamma_max=6, skip_certain_probes=True)
+        # A zero step budget elides the probe that an always-triggering
+        # threshold would spend; output is still the greedy reference.
+        policy = DraftPolicy(eta=1.0, gamma_max=0)
         session = DecodeSession(small_model, small_adapter, [3, 1, 4])
         window = session.draft_window(policy)
         assert window.drafts == []
@@ -186,12 +186,35 @@ class TestGenerate:
         n = 37
         result = generate(small_model, small_adapter, DraftPolicy(eta=0.4, gamma_max=5), [9, 8], n)
         assert sum(r.emitted for r in result.rounds) == n
-        for trace in result.rounds[:-1]:
-            assert trace.emitted == trace.accepted_drafts + 1
         for trace in result.rounds:
+            assert trace.emitted == trace.accepted_drafts + 1
             assert 0 <= trace.accepted_drafts <= trace.drafted <= 5
             assert trace.emitted >= 1
             assert len(trace.confidences) == trace.drafted
+
+    def test_one_token_request_drafts_nothing(self, small_model, small_adapter):
+        prompt = [9, 8, 7]
+        for policy in (DraftPolicy(eta=0.0, gamma_max=6), DraftPolicy(eta=0.6, gamma_max=6)):
+            result = generate(small_model, small_adapter, policy, prompt, 1)
+            assert len(result.rounds) == 1
+            assert result.rounds[0].drafted == 0
+            assert result.rounds[0].confidences == []
+            assert result.tokens == vanilla_greedy_decode(small_model, prompt, 1)
+
+    def test_drafts_stay_within_token_budget(self, small_model, planted):
+        # The planted fixture accepts every draft, so without the cap its
+        # rounds would draft gamma_max tokens past what the request keeps.
+        model, adapter = planted
+        for m, a, eta in ((model, adapter, 0.0), (small_model, randomized_adapter(small_model, 3), 0.0),
+                          (small_model, randomized_adapter(small_model, 4), 0.5)):
+            for n in (1, 2, 3, 5, 9, 16):
+                result = generate(m, a, DraftPolicy(eta=eta, gamma_max=6), [7, 3], n)
+                assert result.tokens == vanilla_greedy_decode(m, [7, 3], n)
+                remaining = n
+                for trace in result.rounds:
+                    assert trace.drafted <= remaining - 1
+                    remaining -= trace.emitted
+                assert remaining == 0
 
     def test_monotone_draft_effort_in_eta(self, small_model, small_adapter):
         # Raising eta never increases the drafted count of a round starting

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from selfspec.errors import CacheError, CapacityError, ConfigError, ShapeError
 from selfspec.kernels import (
     AttentionParams,
+    _causal_mask,
     LayerKVCache,
     RopeTable,
     argmax_token,
@@ -288,6 +289,115 @@ class TestCacheAndFfn:
         assert np.allclose(gated_ffn(x, gate, up, down), expected, atol=1e-10)
 
 
+class TestCacheGrowth:
+    @staticmethod
+    def _rows(n, seed=0, heads=2, hd=4):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((n, heads, hd)).astype(np.float32),
+                rng.standard_normal((n, heads, hd)).astype(np.float32))
+
+    def test_fresh_cache_holds_no_rows(self):
+        cache = LayerKVCache(512, 2, 4)
+        assert cache.length == 0
+        assert cache.k.shape == cache.v.shape == (0, 2, 4)
+        assert cache.key_chunks.shape == cache.value_chunks.shape == (2, 0, 64, 4)
+
+    def test_growth_doubles_and_stops_at_padded_capacity(self):
+        cache = LayerKVCache(300, 2, 4)  # padded to 320 rows, five chunks
+        held = []
+        for _ in range(300):
+            cache.extend(*self._rows(1))
+            if not held or held[-1] != cache.k.shape[0]:
+                held.append(cache.k.shape[0])
+        assert held == [64, 128, 256, 320]
+        assert cache.key_chunks.shape == (2, 5, 64, 4)
+        assert np.shares_memory(cache.key_chunks, cache.k)
+        assert np.shares_memory(cache.value_chunks, cache.v)
+        # a block larger than double the buffer gets the chunks it needs
+        cache = LayerKVCache(300, 2, 4)
+        cache.extend(*self._rows(1))
+        cache.extend(*self._rows(199))
+        assert cache.k.shape[0] == 256
+
+    def test_filled_rows_survive_growth(self):
+        cache = LayerKVCache(512, 2, 4)
+        k, v = self._rows(300, seed=1)
+        for a, b in ((0, 5), (5, 64), (64, 65), (65, 200), (200, 300)):
+            cache.extend(k[a:b], v[a:b])
+            assert np.array_equal(cache.k[:b], k[:b])
+            assert np.array_equal(cache.v[:b], v[:b])
+
+    def test_value_rows_past_length_are_zero(self):
+        cache = LayerKVCache(512, 2, 4)
+        cache.extend(*self._rows(50, seed=2))
+        cache.truncate(10)
+        assert not cache.v[10:].any()
+        cache.extend(*self._rows(60, seed=3))  # 70 rows: grows to two chunks
+        assert cache.k.shape[0] == 128
+        assert not cache.v[70:].any()
+        cache.truncate(33)
+        assert not cache.v[33:].any()
+
+    def test_capacity_error_unchanged(self):
+        cache = LayerKVCache(100, 2, 4)
+        with pytest.raises(CapacityError, match="KV cache full at 100 positions"):
+            cache.extend(*self._rows(101))
+        cache.extend(*self._rows(100))
+        assert cache.k.shape[0] == 128
+        with pytest.raises(CapacityError, match="KV cache full at 100 positions"):
+            cache.extend(*self._rows(1))
+        assert cache.length == 100
+
+
+class TestWeightPlanes:
+    """wq, wk and wv are views of the stacked projection weights ``wqkv``."""
+
+    @staticmethod
+    def _assert_planes(p):
+        assert p.wqkv.shape == (3, *p.wq.shape)
+        for i, w in enumerate((p.wq, p.wk, p.wv)):
+            assert np.shares_memory(w, p.wqkv)
+            assert w.flags["C_CONTIGUOUS"]
+            assert np.array_equal(w, p.wqkv[i])
+
+    def test_planes_after_construction_astype_and_round_trip(self, tmp_path):
+        from selfspec import desk_config, gen_model, init_adapter
+        from selfspec.serialize import load_adapter, load_weights, save_adapter, save_weights
+
+        self._assert_planes(_random_params())
+        model = gen_model(desk_config(n_layers=3, max_seq_len=64), seed=5)
+        adapter = init_adapter(model, seed=6)
+        save_weights(model, tmp_path / "m.kngr")
+        save_adapter(adapter, tmp_path / "a.knga")
+        _, loaded = load_weights(tmp_path / "m.kngr")
+        for weights in (model, model.astype(np.float64), loaded):
+            for layer in weights.layers:
+                self._assert_planes(layer.attn)
+        for a in (adapter, adapter.astype(np.float64), adapter.copy(),
+                  load_adapter(tmp_path / "a.knga")):
+            self._assert_planes(a.attn)
+
+    def test_in_place_edit_reaches_attention(self):
+        params = _random_params()
+        table = RopeTable(8, 10000.0, 16)
+        x = RNG.standard_normal((3, 32)).astype(np.float32)
+        before = causal_attention(params, x, LayerKVCache(16, 4, 8), 0, table)
+        params.wq[:] = 0
+        after = causal_attention(params, x, LayerKVCache(16, 4, 8), 0, table)
+        assert not np.array_equal(before, after)
+        # zero queries score every key equally: a plain mean of the values
+        v = x @ params.wv
+        mean = (np.cumsum(v, axis=0) / np.arange(1, 4)[:, None]) @ params.wo
+        assert np.allclose(after, mean, atol=1e-5)
+
+    def test_mask_view_is_read_only(self):
+        mask = _causal_mask(128)
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, np.triu(np.ones((128, 128), dtype=bool), k=1))
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+
+
 class TestBatchInvariance:
     """Row t of a T-row call equals a one-row call on row t, bit for bit.
 
@@ -355,6 +465,23 @@ class TestBatchInvariance:
                        for t in range(rows)]
             cache.truncate(start)
             self._assert_rows_match(batched, lambda t: singles[t])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_causal_attention_growing_in_the_call(self, dtype):
+        # From 60 on a one-chunk buffer, the 7-row call grows the cache
+        # itself; the one-row calls grow it at their fifth row.
+        rng, params, table = self._attention_setup(dtype)
+        prefix = rng.standard_normal((60, self.D)).astype(dtype)
+        x = rng.standard_normal((7, self.D)).astype(dtype)
+        caches = [LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype) for _ in range(2)]
+        for cache in caches:
+            causal_attention(params, prefix, cache, 0, table)
+            assert cache.k.shape[0] == 64
+        batched = causal_attention(params, x, caches[0], 60, table)
+        assert caches[0].k.shape[0] == 128
+        singles = [causal_attention(params, x[t : t + 1], caches[1], 60 + t, table)[0]
+                   for t in range(7)]
+        self._assert_rows_match(batched, lambda t: singles[t])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("start", [0, 21])
