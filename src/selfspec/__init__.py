@@ -25,6 +25,7 @@ from .engine import (
     StopReason,
     generate,
     measure_walltime,
+    run_corpus,
 )
 from .metrics import AcceptanceRecord, BenchReport, aggregate, compression_rate, ctar
 from .model import (
@@ -92,6 +93,7 @@ __all__ = [
     "init_adapter",
     "measure_walltime",
     "passthrough_adapter",
+    "run_corpus",
     "simulate_speedup",
     "sweep",
     "train_adapter",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +17,11 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import serialize
 from .adapter import init_adapter
-from .engine import DraftPolicy, generate
+from .engine import DraftPolicy, run_corpus
 from .errors import LosslessnessError, SelfspecError
 from .metrics import AcceptanceRecord, aggregate
-from .model import DESK_CONFIG, ModelConfig, TargetWeights, gen_model, vanilla_greedy_decode
-from .simulator import calibrate_latency, sweep
+from .model import DESK_CONFIG, ModelConfig, TargetWeights, gen_model
+from .simulator import calibrate_latency, simulate_speedup, sweep
 from .training import TrainConfig, train_adapter
 
 
@@ -160,55 +159,20 @@ def _bench_prompts(model: TargetWeights, sequences, n_tokens: int) -> list[list[
     return prompts
 
 
-def _divergence_report(prompt_idx, result, reference) -> str:
-    pos = next(
-        (i for i, (a, b) in enumerate(zip(result.tokens, reference)) if a != b),
-        min(len(result.tokens), len(reference)),
-    )
-    emitted = 0
-    round_idx = len(result.rounds) - 1
-    for i, trace in enumerate(result.rounds):
-        emitted += trace.emitted
-        if pos < emitted:
-            round_idx = i
-            break
-    return (
-        f"losslessness violation on prompt {prompt_idx}: first divergence at "
-        f"position {pos} (round {round_idx}): speculative="
-        f"{result.tokens[pos:pos + 4]} vanilla={reference[pos:pos + 4]}"
-    )
-
-
 def cmd_bench(args) -> int:
     model = _load_model(args)
     adapter = _load_adapter(args, model)
     prompts = _bench_prompts(model, _load_corpus(args), args.n_tokens)
     policy = DraftPolicy(eta=args.eta, gamma_max=args.gamma)
     lat = calibrate_latency(model, adapter, reps=3, seed=args.seed, gamma=max(args.gamma, 1))
-
-    records = []
-    vanilla_seconds = []
-    spec_seconds = []
-    total_sim = 0.0
-    for idx, prompt in enumerate(prompts):
-        t0 = time.perf_counter()
-        reference = vanilla_greedy_decode(model, prompt, args.n_tokens)
-        vanilla_seconds.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        result = generate(model, adapter, policy, prompt, args.n_tokens)
-        spec_seconds.append(time.perf_counter() - t0)
-        if result.tokens != reference:
-            raise LosslessnessError(_divergence_report(idx, result, reference))
-        records.append(AcceptanceRecord(result.emitted_per_round))
-        total_sim += sum(lat.round_cost(t.drafted) for t in result.rounds)
-
+    vanilla_seconds, [run] = run_corpus(model, adapter, [policy], prompts, args.n_tokens)
     report = aggregate(
-        records,
+        [AcceptanceRecord(r.emitted_per_round) for r in run.results],
         vanilla_seconds=vanilla_seconds,
-        spec_seconds=spec_seconds,
+        spec_seconds=run.seconds,
         subtask=Path(args.corpus).stem,
     )
-    report.simulated_speedup = (report.total_tokens * lat.c_big) / total_sim
+    report.simulated_speedup = simulate_speedup(run.rounds, lat, report.total_tokens)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 
@@ -219,22 +183,13 @@ def cmd_verify_lossless(args) -> int:
     prompts = _bench_prompts(model, _load_corpus(args), args.n_tokens)
     etas = _parse_grid(args.etas, float)
     gammas = _parse_grid(args.gammas, int)
-
-    checked = 0
-    for idx, prompt in enumerate(prompts):
-        reference = vanilla_greedy_decode(model, prompt, args.n_tokens)
-        for eta in etas:
-            for gamma in gammas:
-                policy = DraftPolicy(eta=eta, gamma_max=gamma)
-                result = generate(model, adapter, policy, prompt, args.n_tokens)
-                checked += 1
-                if result.tokens != reference:
-                    print(
-                        f"FAIL eta={eta} gamma={gamma}: "
-                        + _divergence_report(idx, result, reference)
-                    )
-                    return 1
-    print(f"PASS: {checked} runs token-identical to the greedy reference")
+    policies = [DraftPolicy(eta=eta, gamma_max=gamma) for eta in etas for gamma in gammas]
+    try:
+        run_corpus(model, adapter, policies, prompts, args.n_tokens)
+    except LosslessnessError as exc:
+        print(f"FAIL {exc}")
+        return 1
+    print(f"PASS: {len(policies) * len(prompts)} runs token-identical to the greedy reference")
     return 0
 
 

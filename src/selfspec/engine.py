@@ -14,6 +14,7 @@ decoding for every adapter and policy.
 from __future__ import annotations
 
 import enum
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -21,13 +22,14 @@ from typing import Callable
 import numpy as np
 
 from .adapter import AdapterWeights, draft_logits
-from .errors import ConfigError
+from .errors import ConfigError, LosslessnessError
 from .model import (
     FeatureBlock,
     KVCacheSet,
     TargetWeights,
     forward_remaining,
     forward_shallow,
+    vanilla_greedy_decode,
 )
 
 
@@ -229,6 +231,72 @@ def generate(
             )
         )
     return GenerationResult(tokens=out, rounds=rounds)
+
+
+@dataclass
+class PolicyRun:
+    """One policy's results over a corpus, with the walltime of each request."""
+
+    policy: DraftPolicy
+    results: list[GenerationResult]
+    seconds: list[float]
+
+    @property
+    def rounds(self) -> list[RoundTrace]:
+        return [trace for result in self.results for trace in result.rounds]
+
+
+def _timed(fn: Callable, *args) -> tuple[object, float]:
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
+def _divergence_report(policy: DraftPolicy, prompt_idx: int, result, reference) -> str:
+    pos = next(
+        (i for i, (a, b) in enumerate(zip(result.tokens, reference)) if a != b),
+        min(len(result.tokens), len(reference)),
+    )
+    ends = itertools.accumulate(result.emitted_per_round)
+    round_idx = next((i for i, end in enumerate(ends) if pos < end), len(result.rounds) - 1)
+    return (
+        f"losslessness violation at eta={policy.eta} gamma={policy.gamma_max} on prompt "
+        f"{prompt_idx}: first divergence at position {pos} (round {round_idx}): "
+        f"speculative={result.tokens[pos:pos + 4]} vanilla={reference[pos:pos + 4]}"
+    )
+
+
+def run_corpus(
+    model: TargetWeights,
+    adapter: AdapterWeights,
+    policies: list[DraftPolicy],
+    prompts: list[list[int]],
+    n_tokens: int,
+) -> tuple[list[float], list[PolicyRun]]:
+    """Decode every prompt under every policy and check it against greedy.
+
+    Each greedy reference is computed and timed once; then each policy, in
+    order, decodes every prompt.  The first output that differs from its
+    reference raises ``LosslessnessError`` naming the policy, the prompt,
+    the first diverging position and its round.  Returns the reference
+    walltimes and one ``PolicyRun`` per policy.
+    """
+    if not policies or not prompts:
+        raise ConfigError("a corpus run needs at least one policy and one prompt")
+    references, vanilla_seconds = zip(
+        *(_timed(vanilla_greedy_decode, model, prompt, n_tokens) for prompt in prompts)
+    )
+    runs = []
+    for policy in policies:
+        run = PolicyRun(policy, [], [])
+        for idx, (prompt, reference) in enumerate(zip(prompts, references)):
+            result, seconds = _timed(generate, model, adapter, policy, prompt, n_tokens)
+            if result.tokens != reference:
+                raise LosslessnessError(_divergence_report(policy, idx, result, reference))
+            run.results.append(result)
+            run.seconds.append(seconds)
+        runs.append(run)
+    return list(vanilla_seconds), runs
 
 
 def measure_walltime(

@@ -126,29 +126,8 @@ class RopeTable:
         self._cis_conj = np.conj(self._cis)
         self._real = np.dtype(dtype)
 
-    def _rotate(self, x: np.ndarray, position: int, table: np.ndarray) -> np.ndarray:
-        if x.shape[-1] != self.head_dim:
-            raise ShapeError(f"rope head_dim mismatch: {x.shape[-1]} != {self.head_dim}")
-        if not 0 <= position < self.max_len:
-            raise CapacityError(f"rope position {position} outside 0..{self.max_len - 1}")
-        if not x.flags["C_CONTIGUOUS"]:
-            x = np.ascontiguousarray(x)
-        rotated = x.view(table.dtype) * table[position]
-        return rotated.view(self._real)
-
-    def apply(self, x: np.ndarray, position: int) -> np.ndarray:
-        """Rotate per-head vectors ``x`` of shape (..., head_dim) at one position."""
-        return self._rotate(x, position, self._cis)
-
-    def apply_inverse(self, x: np.ndarray, position: int) -> np.ndarray:
-        """Inverse rotation (transpose of the orthogonal pair rotations)."""
-        return self._rotate(x, position, self._cis_conj)
-
-    def apply_block(self, x: np.ndarray, start: int) -> np.ndarray:
-        """Rotate rows of ``x`` (T, heads, head_dim) at positions ``start..start+T-1``.
-
-        Elementwise-identical to applying ``apply`` row by row.
-        """
+    def _rotate(self, x: np.ndarray, start: int, table: np.ndarray) -> np.ndarray:
+        # Row t of x (T, heads, head_dim) turns by table[start + t].
         t = x.shape[0]
         if x.shape[-1] != self.head_dim:
             raise ShapeError(f"rope head_dim mismatch: {x.shape[-1]} != {self.head_dim}")
@@ -158,8 +137,28 @@ class RopeTable:
             )
         if not x.flags["C_CONTIGUOUS"]:
             x = np.ascontiguousarray(x)
-        rotated = x.view(self._cis.dtype) * self._cis[start : start + t, None, :]
-        return rotated.view(self._real)
+        return (x.view(table.dtype) * table[start : start + t, None, :]).view(self._real)
+
+    def apply(self, x: np.ndarray, position: int) -> np.ndarray:
+        """Rotate per-head vectors ``x`` of shape (..., head_dim) at one position."""
+        rows = x.reshape(1, -1, x.shape[-1])
+        return self._rotate(rows, position, self._cis).reshape(x.shape)
+
+    def apply_inverse(self, x: np.ndarray, position: int) -> np.ndarray:
+        """Inverse rotation (transpose of the orthogonal pair rotations)."""
+        rows = x.reshape(1, -1, x.shape[-1])
+        return self._rotate(rows, position, self._cis_conj).reshape(x.shape)
+
+    def apply_block(self, x: np.ndarray, start: int) -> np.ndarray:
+        """Rotate rows of ``x`` (T, heads, head_dim) at positions ``start..start+T-1``.
+
+        Elementwise-identical to applying ``apply`` row by row.
+        """
+        return self._rotate(x, start, self._cis)
+
+    def apply_inverse_block(self, x: np.ndarray, start: int) -> np.ndarray:
+        """Inverse of ``apply_block`` at the same positions."""
+        return self._rotate(x, start, self._cis_conj)
 
 
 @dataclass

@@ -118,12 +118,8 @@ def aggregate(
     """
     if not records:
         raise MetricsDomainError("aggregate of zero records")
-    total_tokens = sum(r.n_tokens for r in records)
-    total_rounds = sum(r.rounds for r in records)
-    pooled = [s_k for r in records for s_k in r.s]
-    ctar_pooled = {
-        w: sum(1 for s_k in pooled if s_k > w) / len(pooled) for w in CTAR_WINDOWS
-    }
+    pooled = AcceptanceRecord(s_k for r in records for s_k in r.s)
+    total_tokens = pooled.n_tokens
     speedup = None
     tokens_per_sec = None
     if vanilla_seconds is not None or spec_seconds is not None:
@@ -137,15 +133,16 @@ def aggregate(
         total_spec = sum(spec_seconds)
         speedup = sum(vanilla_seconds) / total_spec if total_spec > 0 else float("inf")
         tokens_per_sec = total_tokens / total_spec if total_spec > 0 else float("inf")
+    per_prompt_cr = [compression_rate(r) for r in records]
     return BenchReport(
         subtask=subtask,
-        pooled_cr=total_tokens / total_rounds,
-        macro_cr=sum(compression_rate(r) for r in records) / len(records),
-        ctar_pooled=ctar_pooled,
+        pooled_cr=compression_rate(pooled),
+        macro_cr=sum(per_prompt_cr) / len(records),
+        ctar_pooled={w: ctar(pooled, w) for w in CTAR_WINDOWS},
         n_prompts=len(records),
         total_tokens=total_tokens,
-        total_rounds=total_rounds,
+        total_rounds=pooled.rounds,
         speedup=speedup,
         tokens_per_sec=tokens_per_sec,
-        per_prompt_cr=[compression_rate(r) for r in records],
+        per_prompt_cr=per_prompt_cr,
     )

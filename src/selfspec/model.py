@@ -336,13 +336,18 @@ def full_forward(
 def vanilla_greedy_decode(
     weights: TargetWeights, prompt: list[int], n_tokens: int
 ) -> list[int]:
-    """One-token-per-forward greedy decoding: the losslessness oracle."""
+    """One-token-per-forward greedy decoding: the losslessness oracle.
+
+    The newest token is never fed back, so ``len(prompt) + n_tokens - 1``
+    positions are cached: the request fits when that is at most
+    ``max_seq_len``, the same bound up to which ``generate`` emits tokens.
+    """
     if len(prompt) == 0:
         raise ConfigError("prompt must be non-empty")
-    if len(prompt) + n_tokens > weights.config.max_seq_len:
+    if len(prompt) + n_tokens > weights.config.max_seq_len + 1:
         raise CapacityError(
-            f"prompt ({len(prompt)}) + n_tokens ({n_tokens}) exceeds max_seq_len "
-            f"{weights.config.max_seq_len}"
+            f"prompt ({len(prompt)}) + n_tokens ({n_tokens}) exceeds max_seq_len + 1 = "
+            f"{weights.config.max_seq_len + 1}"
         )
     if n_tokens == 0:
         return []

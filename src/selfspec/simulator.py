@@ -18,17 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapter import AdapterWeights, adapter_forward, draft_logits
-from .engine import DecodeSession, DraftPolicy, RoundTrace, generate
-from .errors import CalibrationError, ConfigError, LosslessnessError, MetricsDomainError
-from .metrics import CTAR_WINDOWS, AcceptanceRecord, compression_rate
-from .model import (
-    FeatureBlock,
-    KVCacheSet,
-    TargetWeights,
-    forward_remaining,
-    forward_shallow,
-    vanilla_greedy_decode,
-)
+from .engine import DecodeSession, DraftPolicy, RoundTrace, measure_walltime, run_corpus
+from .errors import CalibrationError, ConfigError, MetricsDomainError
+from .metrics import CTAR_WINDOWS, AcceptanceRecord, aggregate
+from .model import FeatureBlock, KVCacheSet, TargetWeights, forward_remaining, forward_shallow
 from .seeding import generator
 
 
@@ -117,59 +110,26 @@ def sweep(
     Traces depend on the threshold, so each point re-runs the engine; every
     run is cross-checked token-for-token against the greedy reference.
     """
-    if not etas or not gammas or not prompts:
-        raise ConfigError("sweep needs non-empty eta grid, gamma grid and prompts")
-    references: list[list[int]] = []
-    vanilla_seconds = []
-    for prompt in prompts:
-        t0 = time.perf_counter()
-        references.append(vanilla_greedy_decode(model, prompt, n_tokens))
-        vanilla_seconds.append(time.perf_counter() - t0)
-    total_vanilla = sum(vanilla_seconds)
-
+    policies = [DraftPolicy(eta=eta, gamma_max=gamma) for eta in etas for gamma in gammas]
+    vanilla_seconds, runs = run_corpus(model, adapter, policies, prompts, n_tokens)
     points = []
-    for eta in etas:
-        for gamma in gammas:
-            policy = DraftPolicy(eta=eta, gamma_max=gamma)
-            all_s: list[int] = []
-            total_spec_time = 0.0
-            sim_spec_time = 0.0
-            for prompt, reference in zip(prompts, references):
-                t0 = time.perf_counter()
-                result = generate(model, adapter, policy, prompt, n_tokens)
-                total_spec_time += time.perf_counter() - t0
-                if result.tokens != reference:
-                    raise LosslessnessError(
-                        f"divergence at eta={eta}, gamma={gamma}: "
-                        f"{result.tokens} != {reference}"
-                    )
-                all_s.extend(result.emitted_per_round)
-                sim_spec_time += sum(lat.round_cost(t.drafted) for t in result.rounds)
-            rec = AcceptanceRecord(all_s)
-            points.append(
-                SweepPoint(
-                    eta=eta,
-                    gamma=gamma,
-                    cr=compression_rate(rec),
-                    ctars={
-                        w: sum(1 for s in rec.s if s > w) / rec.rounds
-                        for w in CTAR_WINDOWS
-                    },
-                    simulated_speedup=(rec.n_tokens * lat.c_big) / sim_spec_time,
-                    measured_speedup=total_vanilla / total_spec_time,
-                )
+    for run in runs:
+        report = aggregate(
+            [AcceptanceRecord(r.emitted_per_round) for r in run.results],
+            vanilla_seconds=vanilla_seconds,
+            spec_seconds=run.seconds,
+        )
+        points.append(
+            SweepPoint(
+                eta=run.policy.eta,
+                gamma=run.policy.gamma_max,
+                cr=report.pooled_cr,
+                ctars=report.ctar_pooled,
+                simulated_speedup=simulate_speedup(run.rounds, lat, report.total_tokens),
+                measured_speedup=report.speedup,
             )
+        )
     return SimReport(etas=list(etas), gammas=list(gammas), points=points)
-
-
-def _median_time(fn, reps: int) -> float:
-    fn()  # warmup
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
 
 
 def calibrate_latency(
@@ -208,7 +168,7 @@ def calibrate_latency(
                 c.truncate(ctx)
 
         rows.append([1.0, 0.0, 0.0, 0.0])
-        times.append(_median_time(time_shallow, reps))
+        times.append(measure_walltime(time_shallow, reps)[1])
 
         probe = forward_shallow(model, [tokens[ctx]], caches)
 
@@ -217,7 +177,7 @@ def calibrate_latency(
             caches.adapter.truncate(ctx)
 
         rows.append([0.0, 1.0, 0.0, 0.0])
-        times.append(_median_time(time_adapter, reps))
+        times.append(measure_walltime(time_adapter, reps)[1])
 
         unit = forward_shallow(model, tokens[ctx + 1 : ctx + 1 + gamma], caches)
         unit_block = FeatureBlock(start=ctx, values=np.concatenate([probe.values, unit.values]))
@@ -228,7 +188,7 @@ def calibrate_latency(
                 c.truncate(ctx)
 
         rows.append([0.0, 0.0, 1.0, 0.0])
-        times.append(_median_time(time_big, reps))
+        times.append(measure_walltime(time_big, reps)[1])
 
     # Whole rounds pin down the per-round overhead.
     prompt = tokens[: max(4, probe_lengths[0])]

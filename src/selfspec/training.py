@@ -123,29 +123,6 @@ def distill_loss(student_logits: np.ndarray, teacher_probs: np.ndarray) -> float
     return float(-np.sum(teacher_probs * np.maximum(logp, np.log(LOG_CLAMP))))
 
 
-def _rope_mats(rope: RopeTable, t: int) -> tuple[np.ndarray, np.ndarray]:
-    return rope.cos[:t], rope.sin[:t]
-
-
-def _apply_rope_rows(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # x: (T, H, dh); cos/sin: (T, dh/2) broadcast over heads
-    even, odd = x[..., 0::2], x[..., 1::2]
-    c, s = cos[:, None, :], sin[:, None, :]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
-    return out
-
-
-def _unapply_rope_rows(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    even, odd = x[..., 0::2], x[..., 1::2]
-    c, s = cos[:, None, :], sin[:, None, :]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * c + odd * s
-    out[..., 1::2] = -even * s + odd * c
-    return out
-
-
 def _rms_forward(x: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMS_EPS)
     return scale * x / r, r
@@ -161,6 +138,31 @@ def _rms_backward(
     return dx, dscale
 
 
+def adapter_student_forward(
+    adapter: AdapterWeights, features: np.ndarray, lm_head: np.ndarray, rope: RopeTable
+) -> tuple[np.ndarray, tuple]:
+    """Full-sequence student logits via the taped forward (no caches).
+
+    Mathematically identical to the cached inference path.  Returns the
+    logits and the tape of intermediates that ``adapter_backward`` reuses.
+    """
+    x = features
+    t_len, d = x.shape
+    h, hd = adapter.attn.n_heads, adapter.attn.head_dim
+    causal = np.tril(np.ones((t_len, t_len), dtype=bool))
+    xn, r1 = _rms_forward(x, adapter.input_norm)
+    qr = rope.apply_block(matmul(xn, adapter.attn.wq).reshape(t_len, h, hd), 0)
+    kr = rope.apply_block(matmul(xn, adapter.attn.wk).reshape(t_len, h, hd), 0)
+    v = matmul(xn, adapter.attn.wv).reshape(t_len, h, hd)
+    scores = np.einsum("thd,uhd->htu", qr, kr) / np.sqrt(hd)
+    scores = np.where(causal[None], scores, -np.inf)
+    probs = softmax(scores, axis=-1)  # (H, T, T)
+    ao = np.einsum("htu,uhd->thd", probs, v).reshape(t_len, d)
+    z = x + matmul(ao, adapter.attn.wo)
+    y, r2 = _rms_forward(z, adapter.output_norm)
+    return matmul(y, lm_head), (xn, r1, qr, kr, v, probs, ao, z, r2)
+
+
 def adapter_backward(
     adapter: AdapterWeights,
     batch: DistillBatch,
@@ -169,8 +171,7 @@ def adapter_backward(
 ) -> tuple[float, AdapterGrads]:
     """Loss and analytic adapter gradients for one sequence batch.
 
-    Runs a taped full-sequence forward (mathematically identical to the
-    cached inference path) and backpropagates through the output norm, the
+    Runs the taped forward and backpropagates through the output norm, the
     causal attention with rotary embedding, and the input norm.  Only
     adapter tensors receive gradients.
     """
@@ -179,24 +180,9 @@ def adapter_backward(
     t_len, d = x.shape
     h, hd = adapter.attn.n_heads, adapter.attn.head_dim
     inv_sqrt = 1.0 / np.sqrt(hd)
-    cos, sin = _rope_mats(rope, t_len)
-    causal = np.tril(np.ones((t_len, t_len), dtype=bool))
-
-    # Forward with tape.
-    xn, r1 = _rms_forward(x, adapter.input_norm)
-    q = matmul(xn, adapter.attn.wq).reshape(t_len, h, hd)
-    k = matmul(xn, adapter.attn.wk).reshape(t_len, h, hd)
-    v = matmul(xn, adapter.attn.wv).reshape(t_len, h, hd)
-    qr = _apply_rope_rows(q, cos, sin)
-    kr = _apply_rope_rows(k, cos, sin)
-    scores = np.einsum("thd,uhd->htu", qr, kr) * inv_sqrt
-    scores = np.where(causal[None], scores, -np.inf)
-    probs = softmax(scores, axis=-1)  # (H, T, T)
-    ao = np.einsum("htu,uhd->thd", probs, v).reshape(t_len, d)
-    attn_out = matmul(ao, adapter.attn.wo)
-    z = x + attn_out
-    y, r2 = _rms_forward(z, adapter.output_norm)
-    logits = matmul(y, lm_head)
+    logits, (xn, r1, qr, kr, v, probs, ao, z, r2) = adapter_student_forward(
+        adapter, x, lm_head, rope
+    )
 
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
@@ -217,8 +203,8 @@ def adapter_backward(
     dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
     dqr = np.einsum("htu,uhd->thd", dscores, kr) * inv_sqrt
     dkr = np.einsum("htu,thd->uhd", dscores, qr) * inv_sqrt
-    dq = _unapply_rope_rows(dqr, cos, sin).reshape(t_len, d)
-    dk = _unapply_rope_rows(dkr, cos, sin).reshape(t_len, d)
+    dq = rope.apply_inverse_block(dqr, 0).reshape(t_len, d)
+    dk = rope.apply_inverse_block(dkr, 0).reshape(t_len, d)
     dv = dv.reshape(t_len, d)
 
     dwq = matmul(xn.T, dq)
@@ -236,27 +222,6 @@ def adapter_backward(
         output_norm=d_output_norm,
     )
     return loss, grads
-
-
-def adapter_student_logits(
-    adapter: AdapterWeights, features: np.ndarray, lm_head: np.ndarray, rope: RopeTable
-) -> np.ndarray:
-    """Full-sequence student logits via the taped forward (no caches)."""
-    x = features
-    t_len, d = x.shape
-    h, hd = adapter.attn.n_heads, adapter.attn.head_dim
-    cos, sin = _rope_mats(rope, t_len)
-    causal = np.tril(np.ones((t_len, t_len), dtype=bool))
-    xn, _ = _rms_forward(x, adapter.input_norm)
-    q = _apply_rope_rows(matmul(xn, adapter.attn.wq).reshape(t_len, h, hd), cos, sin)
-    k = _apply_rope_rows(matmul(xn, adapter.attn.wk).reshape(t_len, h, hd), cos, sin)
-    v = matmul(xn, adapter.attn.wv).reshape(t_len, h, hd)
-    scores = np.einsum("thd,uhd->htu", q, k) / np.sqrt(hd)
-    scores = np.where(causal[None], scores, -np.inf)
-    ao = np.einsum("htu,uhd->thd", softmax(scores, axis=-1), v).reshape(t_len, d)
-    z = x + matmul(ao, adapter.attn.wo)
-    y, _ = _rms_forward(z, adapter.output_norm)
-    return matmul(y, lm_head)
 
 
 class AdamW:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,37 @@ def artifacts(tmp_path):
         "--out", str(adapter), "--epochs", "2", "--batch", "3", "--seed", "3",
     ]) == 0
     return model, adapter, corpus
+
+
+# The report every command gives for an output that differs from greedy.
+DIVERGENCE = re.compile(
+    r"losslessness violation at eta=\S+ gamma=\d+ on prompt \d+: "
+    r"first divergence at position \d+ \(round \d+\)"
+)
+
+
+@pytest.fixture()
+def faulty_verifier(monkeypatch):
+    """Off-by-one acceptance: the first mismatched draft is accepted too."""
+
+    def off_by_one(self, window):
+        logits = forward_remaining(self.model, window.features, self.caches)
+        targets = np.argmax(logits, axis=-1).tolist()
+        accepted = 0
+        while accepted < len(window.drafts) and window.drafts[accepted] == targets[accepted]:
+            accepted += 1
+        if accepted < len(window.drafts):
+            accepted += 1
+        emitted = window.drafts[:accepted] + [targets[accepted]]
+        if accepted == len(window.drafts):
+            self._backlog.append(window.features.values[-1])
+        else:
+            self.caches.rollback(window.features.start + accepted + 1)
+            self._backlog = []
+        self.tokens.extend(emitted)
+        return accepted, emitted
+
+    monkeypatch.setattr(DecodeSession, "verify_window", off_by_one)
 
 
 class TestGenerators:
@@ -177,37 +209,17 @@ class TestVerifyLossless:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_fault_injected_verifier_fails(self, artifacts, capsys, monkeypatch):
-        # Off-by-one acceptance: the first mismatched draft is accepted too.
+    def test_fault_injected_verifier_fails(self, artifacts, capsys, faulty_verifier):
         model, adapter, corpus = artifacts
-        original = DecodeSession.verify_window
-
-        def off_by_one(self, window):
-            logits = forward_remaining(self.model, window.features, self.caches)
-            targets = np.argmax(logits, axis=-1).tolist()
-            accepted = 0
-            while accepted < len(window.drafts) and window.drafts[accepted] == targets[accepted]:
-                accepted += 1
-            if accepted < len(window.drafts):
-                accepted += 1
-            emitted = window.drafts[:accepted] + [targets[accepted]]
-            if accepted == len(window.drafts):
-                self._backlog.append(window.features.values[-1])
-            else:
-                self.caches.rollback(window.features.start + accepted + 1)
-                self._backlog = []
-            self.tokens.extend(emitted)
-            return accepted, emitted
-
-        monkeypatch.setattr(DecodeSession, "verify_window", off_by_one)
         code = main([
             "verify-lossless", "--model", str(model), "--adapter", str(adapter),
             "--corpus", str(corpus), "--n-tokens", "24",
             "--etas", "0,0.5", "--gammas", "4",
         ])
-        monkeypatch.setattr(DecodeSession, "verify_window", original)
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert DIVERGENCE.search(out)
 
     def test_empty_grid_is_usage_error(self, artifacts):
         model, adapter, corpus = artifacts
@@ -233,6 +245,23 @@ class TestVerifyLossless:
             "--adapter", str(adapter), "--corpus", str(corpus),
         ])
         assert code == 2
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("command,grid", [
+        ("bench", ["--eta", "0.5", "--gamma", "4"]),
+        ("sweep", ["--etas", "0,0.5", "--gammas", "4"]),
+    ], ids=["bench", "sweep"])
+    def test_fault_injected_verifier_exits_1(
+        self, artifacts, capsys, faulty_verifier, command, grid
+    ):
+        model, adapter, corpus = artifacts
+        code = main([
+            command, "--model", str(model), "--adapter", str(adapter),
+            "--corpus", str(corpus), "--n-tokens", "24", *grid,
+        ])
+        assert code == 1
+        assert DIVERGENCE.search(capsys.readouterr().err)
 
 
 class TestSweep:

@@ -1,16 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import selfspec.engine
 from selfspec import (
     DraftPolicy,
     StopReason,
+    TargetWeights,
     generate,
     init_adapter,
     measure_walltime,
     vanilla_greedy_decode,
 )
-from selfspec.engine import DecodeSession
-from selfspec.errors import ConfigError
+from selfspec.engine import DecodeSession, run_corpus
+from selfspec.errors import CapacityError, ConfigError, LosslessnessError
 from selfspec.seeding import generator
 
 
@@ -264,6 +268,91 @@ class TestGenerate:
     def test_token_out_of_vocab_rejected(self, small_model, small_adapter):
         with pytest.raises(ConfigError):
             generate(small_model, small_adapter, DraftPolicy(), [10**6], 4)
+
+
+class TestCapacityContract:
+    """The oracle and the engine share one bound: prompt + n <= max_seq_len + 1."""
+
+    POLICY = DraftPolicy(eta=0.0, gamma_max=2)
+    PROMPT = [1] * 4
+
+    def test_request_at_the_bound_fits_both(self, small_model, small_adapter):
+        n = small_model.config.max_seq_len + 1 - len(self.PROMPT)
+        reference = vanilla_greedy_decode(small_model, self.PROMPT, n)
+        result = generate(small_model, small_adapter, self.POLICY, self.PROMPT, n)
+        assert len(reference) == n
+        assert result.tokens == reference
+        assert not result.truncated
+
+    def test_request_past_the_bound(self, small_model, small_adapter):
+        cfg = small_model.config
+        n = cfg.max_seq_len + 2 - len(self.PROMPT)
+        with pytest.raises(CapacityError):
+            vanilla_greedy_decode(small_model, self.PROMPT, n)
+        result = generate(small_model, small_adapter, self.POLICY, self.PROMPT, n)
+        assert result.truncated
+        # The same weights with a longer context give the greedy continuation.
+        longer = TargetWeights(
+            config=dataclasses.replace(cfg, max_seq_len=2 * cfg.max_seq_len),
+            token_embedding=small_model.token_embedding,
+            layers=small_model.layers,
+            final_norm=small_model.final_norm,
+            lm_head=small_model.lm_head,
+        )
+        reference = vanilla_greedy_decode(longer, self.PROMPT, n)
+        assert result.tokens == reference[: len(result.tokens)]
+
+
+class TestRunCorpus:
+    PROMPTS = [[3, 1, 4], [1, 5], [9, 2, 6, 5]]
+    POLICIES = [DraftPolicy(eta=0.0, gamma_max=3), DraftPolicy(eta=0.5, gamma_max=0),
+                DraftPolicy(eta=1.0, gamma_max=6)]
+
+    def test_results_in_grid_order(self, small_model, small_adapter):
+        vanilla_seconds, runs = run_corpus(
+            small_model, small_adapter, self.POLICIES, self.PROMPTS, 12
+        )
+        assert len(vanilla_seconds) == len(self.PROMPTS)
+        assert all(t > 0 for t in vanilla_seconds)
+        assert [run.policy for run in runs] == self.POLICIES
+        for run in runs:
+            assert len(run.seconds) == len(self.PROMPTS)
+            assert all(t > 0 for t in run.seconds)
+            for prompt, result in zip(self.PROMPTS, run.results):
+                # The traces tell the policies apart; the tokens never differ.
+                alone = generate(small_model, small_adapter, run.policy, prompt, 12)
+                assert result.tokens == alone.tokens
+                assert result.rounds == alone.rounds
+            assert run.rounds == [t for r in run.results for t in r.rounds]
+
+    def test_corrupted_reference_names_the_divergence(
+        self, small_model, small_adapter, monkeypatch
+    ):
+        oracle = selfspec.engine.vanilla_greedy_decode
+
+        def corrupted(model, prompt, n_tokens):
+            tokens = oracle(model, prompt, n_tokens)
+            if prompt == self.PROMPTS[1]:
+                tokens[7] = (tokens[7] + 1) % model.config.vocab_size
+            return tokens
+
+        monkeypatch.setattr(selfspec.engine, "vanilla_greedy_decode", corrupted)
+        policy = self.POLICIES[0]
+        result = generate(small_model, small_adapter, policy, self.PROMPTS[1], 12)
+        ends = np.cumsum(result.emitted_per_round)
+        round_idx = int(np.searchsorted(ends, 7, side="right"))
+        with pytest.raises(LosslessnessError) as info:
+            run_corpus(small_model, small_adapter, self.POLICIES, self.PROMPTS, 12)
+        message = str(info.value)
+        assert "eta=0.0 gamma=3" in message
+        assert "on prompt 1:" in message
+        assert f"position 7 (round {round_idx})" in message
+
+    def test_empty_grid_rejected(self, small_model, small_adapter):
+        with pytest.raises(ConfigError):
+            run_corpus(small_model, small_adapter, [], self.PROMPTS, 4)
+        with pytest.raises(ConfigError):
+            run_corpus(small_model, small_adapter, self.POLICIES, [], 4)
 
 
 class TestMeasureWalltime:

@@ -19,7 +19,7 @@ from selfspec.seeding import generator
 from selfspec.training import (
     adapter_from_params,
     adapter_param_dict,
-    adapter_student_logits,
+    adapter_student_forward,
     build_distill_batches,
 )
 
@@ -69,7 +69,7 @@ class TestAdapterBackward:
     def test_softce_identity_at_head(self):
         # With the clamp inactive, d loss / d logits is student - teacher.
         adapter, batch, lm_head, rope = random_instance(1)
-        logits = adapter_student_logits(
+        logits, _ = adapter_student_forward(
             adapter, batch.early_features, lm_head, rope
         )
         shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -104,7 +104,7 @@ class TestAdapterBackward:
             model64.config.head_dim, model64.config.rope_theta,
             model64.config.max_seq_len, np.float64,
         )
-        tape_logits = adapter_student_logits(
+        tape_logits, _ = adapter_student_forward(
             adapter64, features.values, model64.lm_head, rope64
         )
         assert np.max(np.abs(inference_logits - tape_logits)) <= 1e-10
