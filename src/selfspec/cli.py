@@ -19,7 +19,7 @@ from . import serialize
 from .adapter import init_adapter
 from .engine import DraftPolicy, run_corpus
 from .errors import LosslessnessError, SelfspecError
-from .metrics import AcceptanceRecord, aggregate
+from .metrics import aggregate
 from .model import DESK_CONFIG, ModelConfig, TargetWeights, gen_model
 from .simulator import calibrate_latency, simulate_speedup, sweep
 from .training import TrainConfig, train_adapter
@@ -167,7 +167,7 @@ def cmd_bench(args) -> int:
     lat = calibrate_latency(model, adapter, reps=3, seed=args.seed, gamma=max(args.gamma, 1))
     vanilla_seconds, [run] = run_corpus(model, adapter, [policy], prompts, args.n_tokens)
     report = aggregate(
-        [AcceptanceRecord(r.emitted_per_round) for r in run.results],
+        run.records,
         vanilla_seconds=vanilla_seconds,
         spec_seconds=run.seconds,
         subtask=Path(args.corpus).stem,

@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .adapter import AdapterWeights, draft_logits
-from .errors import ConfigError, LosslessnessError
+from .errors import CapacityError, ConfigError, LosslessnessError
+from .metrics import AcceptanceRecord
 from .model import (
     FeatureBlock,
     KVCacheSet,
@@ -99,13 +100,21 @@ class DraftWindow:
 class DecodeSession:
     """One speculative decoding session owning its caches and token state.
 
-    Between rounds the shallow and deep caches cover every committed token
-    except the newest one (whose shallow pass opens the next round).  The
-    adapter cache may additionally lag by the features in ``_backlog`` --
-    features that were computed but never probed, e.g. the stopped token's
-    feature after a fully accepted round; the next probe consumes the
-    backlog in one batched adapter pass, which is the single saved adapter
-    forward the carry optimization buys.
+    After every verification the shallow and deep caches cover every
+    committed token except the newest one (whose shallow pass opens the next
+    round).  The adapter cache may additionally lag by the feature rows in
+    ``_backlog`` -- features that were computed but never probed, e.g. the
+    stopped token's feature after a fully accepted round; the next probe
+    consumes the backlog in one batched adapter pass, which is the single
+    saved adapter forward the carry optimization buys.
+
+    Each prompt row goes through each stack once.  The session opens with
+    one shallow pass over the whole prompt, whose last row is round 1's
+    first feature.  Before the first verification the deep and adapter
+    caches may be empty, with the other prompt rows pending: in
+    ``_deep_backlog`` until the first ``verify_window`` and in ``_backlog``
+    until the first probe, so a request that never drafts never runs the
+    adapter.
     """
 
     def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
@@ -113,26 +122,33 @@ class DecodeSession:
             raise ConfigError("prompt must be non-empty")
         if any(not 0 <= t < model.config.vocab_size for t in prompt):
             raise ConfigError("prompt token id outside vocabulary")
+        max_len = model.config.max_seq_len
+        if len(prompt) > max_len + 1:
+            raise CapacityError(
+                f"prompt of {len(prompt)} tokens exceeds max_seq_len + 1 = {max_len + 1}"
+            )
         self.model = model
         self.adapter = adapter
         self.caches = KVCacheSet(model.config, dtype=model.dtype)
         self.tokens = list(prompt)
-        self._backlog: list[np.ndarray] = []
-        if len(prompt) > 1:
-            features = forward_shallow(model, prompt[:-1], self.caches)
-            forward_remaining(model, features, self.caches)
-            self._probe(features)  # warm the adapter cache over the prompt
+        # A prompt of max_seq_len + 1 tokens leaves its newest token no
+        # position: the rest is cached and no round opens (a round would
+        # raise CapacityError; ``generate`` reports truncation instead).
+        features = forward_shallow(model, prompt[:max_len], self.caches)
+        rows = features.values[: self.committed]
+        self._deep_backlog: list[np.ndarray] = [rows] if len(rows) else []
+        self._backlog: list[np.ndarray] = list(self._deep_backlog)
+        self._opening: FeatureBlock | None = None
+        if len(prompt) <= max_len:
+            self._opening = FeatureBlock(start=self.committed, values=features.values[-1:])
 
     @property
     def committed(self) -> int:
-        """Number of positions cached in the shallow/deep caches."""
-        return self.caches.shallow_len
+        """Number of committed positions: every token except the newest."""
+        return len(self.tokens) - 1
 
     def _probe(self, feature: FeatureBlock) -> tuple[np.ndarray, float, int]:
-        if self._backlog:
-            rows = np.concatenate([np.stack(self._backlog), feature.values])
-            feature = FeatureBlock(start=feature.start - len(self._backlog), values=rows)
-            self._backlog = []
+        feature, self._backlog = _extend_back(self._backlog, feature), []
         return draft_logits(self.model, self.adapter, feature, self.caches)
 
     def draft_window(self, policy: DraftPolicy, max_drafts: int | None = None) -> DraftWindow:
@@ -143,14 +159,15 @@ class DecodeSession:
         """
         max_len = self.model.config.max_seq_len
         gamma = policy.gamma_max if max_drafts is None else min(policy.gamma_max, max_drafts)
-        current = self.tokens[-1]
         rows: list[np.ndarray] = []
         drafts: list[int] = []
         confidences: list[float] = []
         start = self.committed
         threshold_hit = False
+        block, self._opening = self._opening, None
+        if block is None:
+            block = forward_shallow(self.model, [self.tokens[-1]], self.caches)
         while True:
-            block = forward_shallow(self.model, [current], self.caches)
             rows.append(block.values[0])
             if threshold_hit:
                 reason = StopReason.THRESHOLD
@@ -164,9 +181,9 @@ class DecodeSession:
             _, confidence, token = self._probe(block)
             drafts.append(token)
             confidences.append(confidence)
-            current = token
             if confidence <= policy.eta:
                 threshold_hit = True
+            block = forward_shallow(self.model, [token], self.caches)
         features = FeatureBlock(start=start, values=np.stack(rows))
         return DraftWindow(features, drafts, confidences, reason)
 
@@ -176,25 +193,41 @@ class DecodeSession:
         Accepts the longest draft prefix matching the target's greedy tokens,
         emits it plus the target's own token at the first mismatch (or the
         bonus token after full acceptance), and rolls every cache back to the
-        new committed prefix.
+        new committed prefix.  The first verification also carries the
+        pending prompt rows through the deep layers and drops their logits.
         """
-        logits = forward_remaining(self.model, window.features, self.caches)
+        block, self._deep_backlog = _extend_back(self._deep_backlog, window.features), []
+        logits = forward_remaining(self.model, block, self.caches)[-len(window.features):]
         targets = np.argmax(logits, axis=-1).tolist()
-        accepted = 0
-        while accepted < len(window.drafts) and window.drafts[accepted] == targets[accepted]:
-            accepted += 1
+        accepted = _accepted_prefix(window.drafts, targets)
         emitted = window.drafts[:accepted] + [targets[accepted]]
 
         kept = window.features.start + accepted + 1
         if accepted == len(window.drafts):
             # Full acceptance: nothing to discard; the final feature was
             # never probed, so it stays pending for the next adapter batch.
-            self._backlog.append(window.features.values[-1])
+            self._backlog.append(window.features.values[-1:])
         else:
             self.caches.rollback(kept)
             self._backlog = []
         self.tokens.extend(emitted)
         return accepted, emitted
+
+
+def _extend_back(pending: list[np.ndarray], block: FeatureBlock) -> FeatureBlock:
+    """``block`` preceded by the ``pending`` feature row blocks just before it."""
+    if not pending:
+        return block
+    values = np.concatenate([*pending, block.values])
+    return FeatureBlock(start=block.start + len(block) - len(values), values=values)
+
+
+def _accepted_prefix(drafts: list[int], targets: list[int]) -> int:
+    """Length of the longest draft prefix equal to the target's tokens."""
+    accepted = 0
+    while accepted < len(drafts) and drafts[accepted] == targets[accepted]:
+        accepted += 1
+    return accepted
 
 
 def generate(
@@ -244,6 +277,11 @@ class PolicyRun:
     @property
     def rounds(self) -> list[RoundTrace]:
         return [trace for result in self.results for trace in result.rounds]
+
+    @property
+    def records(self) -> list[AcceptanceRecord]:
+        """Each request's per-round emitted counts, for ``metrics.aggregate``."""
+        return [AcceptanceRecord(result.emitted_per_round) for result in self.results]
 
 
 def _timed(fn: Callable, *args) -> tuple[object, float]:

@@ -20,7 +20,7 @@ import numpy as np
 from .adapter import AdapterWeights, adapter_forward, draft_logits
 from .engine import DecodeSession, DraftPolicy, RoundTrace, measure_walltime, run_corpus
 from .errors import CalibrationError, ConfigError, MetricsDomainError
-from .metrics import CTAR_WINDOWS, AcceptanceRecord, aggregate
+from .metrics import CTAR_WINDOWS, aggregate
 from .model import FeatureBlock, KVCacheSet, TargetWeights, forward_remaining, forward_shallow
 from .seeding import generator
 
@@ -75,8 +75,6 @@ class SweepPoint:
 
 @dataclass
 class SimReport:
-    etas: list[float]
-    gammas: list[int]
     points: list[SweepPoint]
 
     def to_csv(self) -> str:
@@ -115,9 +113,7 @@ def sweep(
     points = []
     for run in runs:
         report = aggregate(
-            [AcceptanceRecord(r.emitted_per_round) for r in run.results],
-            vanilla_seconds=vanilla_seconds,
-            spec_seconds=run.seconds,
+            run.records, vanilla_seconds=vanilla_seconds, spec_seconds=run.seconds
         )
         points.append(
             SweepPoint(
@@ -129,7 +125,7 @@ def sweep(
                 measured_speedup=report.speedup,
             )
         )
-    return SimReport(etas=list(etas), gammas=list(gammas), points=points)
+    return SimReport(points=points)
 
 
 def calibrate_latency(
@@ -193,9 +189,10 @@ def calibrate_latency(
     # Whole rounds pin down the per-round overhead.
     prompt = tokens[: max(4, probe_lengths[0])]
     policy = DraftPolicy(eta=0.0, gamma_max=gamma)
+    # The untimed warm-up round also carries the prompt through the deep
+    # layers and the adapter, so every timed round is a steady-state one.
     session = DecodeSession(model, adapter, prompt)
-    session.draft_window(policy)  # warmup round
-    session = DecodeSession(model, adapter, prompt)
+    session.verify_window(session.draft_window(policy))
     for _ in range(reps):
         t0 = time.perf_counter()
         window = session.draft_window(policy)

@@ -260,7 +260,7 @@ def build_distill_batches(
     model: TargetWeights, corpus: list[list[int]]
 ) -> list[DistillBatch]:
     """Teacher pass: early features and full-model distributions per sequence."""
-    model64 = model.astype(np.float64)
+    model64 = model if model.dtype == np.float64 else model.astype(np.float64)
     batches = []
     for seq in corpus:
         caches = KVCacheSet(model64.config, dtype=np.float64)
@@ -292,11 +292,11 @@ def train_adapter(
         raise ConfigError("training corpus is empty")
     if any(len(seq) == 0 for seq in corpus):
         raise ConfigError("training corpus contains an empty sequence")
-    batches = build_distill_batches(model, corpus)
-    lm_head = model.astype(np.float64).lm_head
-    rope = RopeTable(
-        model.config.head_dim, model.config.rope_theta, model.config.max_seq_len, np.float64
-    )
+    model64 = model.astype(np.float64)
+    batches = build_distill_batches(model64, corpus)
+    # Training needs only the head and the rope table; drop the rest of the copy.
+    lm_head, rope = model64.lm_head, model64.rope
+    del model64
 
     adapter = adapter_init.astype(np.float64)
     params = adapter_param_dict(adapter)

@@ -4,12 +4,11 @@ import re
 import numpy as np
 import pytest
 
+import selfspec.engine
 from selfspec import gen_passthrough_model, passthrough_adapter
 from selfspec.cli import main
 from selfspec.adapter import AdapterWeights
-from selfspec.engine import DecodeSession
 from selfspec.kernels import AttentionParams
-from selfspec.model import forward_remaining
 from selfspec.serialize import read_corpus, save_adapter, save_weights
 
 
@@ -46,25 +45,13 @@ DIVERGENCE = re.compile(
 @pytest.fixture()
 def faulty_verifier(monkeypatch):
     """Off-by-one acceptance: the first mismatched draft is accepted too."""
+    accepted_prefix = selfspec.engine._accepted_prefix
 
-    def off_by_one(self, window):
-        logits = forward_remaining(self.model, window.features, self.caches)
-        targets = np.argmax(logits, axis=-1).tolist()
-        accepted = 0
-        while accepted < len(window.drafts) and window.drafts[accepted] == targets[accepted]:
-            accepted += 1
-        if accepted < len(window.drafts):
-            accepted += 1
-        emitted = window.drafts[:accepted] + [targets[accepted]]
-        if accepted == len(window.drafts):
-            self._backlog.append(window.features.values[-1])
-        else:
-            self.caches.rollback(window.features.start + accepted + 1)
-            self._backlog = []
-        self.tokens.extend(emitted)
-        return accepted, emitted
+    def off_by_one(drafts, targets):
+        accepted = accepted_prefix(drafts, targets)
+        return accepted + 1 if accepted < len(drafts) else accepted
 
-    monkeypatch.setattr(DecodeSession, "verify_window", off_by_one)
+    monkeypatch.setattr(selfspec.engine, "_accepted_prefix", off_by_one)
 
 
 class TestGenerators:

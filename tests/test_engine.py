@@ -144,18 +144,22 @@ class TestVerifyWindow:
             committed = len(session.tokens) - 1
             assert session.caches.shallow_len == committed
             assert session.caches.deep_len == committed
-            backlog = len(session._backlog)
+            backlog = sum(len(rows) for rows in session._backlog)
             assert session.caches.adapter_len == committed - backlog
 
     def test_shallow_deep_slack_bounded(self, small_model, small_adapter):
-        # Mid-round, the shallow cache runs ahead of the deep cache by at
-        # most the draft budget plus the stopped token's feature.
+        # Mid-round, the shallow cache runs ahead of the deep cache by the
+        # drafts plus the stopped token's feature; in round 1 also by the
+        # prompt rows still pending for the first verification.
         gamma = 4
-        session = DecodeSession(small_model, small_adapter, [3, 1, 4])
-        for _ in range(3):
+        prompt = [3, 1, 4]
+        session = DecodeSession(small_model, small_adapter, prompt)
+        for round_idx in range(3):
             window = session.draft_window(DraftPolicy(eta=0.0, gamma_max=gamma))
             slack = session.caches.shallow_len - session.caches.deep_len
-            assert slack == len(window.drafts) + 1 <= gamma + 1
+            pending = len(prompt) - 1 if round_idx == 0 else 0
+            assert len(window.drafts) <= gamma
+            assert slack == pending + len(window.drafts) + 1
             session.verify_window(window)
             assert session.caches.shallow_len == session.caches.deep_len
 
@@ -301,6 +305,64 @@ class TestCapacityContract:
         )
         reference = vanilla_greedy_decode(longer, self.PROMPT, n)
         assert result.tokens == reference[: len(result.tokens)]
+
+
+    @pytest.mark.parametrize("extra", [0, 1, 2], ids=["max", "max+1", "max+2"])
+    def test_prompt_lengths_at_the_context(self, small_model, small_adapter, extra):
+        # A prompt that fills the context still gets its one greedy token; one
+        # token longer and nothing fits (truncated); two longer is an error.
+        length = small_model.config.max_seq_len + extra
+        vocab = small_model.config.vocab_size
+        prompt = [int(t) for t in generator(5, "edge-prompt").integers(vocab, size=length)]
+        if extra == 2:
+            with pytest.raises(CapacityError):
+                generate(small_model, small_adapter, self.POLICY, prompt, 3)
+            return
+        expected = vanilla_greedy_decode(small_model, prompt, 1) if extra == 0 else []
+        assert len(expected) == 1 - extra
+        for n in (1, 3):
+            result = generate(small_model, small_adapter, self.POLICY, prompt, n)
+            assert result.tokens == expected
+            assert result.truncated == (n > len(expected))
+
+
+class TestPromptPass:
+    """Each prompt row goes through the shallow, deep and adapter stacks once."""
+
+    PROMPT = [9, 8, 7, 6, 5]
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("forward_shallow", "forward_remaining", "draft_logits"):
+            fn = getattr(selfspec.engine, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(selfspec.engine, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("policy,n", [
+        (DraftPolicy(eta=0.0, gamma_max=6), 1),
+        (DraftPolicy(eta=0.6, gamma_max=0), 12),
+    ], ids=["one-token", "gamma-zero"])
+    def test_request_that_never_drafts_never_runs_the_adapter(
+        self, small_model, small_adapter, calls, policy, n
+    ):
+        result = generate(small_model, small_adapter, policy, self.PROMPT, n)
+        assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, n)
+        assert calls.get("draft_logits", 0) == 0
+        assert calls["forward_remaining"] == len(result.rounds) == n
+
+    def test_one_pass_per_stack_and_round(self, small_model, small_adapter, calls):
+        policy = DraftPolicy(eta=0.6, gamma_max=6)
+        result = generate(small_model, small_adapter, policy, self.PROMPT, 48)
+        assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 48)
+        assert calls["forward_remaining"] == len(result.rounds)
+        assert calls["forward_shallow"] == sum(r.drafted + 1 for r in result.rounds)
+        assert calls["draft_logits"] == sum(r.drafted for r in result.rounds)
 
 
 class TestRunCorpus:

@@ -164,11 +164,16 @@ class TestRollback:
         assert np.array_equal(first, again)
 
     def test_rollback_noop_at_current_length(self, small_model, small_adapter):
+        # One rejected round leaves all three caches at the committed length.
         session = DecodeSession(small_model, small_adapter, [1, 2, 3])
-        assert session.caches.shallow_len == session.caches.deep_len == 2
-        session.caches.rollback(2)
-        assert session.caches.shallow_len == 2
-        assert session.caches.adapter_len == 2
+        window = session.draft_window(DraftPolicy(eta=1.0, gamma_max=1))
+        accepted, _ = session.verify_window(window)
+        committed = len(session.tokens) - 1
+        assert (accepted, committed) == (0, 3)
+        caches = session.caches
+        assert caches.shallow_len == caches.deep_len == caches.adapter_len == committed
+        caches.rollback(committed)
+        assert caches.shallow_len == caches.deep_len == caches.adapter_len == committed
 
     def test_rollback_beyond_length_rejected(self, small_model):
         caches = KVCacheSet(small_model.config)
