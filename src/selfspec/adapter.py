@@ -149,7 +149,7 @@ def draft_logits(
     refined = adapter_forward(adapter, features, caches.adapter, model.rope)
     logits = matmul(refined[-1:], model.lm_head)[0]
     token = argmax_token(logits)
-    confidence = logits.dtype.type(1) / np.sum(np.exp(logits - logits[token]))
+    confidence = 1 / np.add.reduce(np.exp(logits - logits[token]))
     return logits, float(confidence), token
 
 

@@ -36,10 +36,12 @@ from .model import (
 
 @dataclass(frozen=True)
 class DraftPolicy:
-    """Drafting stops when top-1 confidence <= eta or after gamma_max drafts.
+    """Drafting stops unless top-1 confidence > eta, or after gamma_max drafts.
 
     The stop comparison is inclusive, so ``eta=1.0`` keeps exactly one
     (always low-confidence) draft per round; ``gamma_max=0`` drafts nothing.
+    A non-finite (NaN) confidence is never above eta, so it stops the round
+    after its draft like a low one.
     """
 
     eta: float = 0.6
@@ -181,7 +183,7 @@ class DecodeSession:
             _, confidence, token = self._probe(block)
             drafts.append(token)
             confidences.append(confidence)
-            if confidence <= policy.eta:
+            if not confidence > policy.eta:  # a NaN confidence stops too
                 threshold_hit = True
             block = forward_shallow(self.model, [token], self.caches)
         features = FeatureBlock(start=start, values=np.stack(rows))
@@ -194,11 +196,12 @@ class DecodeSession:
         emits it plus the target's own token at the first mismatch (or the
         bonus token after full acceptance), and rolls every cache back to the
         new committed prefix.  The first verification also carries the
-        pending prompt rows through the deep layers and drops their logits.
+        pending prompt rows through the deep layers, without their final
+        norm and head.
         """
         block, self._deep_backlog = _extend_back(self._deep_backlog, window.features), []
-        logits = forward_remaining(self.model, block, self.caches)[-len(window.features):]
-        targets = np.argmax(logits, axis=-1).tolist()
+        logits = forward_remaining(self.model, block, self.caches, len(window.features))
+        targets = logits.argmax(axis=-1).tolist()
         accepted = _accepted_prefix(window.drafts, targets)
         emitted = window.drafts[:accepted] + [targets[accepted]]
 

@@ -7,8 +7,10 @@ inputs, never on how many rows were computed in the same call.  Concretely:
 - A matrix product is a stack of one BLAS GEMV per row,
   ``np.matmul(a[:, None, :], b)[:, 0]``.  Every row is its own call with
   the same shapes and strides, so it runs the same instructions whatever
-  the row count.  Plain ``a @ b`` is not stable: for two or more rows BLAS
-  switches from GEMV to a blocked GEMM whose accumulation order differs.
+  the row count.  A one-row product is plain ``np.matmul(a, b)``, which
+  numpy runs as the same single GEMV with less dispatch.  Plain ``a @ b``
+  is not stable for two or more rows: BLAS switches from GEMV to a blocked
+  GEMM whose accumulation order differs.
 - The q, k and v projections are one ``np.matmul`` of the rows against the
   stacked ``(3, d, d)`` weights: the same GEMV per row and plane as three
   separate products, in one dispatch.
@@ -35,6 +37,7 @@ decoding over the same prefix, which is what the acceptance suite relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -48,7 +51,13 @@ _ROW_BLOCK = 32  # query rows per masked attention pass; bounds the score buffer
 
 
 def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` as one GEMV per row of ``a`` (the module's matmul, unchecked)."""
+    """``a @ b`` as one GEMV per row of ``a`` (the module's matmul, unchecked).
+
+    A one-row product is plain ``np.matmul(a, b)``: numpy runs a (1, k) by
+    (k, n) product as the same single GEMV it runs per row of the stack.
+    """
+    if len(a) == 1:
+        return np.matmul(a, b)
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
@@ -58,11 +67,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    if not a.flags["C_CONTIGUOUS"]:
-        a = np.ascontiguousarray(a)
-    if not b.flags["C_CONTIGUOUS"]:
-        b = np.ascontiguousarray(b)
-    return _row_gemv(a, b)
+    return _row_gemv(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -77,26 +82,30 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def argmax_token(logits: np.ndarray) -> int:
     """Index of the maximum logit; ties break to the lowest index."""
-    logits = np.asarray(logits)
     if logits.ndim != 1 or logits.size == 0:
         raise ShapeError("argmax_token expects a non-empty 1-D vector")
-    return int(np.argmax(logits))
+    return int(logits.argmax())
+
+
+@lru_cache(maxsize=None)
+def _scalars(dtype: np.dtype, *values: float) -> tuple:
+    """``values`` as scalars of ``dtype``, built once per key."""
+    return tuple(dtype.type(v) for v in values)
 
 
 def rmsnorm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """RMS normalization: ``scale * x / sqrt(mean(x**2) + eps)`` per row."""
-    x = np.asarray(x)
-    scale = np.asarray(scale)
     if x.shape[-1] != scale.shape[-1] or scale.ndim != 1:
         raise ShapeError(f"rmsnorm scale {scale.shape} does not match input {x.shape}")
+    width, eps = _scalars(x.dtype, x.shape[-1], eps)
     # one BLAS dot per row, like the GEMV rows of matmul
-    ms = np.matmul(x[..., None, :], x[..., :, None])[..., 0] / x.dtype.type(x.shape[-1])
-    return scale * (x / np.sqrt(ms + x.dtype.type(eps)))
+    ms = np.matmul(x[..., None, :], x[..., :, None])[..., 0] / width
+    return scale * (x / np.sqrt(ms + eps))
 
 
 def silu(x: np.ndarray) -> np.ndarray:
     """x * sigmoid(x) via tanh, overflow-free for large |x|."""
-    half = x.dtype.type(0.5)
+    (half,) = _scalars(x.dtype, 0.5)
     return x * (half * np.tanh(half * x) + half)
 
 
@@ -135,29 +144,18 @@ class RopeTable:
             raise CapacityError(
                 f"rope positions {start}..{start + t - 1} outside 0..{self.max_len - 1}"
             )
-        if not x.flags["C_CONTIGUOUS"]:
-            x = np.ascontiguousarray(x)
+        x = np.ascontiguousarray(x)  # the same multiply loop for every row count
         return (x.view(table.dtype) * table[start : start + t, None, :]).view(self._real)
-
-    def apply(self, x: np.ndarray, position: int) -> np.ndarray:
-        """Rotate per-head vectors ``x`` of shape (..., head_dim) at one position."""
-        rows = x.reshape(1, -1, x.shape[-1])
-        return self._rotate(rows, position, self._cis).reshape(x.shape)
-
-    def apply_inverse(self, x: np.ndarray, position: int) -> np.ndarray:
-        """Inverse rotation (transpose of the orthogonal pair rotations)."""
-        rows = x.reshape(1, -1, x.shape[-1])
-        return self._rotate(rows, position, self._cis_conj).reshape(x.shape)
 
     def apply_block(self, x: np.ndarray, start: int) -> np.ndarray:
         """Rotate rows of ``x`` (T, heads, head_dim) at positions ``start..start+T-1``.
 
-        Elementwise-identical to applying ``apply`` row by row.
+        Elementwise-identical to rotating each row in a one-row call.
         """
         return self._rotate(x, start, self._cis)
 
     def apply_inverse_block(self, x: np.ndarray, start: int) -> np.ndarray:
-        """Inverse of ``apply_block`` at the same positions."""
+        """Inverse of ``apply_block`` at the same positions (the transposed rotations)."""
         return self._rotate(x, start, self._cis_conj)
 
 
@@ -279,10 +277,11 @@ def causal_attention(
     qkv = np.matmul(x[:, None, None, :], params.wqkv).reshape(n_rows, 3, h, hd)
     qk = rope_table.apply_block(qkv[:, :2].reshape(n_rows, 2 * h, hd), start_pos)
     cache.extend(qk[:, h:], qkv[:, 2])
-    q = qk[:, :h] * x.dtype.type(1.0 / np.sqrt(hd))
+    (scale,) = _scalars(x.dtype, 1.0 / math.sqrt(hd))
+    q = qk[:, :h] * scale
 
     mask = _causal_mask(cache.k.shape[0])
-    ctx = np.empty((n_rows, h, hd), dtype=x.dtype)
+    blocks = []
     for b0 in range(0, n_rows, _ROW_BLOCK):
         b1 = min(b0 + _ROW_BLOCK, n_rows)
         n_chunks = -(-(start_pos + b1) // _KEY_CHUNK)
@@ -291,15 +290,17 @@ def causal_attention(
         w = np.matmul(cache.key_chunks[:, :n_chunks], q[b0:b1, :, None, :, None])
         w = w.reshape(b1 - b0, h, span)
         np.copyto(w, -np.inf, where=mask[start_pos + b0 : start_pos + b1, None, :span])
-        w -= w.max(axis=-1, keepdims=True)
+        w -= np.maximum.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
         w = w.reshape(b1 - b0, h, n_chunks, 1, _KEY_CHUNK)
-        den = w.sum(axis=-1)
+        den = np.add.reduce(w, axis=-1)
         num = np.matmul(w, cache.value_chunks[:, :n_chunks])
         if n_chunks > 1:  # one chunk is its own fold
             den = np.add.accumulate(den, axis=2)
             num = np.add.accumulate(num, axis=2)
-        ctx[b0:b1] = num[:, :, -1, 0] / den[:, :, -1]
+        blocks.append(num[:, :, -1, 0] / den[:, :, -1])
+    # one block is the whole context; q[:0] gives a zero-row call its empty one
+    ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0], *blocks])
     return _row_gemv(ctx.reshape(n_rows, d), params.wo)
 
 

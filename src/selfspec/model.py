@@ -299,30 +299,40 @@ def forward_shallow(
             f"positions {start}..{start + tokens.size - 1} exceed max_seq_len "
             f"{weights.config.max_seq_len}"
         )
-    h = weights.token_embedding[tokens]
+    embedding = weights.token_embedding
+    # a one-token step reads its embedding row as a view instead of gathering a copy
+    h = embedding[tokens] if len(tokens) > 1 else embedding[tokens[0]][None]
     for i in range(weights.config.exit_layer):
         h = _block(h, weights.layers[i], caches.shallow[i], start, weights.rope)
     return FeatureBlock(start=start, values=h)
 
 
 def forward_remaining(
-    weights: TargetWeights, features: FeatureBlock, caches: KVCacheSet
+    weights: TargetWeights, features: FeatureBlock, caches: KVCacheSet, last: int | None = None
 ) -> np.ndarray:
     """Run layers ``[exit_layer, n_layers)`` plus final norm and LM head.
 
-    Returns one logits row per feature.  Feature positions must continue the
-    deep cache exactly; composition with ``forward_shallow`` over the same
-    positions reproduces a full-model forward.
+    Returns one logits row per feature, or only for the ``last`` features
+    when given: every feature goes through the layers and into the deep
+    cache, but only the kept rows go through the final norm and the head.
+    Kept rows are bit-identical to the same rows of an all-rows call.
+    Feature positions must continue the deep cache exactly; composition with
+    ``forward_shallow`` over the same positions reproduces a full-model
+    forward.
     """
     if features.start != caches.deep_len:
         raise CacheError(
             f"feature block starts at {features.start} but deep cache has "
             f"{caches.deep_len} positions"
         )
+    if last is not None and not 1 <= last <= len(features):
+        raise ShapeError(f"cannot keep the last {last} of {len(features)} rows")
     cfg = weights.config
     h = features.values
     for i in range(cfg.n_layers - cfg.exit_layer):
         h = _block(h, weights.layers[cfg.exit_layer + i], caches.deep[i], features.start, weights.rope)
+    if last is not None:
+        h = h[len(h) - last :]
     return matmul(rmsnorm(h, weights.final_norm, RMS_EPS), weights.lm_head)
 
 
@@ -352,7 +362,7 @@ def vanilla_greedy_decode(
     if n_tokens == 0:
         return []
     caches = KVCacheSet(weights.config, dtype=weights.dtype)
-    logits = full_forward(weights, prompt, caches)
+    logits = forward_remaining(weights, forward_shallow(weights, prompt, caches), caches, 1)
     out = [argmax_token(logits[-1])]
     for _ in range(n_tokens - 1):
         logits = full_forward(weights, [out[-1]], caches)

@@ -155,7 +155,7 @@ def calibrate_latency(
     for ctx in probe_lengths:
         caches = KVCacheSet(cfg, dtype=model.dtype)
         feats = forward_shallow(model, tokens[:ctx], caches)
-        forward_remaining(model, feats, caches)
+        forward_remaining(model, feats, caches, 1)
         adapter_forward(adapter, feats, caches.adapter, model.rope)
 
         def time_shallow():

@@ -1,0 +1,124 @@
+"""Print a bit-exact fingerprint of decoding over a fixed grid, one JSON line per case.
+
+Run it once per source tree and compare the outputs; any difference is a
+parity break between the trees::
+
+    python3 tests/parity_grid.py --src path/to/parent/src > parent.jsonl
+    python3 tests/parity_grid.py --src src > change.jsonl
+    cmp parent.jsonl change.jsonl
+
+The grid covers float32 and float64, the deep-residual dial alpha 1 and 0.1
+(deep ``wo`` and ``down`` scaled by alpha), model seeds 1 and 2, the init
+and passthrough adapters, prompt lengths around the 64-key chunk and the
+context limit, three draft policies and three request lengths.  A
+``generate`` line holds the tokens, ``truncated`` and every ``RoundTrace``
+field, with confidences as ``float.hex``; a ``logits`` line holds the sha256
+of the full-prompt logits.  An exception is recorded by class and message.
+
+The script uses only the public API that every tree of the package has, so
+an older tree can be fingerprinted too.  pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+MAX_SEQ_LEN = 128
+DTYPES = ("float32", "float64")
+ALPHAS = (1.0, 0.1)
+SEEDS = (1, 2)
+ADAPTERS = ("init", "passthrough")
+PROMPT_LENGTHS = (1, 2, 63, 64, 65, MAX_SEQ_LEN - 1, MAX_SEQ_LEN, MAX_SEQ_LEN + 1)
+POLICIES = ((0.6, 6), (0.0, 3), (1.0, 0))
+N_TOKENS = (1, 2, 48)
+
+
+def _import(src: Path):
+    sys.path.insert(0, str(src))
+    import selfspec
+
+    if Path(selfspec.__file__).resolve().parent != (src / "selfspec").resolve():
+        raise SystemExit(f"imported selfspec from {selfspec.__file__}, not from {src}")
+    return selfspec
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _model(ss, np, dtype: str, alpha: float, seed: int):
+    model = ss.gen_model(ss.desk_config(max_seq_len=MAX_SEQ_LEN), seed)
+    cfg = model.config
+    for layer in model.layers[cfg.exit_layer:]:
+        layer.attn.wo *= np.float32(alpha)
+        layer.down *= np.float32(alpha)
+    return model.astype(np.dtype(dtype))
+
+
+def _prompt(np, vocab: int, seed: int, length: int) -> list[int]:
+    return np.random.default_rng([seed, length]).integers(0, vocab, length).tolist()
+
+
+def _logits_line(ss, model, prompt: list[int]) -> dict:
+    try:
+        logits = ss.full_forward(model, prompt, ss.KVCacheSet(model.config, dtype=model.dtype))
+    except Exception as exc:  # noqa: BLE001 -- the error is part of the fingerprint
+        return {"error": _error(exc)}
+    return {"shape": list(logits.shape), "sha256": hashlib.sha256(logits.tobytes()).hexdigest()}
+
+
+def _generate_line(ss, model, adapter, policy, prompt: list[int], n_tokens: int) -> dict:
+    try:
+        result = ss.generate(model, adapter, policy, prompt, n_tokens)
+    except Exception as exc:  # noqa: BLE001
+        return {"error": _error(exc)}
+    rounds = [
+        [r.drafted, r.accepted_drafts, r.emitted, [float(c).hex() for c in r.confidences],
+         r.stop_reason.value]
+        for r in result.rounds
+    ]
+    return {"tokens": result.tokens, "truncated": result.truncated, "rounds": rounds}
+
+
+def grid(ss):
+    """Yield one JSON-ready dict per case, in a fixed order."""
+    import numpy as np
+
+    for dtype in DTYPES:
+        for alpha in ALPHAS:
+            for seed in SEEDS:
+                model = _model(ss, np, dtype, alpha, seed)
+                prompts = {n: _prompt(np, model.config.vocab_size, seed, n) for n in PROMPT_LENGTHS}
+                base = {"dtype": dtype, "alpha": alpha, "seed": seed}
+                for length, prompt in prompts.items():
+                    yield {**base, "prompt_len": length, **_logits_line(ss, model, prompt)}
+                for kind in ADAPTERS:
+                    adapter = (ss.init_adapter(model, seed) if kind == "init"
+                               else ss.passthrough_adapter(model)).astype(model.dtype)
+                    for length, prompt in prompts.items():
+                        for eta, gamma in POLICIES:
+                            policy = ss.DraftPolicy(eta=eta, gamma_max=gamma)
+                            for n_tokens in N_TOKENS:
+                                case = {**base, "adapter": kind, "prompt_len": length,
+                                        "eta": eta, "gamma": gamma, "n_tokens": n_tokens}
+                                yield {**case, **_generate_line(
+                                    ss, model, adapter, policy, prompt, n_tokens)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, required=True,
+                        help="the src directory of the tree to fingerprint")
+    args = parser.parse_args(argv)
+    ss = _import(args.src.resolve())
+    for line in grid(ss):
+        print(json.dumps(line, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import selfspec.engine
+import selfspec.model
 from selfspec import (
     DraftPolicy,
     StopReason,
@@ -224,6 +225,24 @@ class TestGenerate:
                     remaining -= trace.emitted
                 assert remaining == 0
 
+    @pytest.mark.parametrize("eta", [0.0, 0.6])
+    def test_nan_confidence_stops_the_round(self, small_model, small_adapter, eta):
+        # NaN norms make every draft confidence NaN; a NaN is not above eta,
+        # so each round keeps its first draft and stops there.
+        adapter = small_adapter.copy()
+        adapter.input_norm[:] = np.nan
+        adapter.output_norm[:] = np.nan
+        prompt = [5, 3, 8, 1]
+        result = generate(small_model, adapter, DraftPolicy(eta=eta, gamma_max=6), prompt, 24)
+        assert result.tokens == vanilla_greedy_decode(small_model, prompt, 24)
+        drafting = [r for r in result.rounds if r.drafted]
+        assert drafting
+        for trace in result.rounds:
+            assert trace.drafted <= 1
+        for trace in drafting:
+            assert trace.stop_reason is StopReason.THRESHOLD
+            assert np.isnan(trace.confidences[0])
+
     def test_monotone_draft_effort_in_eta(self, small_model, small_adapter):
         # Raising eta never increases the drafted count of a round starting
         # from the same committed position (identical confidence sequence).
@@ -363,6 +382,36 @@ class TestPromptPass:
         assert calls["forward_remaining"] == len(result.rounds)
         assert calls["forward_shallow"] == sum(r.drafted + 1 for r in result.rounds)
         assert calls["draft_logits"] == sum(r.drafted for r in result.rounds)
+
+
+class TestHeadRows:
+    """The final norm and LM head run only over the rows a caller keeps."""
+
+    PROMPT = list(range(3, 43))
+
+    @pytest.fixture()
+    def head_rows(self, monkeypatch, small_model):
+        rows = []
+        matmul = selfspec.model.matmul
+
+        def counted(a, b):
+            if b is small_model.lm_head:
+                rows.append(a.shape[0])
+            return matmul(a, b)
+
+        monkeypatch.setattr(selfspec.model, "matmul", counted)
+        return rows
+
+    def test_verification_heads_only_the_window(self, small_model, small_adapter, head_rows):
+        policy = DraftPolicy(eta=0.6, gamma_max=6)
+        result = generate(small_model, small_adapter, policy, self.PROMPT, 24)
+        assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 24)
+        # each round's window, round 1 included, then one row per greedy token
+        assert head_rows == [r.drafted + 1 for r in result.rounds] + [1] * 24
+
+    def test_greedy_prompt_pass_heads_one_row(self, small_model, head_rows):
+        vanilla_greedy_decode(small_model, self.PROMPT, 5)
+        assert head_rows == [1] * 5
 
 
 class TestRunCorpus:

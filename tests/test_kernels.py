@@ -136,13 +136,13 @@ class TestRmsnorm:
 class TestRope:
     def test_position_zero_is_identity(self):
         x = RNG.standard_normal((4, 16)).astype(np.float32)
-        assert np.allclose(RopeTable(16, 10000.0, 1).apply(x, 0), x, atol=1e-7)
+        assert np.allclose(RopeTable(16, 10000.0, 1).apply_block(x[None], 0)[0], x, atol=1e-7)
 
     def test_norm_preserved(self):
         table = RopeTable(16, 10000.0, 64)
         x = RNG.standard_normal((4, 16)).astype(np.float32)
         for pos in (1, 7, 63):
-            out = table.apply(x, pos)
+            out = table.apply_block(x[None], pos)[0]
             pairs_in = x.reshape(4, 8, 2)
             pairs_out = out.reshape(4, 8, 2)
             assert np.allclose(
@@ -152,20 +152,21 @@ class TestRope:
     def test_closed_form_rotation(self):
         # head_dim 2 at position 1: one pair rotated by exactly 1 radian.
         v = np.array([[1.0, 0.0]], dtype=np.float32)
-        out = RopeTable(2, 10000.0, 2).apply(v, 1)
+        out = RopeTable(2, 10000.0, 2).apply_block(v[None], 1)[0]
         assert np.allclose(out, [[np.cos(1.0), np.sin(1.0)]], atol=1e-6)
 
     def test_inverse_roundtrip(self):
         table = RopeTable(8, 10000.0, 32)
         x = RNG.standard_normal((2, 8)).astype(np.float32)
-        assert np.allclose(table.apply_inverse(table.apply(x, 9), 9), x, atol=1e-6)
+        roundtrip = table.apply_inverse_block(table.apply_block(x[None], 9), 9)[0]
+        assert np.allclose(roundtrip, x, atol=1e-6)
 
     def test_block_matches_per_position(self):
         table = RopeTable(8, 10000.0, 32)
         x = RNG.standard_normal((5, 3, 8)).astype(np.float32)
         block = table.apply_block(x, 4)
         for t in range(5):
-            assert np.array_equal(block[t], table.apply(x[t], 4 + t))
+            assert np.array_equal(block[t], table.apply_block(x[t : t + 1], 4 + t)[0])
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):
@@ -174,7 +175,7 @@ class TestRope:
     def test_position_out_of_range(self):
         table = RopeTable(8, 10000.0, 4)
         with pytest.raises(CapacityError):
-            table.apply(np.zeros(8, dtype=np.float32), 4)
+            table.apply_block(np.zeros((1, 1, 8), dtype=np.float32), 4)
 
 
 def _random_params(d=32, heads=4, scale=0.3):
@@ -408,6 +409,8 @@ class TestBatchInvariance:
 
     D, HEADS, HEAD_DIM, FFN, VOCAB = 64, 4, 16, 172, 256
     ROWS = range(1, 8)
+    # a one-row call takes its own branch; check it against long stacks too
+    LONG_ROWS = (33, 420)
     # 125 and 318: the rows of one call reach into different numbers of 64-key chunks
     STARTS = (0, 7, 63, 64, 125, 300, 318)
 
@@ -427,9 +430,24 @@ class TestBatchInvariance:
     def test_matmul(self, dtype, shape):
         rng = np.random.default_rng(1)
         b = rng.standard_normal(shape).astype(dtype)
-        for rows in self.ROWS:
+        for rows in (*self.ROWS, *self.LONG_ROWS):
             a = rng.standard_normal((rows, shape[0])).astype(dtype)
             self._assert_rows_match(matmul(a, b), lambda t: matmul(a[t : t + 1], b)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(D, D), (D, FFN), (FFN, D), (D, VOCAB)])
+    def test_matmul_one_row_views(self, dtype, shape):
+        # One-row operands that are views into a larger array, as draft_logits
+        # passes ``refined[-1:]``; column-offset views start off the allocation's
+        # alignment.
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal(shape).astype(dtype)
+        wide = rng.standard_normal((50, shape[0] + 3)).astype(dtype)
+        a = wide[:, 3:]
+        batched = matmul(a, b)
+        for view, row in ((a[-1:], 49), (a[17:18], 17), (a[::-7][2:3], 35)):
+            assert np.array_equal(matmul(view, b)[0], batched[row])
+            assert np.array_equal(matmul(np.array(view), b)[0], batched[row])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gated_ffn(self, dtype):
@@ -446,9 +464,21 @@ class TestBatchInvariance:
     def test_rmsnorm(self, dtype):
         rng = np.random.default_rng(3)
         scale = rng.standard_normal(self.D).astype(dtype)
-        for rows in self.ROWS:
+        for rows in (*self.ROWS, *self.LONG_ROWS):
             x = rng.standard_normal((rows, self.D)).astype(dtype)
             self._assert_rows_match(rmsnorm(x, scale), lambda t: rmsnorm(x[t : t + 1], scale)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rmsnorm_one_row_views(self, dtype):
+        rng = np.random.default_rng(5)
+        scale = rng.standard_normal(self.D).astype(dtype)
+        wide = rng.standard_normal((50, self.D + 3)).astype(dtype)
+        x = wide[:, 3:]
+        batched = rmsnorm(x, scale)
+        for t in (0, 17, 49):
+            assert np.array_equal(rmsnorm(x[t : t + 1], scale)[0], batched[t])
+            assert np.array_equal(rmsnorm(np.array(x[t : t + 1]), scale)[0], batched[t])
+        assert np.array_equal(rmsnorm(x[-1:], scale)[0], batched[-1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("start", STARTS)

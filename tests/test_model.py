@@ -11,7 +11,7 @@ from selfspec import (
     vanilla_greedy_decode,
 )
 from selfspec.engine import DecodeSession
-from selfspec.errors import CacheError, CapacityError, ConfigError
+from selfspec.errors import CacheError, CapacityError, ConfigError, ShapeError
 from selfspec.model import forward_remaining, forward_shallow
 from selfspec.seeding import generator
 
@@ -108,6 +108,25 @@ class TestSplitExecution:
         features = forward_shallow(small_model, [1], caches)
         logits = forward_remaining(small_model, features, caches)
         assert logits.shape == (1, small_model.config.vocab_size)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kept_rows_equal_rows_of_an_all_rows_call(self, small_model, dtype):
+        model = small_model.astype(dtype)
+        tokens = [int(t) for t in RNG.integers(model.config.vocab_size, size=45)]
+        full = full_forward(model, tokens, KVCacheSet(model.config, dtype=dtype))
+        for last in (1, 2, 7, 33, 45):
+            caches = KVCacheSet(model.config, dtype=dtype)
+            kept = forward_remaining(model, forward_shallow(model, tokens, caches), caches, last)
+            assert kept.shape == (last, model.config.vocab_size)
+            assert np.array_equal(kept, full[-last:])
+            assert caches.deep_len == len(tokens)  # every row still reaches the deep cache
+
+    @pytest.mark.parametrize("last", [0, 4])
+    def test_kept_rows_outside_the_block(self, small_model, last):
+        caches = KVCacheSet(small_model.config)
+        features = forward_shallow(small_model, [1, 2, 3], caches)
+        with pytest.raises(ShapeError):
+            forward_remaining(small_model, features, caches, last)
 
     def test_passthrough_logits_are_norm_head_of_embedding(self, small_cfg):
         model = gen_passthrough_model(small_cfg, seed=9)
