@@ -24,20 +24,20 @@ def splitmix64(state: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _fold(state: int, label: int | str) -> int:
-    if isinstance(label, str):
-        for byte in label.encode("utf-8"):
-            state = splitmix64(state ^ byte)
-        return state
-    return splitmix64(state ^ (int(label) & _MASK64))
+def fold(state: int, *labels: int | str) -> int:
+    """Fold a label path into a 64-bit derivation state."""
+    for label in labels:
+        if isinstance(label, str):
+            for byte in label.encode("utf-8"):
+                state = splitmix64(state ^ byte)
+        else:
+            state = splitmix64(state ^ (int(label) & _MASK64))
+    return state
 
 
 def derive(seed: int, *labels: int | str) -> int:
     """Derive a child 64-bit seed from a root seed and a label path."""
-    state = splitmix64(int(seed) & _MASK64)
-    for label in labels:
-        state = _fold(state, label)
-    return state
+    return fold(splitmix64(int(seed) & _MASK64), *labels)
 
 
 def generator(seed: int, *labels: int | str) -> np.random.Generator:

@@ -12,6 +12,8 @@ Corpora are text files: one sequence per line, space-separated decimal ids.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -42,19 +44,20 @@ def _read_tensor(fh, shape: tuple[int, ...], path) -> np.ndarray:
     return data
 
 
+def _expect_payload(fh, path, n_values: int) -> None:
+    """Fail unless the bytes left in ``fh`` are exactly ``n_values`` float32s,
+    before any tensor is read, so a corrupt header cannot ask for a huge read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != 4 * n_values:
+        raise FormatError(f"{path}: header declares {4 * n_values} tensor bytes, file has {left}")
+
+
 def _model_tensor_shapes(cfg: ModelConfig):
+    """Shapes in file order: the embedding, one layer's (repeated n_layers
+    times), then the final norm and LM head."""
     d, h, v = cfg.d_model, cfg.ffn_hidden, cfg.vocab_size
-    yield (v, d)
-    for _ in range(cfg.n_layers):
-        yield (d,)
-        for _ in range(4):
-            yield (d, d)
-        yield (d,)
-        yield (d, h)
-        yield (d, h)
-        yield (h, d)
-    yield (d,)
-    yield (d, v)
+    layer = [(d,), (d, d), (d, d), (d, d), (d, d), (d,), (d, h), (d, h), (h, d)]
+    return [(v, d)], layer, [(d,), (d, v)]
 
 
 def save_weights(weights: TargetWeights, path: str | Path) -> None:
@@ -117,16 +120,16 @@ def load_weights(path: str | Path) -> tuple[ModelConfig, TargetWeights]:
         except ConfigError as exc:
             raise FormatError(f"{path}: invalid header config: {exc}") from exc
 
-        shapes = _model_tensor_shapes(cfg)
-        embedding = _read_tensor(fh, next(shapes), path)
+        head, layer, tail = _model_tensor_shapes(cfg)
+        per_layer = sum(math.prod(shape) for shape in layer)
+        _expect_payload(fh, path, sum(math.prod(shape) for shape in head + tail)
+                        + cfg.n_layers * per_layer)
+        embedding = _read_tensor(fh, head[0], path)
         layers = []
         for _ in range(cfg.n_layers):
-            attn_norm = _read_tensor(fh, next(shapes), path)
-            wq, wk, wv, wo = (_read_tensor(fh, next(shapes), path) for _ in range(4))
-            ffn_norm = _read_tensor(fh, next(shapes), path)
-            gate = _read_tensor(fh, next(shapes), path)
-            up = _read_tensor(fh, next(shapes), path)
-            down = _read_tensor(fh, next(shapes), path)
+            attn_norm, wq, wk, wv, wo, ffn_norm, gate, up, down = (
+                _read_tensor(fh, shape, path) for shape in layer
+            )
             layers.append(
                 LayerWeights(
                     attn_norm=attn_norm,
@@ -140,10 +143,7 @@ def load_weights(path: str | Path) -> tuple[ModelConfig, TargetWeights]:
                     down=down,
                 )
             )
-        final_norm = _read_tensor(fh, next(shapes), path)
-        lm_head = _read_tensor(fh, next(shapes), path)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after declared tensors")
+        final_norm, lm_head = (_read_tensor(fh, shape, path) for shape in tail)
     weights = TargetWeights(
         config=cfg,
         token_embedding=embedding,
@@ -180,11 +180,10 @@ def load_adapter(path: str | Path) -> AdapterWeights:
         d, n_heads, head_dim = struct.unpack_from("<3Q", header, 4)
         if d != n_heads * head_dim or d == 0:
             raise FormatError(f"{path}: inconsistent dims d={d}, heads={n_heads}x{head_dim}")
+        _expect_payload(fh, path, 2 * d + 4 * d * d)
         input_norm = _read_tensor(fh, (d,), path)
         wq, wk, wv, wo = (_read_tensor(fh, (d, d), path) for _ in range(4))
         output_norm = _read_tensor(fh, (d,), path)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after declared tensors")
     return AdapterWeights(
         input_norm=input_norm,
         attn=AttentionParams(wq=wq, wk=wk, wv=wv, wo=wo, n_heads=int(n_heads), head_dim=int(head_dim)),
@@ -201,8 +200,10 @@ def write_corpus(sequences: list[list[int]], path: str | Path) -> None:
 
 def read_corpus(path: str | Path) -> list[list[int]]:
     sequences = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
+            if not line.isascii():
+                raise FormatError(f"{path}:{line_no}: non-ASCII byte")
             line = line.strip()
             if not line:
                 continue

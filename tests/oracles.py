@@ -116,3 +116,29 @@ def max_grad_error(adapter, batch, lm_head, rope, h=1e-5):
             err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]), abs(fd))
             worst = max(worst, err)
     return worst
+
+
+def naive_gen_corpus(vocab_size, n_seqs, len_range, seed):
+    """Markov corpus drawn the original way: all four candidates hashed with
+    ``derive`` per token, then one ``Generator.choice`` call per token."""
+    from selfspec.seeding import derive, generator
+
+    probs = np.array([0.55, 0.25, 0.12, 0.08])
+
+    def candidates(a, b):
+        return np.array(
+            [derive(seed, "markov", a, b, i) % vocab_size for i in range(len(probs))],
+            dtype=np.int64,
+        )
+
+    lo, hi = len_range
+    rng = generator(seed, "corpus")
+    sequences = []
+    for _ in range(n_seqs):
+        length = int(rng.integers(lo, hi + 1))
+        seq = [int(rng.integers(vocab_size)), int(rng.integers(vocab_size))]
+        while len(seq) < length:
+            cands = candidates(seq[-2], seq[-1])
+            seq.append(int(rng.choice(cands, p=probs)))
+        sequences.append(seq[:length])
+    return sequences

@@ -13,7 +13,10 @@ and passthrough adapters, prompt lengths around the 64-key chunk and the
 context limit, three draft policies and three request lengths.  A
 ``generate`` line holds the tokens, ``truncated`` and every ``RoundTrace``
 field, with confidences as ``float.hex``; a ``logits`` line holds the sha256
-of the full-prompt logits.  An exception is recorded by class and message.
+of the full-prompt logits; a ``corpus`` line holds the sha256 of a
+``gen_corpus`` output, over vocabularies, length ranges and seeds and the
+benchmark's prompt and training shapes.  An exception is recorded by class
+and message.
 
 The script uses only the public API that every tree of the package has, so
 an older tree can be fingerprinted too.  pytest does not collect it.
@@ -35,6 +38,20 @@ ADAPTERS = ("init", "passthrough")
 PROMPT_LENGTHS = (1, 2, 63, 64, 65, MAX_SEQ_LEN - 1, MAX_SEQ_LEN, MAX_SEQ_LEN + 1)
 POLICIES = ((0.6, 6), (0.0, 3), (1.0, 0))
 N_TOKENS = (1, 2, 48)
+SEED_63 = (1 << 63) - 25
+# (vocab, n_seqs, len_range, seed); the last six are the benchmark's short
+# and long prompt sets and its training corpus.  tests/test_corpus.py checks
+# every case against the per-token oracle.
+CORPUS_GRID = [
+    (vocab, 2 if lo > 100 else 6, (lo, hi), seed)
+    for vocab in (2, 3, 256, 1000)
+    for lo, hi in ((2, 2), (2, 5), (12, 28), (448, 448))
+    for seed in (0, 7, SEED_63)
+] + [
+    (256, n_seqs, len_range, seed)
+    for n_seqs, len_range in ((64, (12, 12)), (15, (448, 448)), (48, (12, 28)))
+    for seed in (1, SEED_63)
+]
 
 
 def _import(src: Path):
@@ -84,6 +101,16 @@ def _generate_line(ss, model, adapter, policy, prompt: list[int], n_tokens: int)
     return {"tokens": result.tokens, "truncated": result.truncated, "rounds": rounds}
 
 
+def _corpus_line(vocab: int, n_seqs: int, len_range: tuple[int, int], seed: int) -> dict:
+    from selfspec.corpus import gen_corpus
+
+    try:
+        seqs = gen_corpus(vocab, n_seqs, len_range, seed)
+    except Exception as exc:  # noqa: BLE001
+        return {"error": _error(exc)}
+    return {"sha256": hashlib.sha256(json.dumps(seqs).encode()).hexdigest()}
+
+
 def grid(ss):
     """Yield one JSON-ready dict per case, in a fixed order."""
     import numpy as np
@@ -107,6 +134,10 @@ def grid(ss):
                                         "eta": eta, "gamma": gamma, "n_tokens": n_tokens}
                                 yield {**case, **_generate_line(
                                     ss, model, adapter, policy, prompt, n_tokens)}
+    for vocab, n_seqs, len_range, seed in CORPUS_GRID:
+        case = {"corpus": True, "vocab": vocab, "n_seqs": n_seqs,
+                "len_range": list(len_range), "seed": seed}
+        yield {**case, **_corpus_line(vocab, n_seqs, len_range, seed)}
 
 
 def main(argv: list[str] | None = None) -> int:

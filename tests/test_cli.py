@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -116,6 +117,26 @@ class TestTrain:
                      "--out", str(tmp_path / "x.knga")])
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
+
+
+    def test_non_ascii_corpus_exit_2_names_line(self, tmp_path, artifacts, capsys):
+        model, _, _ = artifacts
+        corpus = tmp_path / "latin.txt"
+        corpus.write_bytes(b"1 2 3\n4 \xc3\xa9 5\n")
+        code = main(["train", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "x.knga")])
+        assert code == 2
+        assert "latin.txt:2" in capsys.readouterr().err
+
+    def test_oversized_model_header_exit_2(self, tmp_path, artifacts, capsys):
+        model, _, corpus = artifacts
+        raw = bytearray(model.read_bytes())
+        struct.pack_into("<Q", raw, 8, 1 << 40)  # vocab_size
+        model.write_bytes(bytes(raw))
+        code = main(["train", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "x.knga")])
+        assert code == 2
+        assert "tensor bytes" in capsys.readouterr().err
 
 
 class TestBench:

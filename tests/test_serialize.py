@@ -101,6 +101,22 @@ class TestModelFile:
         with pytest.raises(FormatError):
             load_weights(path)
 
+    @pytest.mark.parametrize("index,value", [(0, 1 << 40), (1, 1 << 40), (4, 1 << 40)],
+                             ids=["vocab_size", "d_model", "n_layers"])
+    def test_oversized_header_count_rejected_before_reading(self, small_cfg, tmp_path,
+                                                            index, value):
+        # A count this large would ask for terabytes; the declared payload is
+        # checked against the file size before any tensor is read.
+        path = tmp_path / "huge.kngr"
+        save_weights(gen_model(small_cfg, seed=3), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, 8 + index * 8, value)
+        if index == 1:  # keep d_model = n_heads * head_dim
+            struct.pack_into("<Q", raw, 8 + 3 * 8, value // small_cfg.n_heads)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="tensor bytes"):
+            load_weights(path)
+
     def test_non_finite_tensor(self, small_cfg, tmp_path):
         weights = gen_model(small_cfg, seed=3)
         weights.lm_head[0, 0] = np.nan
@@ -128,6 +144,25 @@ class TestAdapterFile:
             load_adapter(path)
 
 
+    def test_oversized_dims_rejected_before_reading(self, small_model, tmp_path):
+        path = tmp_path / "huge.knga"
+        save_adapter(init_adapter(small_model, seed=4), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<3Q", raw, 8, 1 << 40, 1 << 20, 1 << 20)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="tensor bytes"):
+            load_adapter(path)
+
+    @pytest.mark.parametrize("edit", ["truncate", "extend"])
+    def test_payload_size_mismatch(self, small_model, tmp_path, edit):
+        path = tmp_path / "adapter.knga"
+        save_adapter(init_adapter(small_model, seed=4), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-4] if edit == "truncate" else raw + b"\0\0\0\0")
+        with pytest.raises(FormatError):
+            load_adapter(path)
+
+
 class TestCorpus:
     def test_round_trip(self, tmp_path):
         sequences = [[1, 2, 3], [42], [0, 0, 7, 9]]
@@ -150,4 +185,10 @@ class TestCorpus:
         path = tmp_path / "corpus.txt"
         path.write_text("1 -2 3\n")
         with pytest.raises(FormatError):
+            read_corpus(path)
+
+    def test_non_ascii_byte_names_path_and_line(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"1 2 3\n4 \xc3 5\n6\n")
+        with pytest.raises(FormatError, match=r"corpus\.txt:2: non-ASCII"):
             read_corpus(path)
