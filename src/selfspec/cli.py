@@ -9,6 +9,7 @@ Every command is deterministic given its ``--seed`` (timing fields aside).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import serialize
 from .adapter import init_adapter
-from .engine import DraftPolicy, run_corpus
+from .engine import DraftPolicy, deferred_rounds, run_corpus
 from .errors import LosslessnessError, SelfspecError
 from .metrics import aggregate
 from .model import DESK_CONFIG, ModelConfig, TargetWeights, gen_model
@@ -172,7 +173,11 @@ def cmd_bench(args) -> int:
         spec_seconds=run.seconds,
         subtask=Path(args.corpus).stem,
     )
-    report.simulated_speedup = simulate_speedup(run.rounds, lat, report.total_tokens)
+    report.simulated_speedup = simulate_speedup(run.results, lat, report.total_tokens)
+    report.nonfinite_confidences = sum(
+        not math.isfinite(c) for trace in run.rounds for c in trace.confidences
+    )
+    report.deferred_rounds = sum(sum(deferred_rounds(r.rounds)) for r in run.results)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 

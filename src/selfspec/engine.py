@@ -3,12 +3,21 @@
 Each round drafts tokens from the shallow layers + adapter until the draft
 confidence drops to the threshold (that low-confidence draft is kept, per
 the double-early-exit rule), the step budget runs out, or the cache fills.
-The early feature of the final token is always computed, so a round with
-``d`` drafts produces a unit of ``d+1`` features; one batched pass of the
-remaining layers verifies every draft and supplies the bonus token at the
-first mismatch (or after full acceptance).  Emitted tokens always come from
-the target's own argmax, which makes the output identical to plain greedy
+A round with ``d`` drafts produces a unit of ``d+1`` features, the newest
+committed token's and each draft's; one batched pass of the remaining layers
+verifies every draft and supplies the target's token at the first mismatch,
+or the bonus token after full acceptance.  Emitted tokens always come from the
+target's own argmax, which makes the output identical to plain greedy
 decoding for every adapter and policy.
+
+The final draft's feature serves only the bonus token, so a round that stops
+on the threshold may defer it: its unit holds ``d`` features, and the final
+draft's shallow pass and a one-row verification run only once every draft
+is accepted.  A session defers while fewer than a third of its earlier
+threshold-stopped rounds were fully accepted (``deferred_rounds`` replays
+that rule over a request's traces).  The kernels are batch invariant, so
+the one-row pass gives the bits the batched row would have: tokens, traces
+and caches do not depend on the choice.
 """
 
 from __future__ import annotations
@@ -91,12 +100,52 @@ class GenerationResult:
 
 @dataclass
 class DraftWindow:
-    """One round's drafting output: the feature unit plus its draft tokens."""
+    """One round's drafting output: the feature unit plus its draft tokens.
 
-    features: FeatureBlock  # drafted + 1 rows
+    ``features`` holds ``drafted + 1`` rows, or ``drafted`` rows when the
+    round deferred its final draft's feature to verification.
+    """
+
+    features: FeatureBlock
     drafts: list[int]
     confidences: list[float]
     stop_reason: StopReason
+
+    @property
+    def deferred(self) -> bool:
+        """Whether the unit leaves out the final draft's feature."""
+        return len(self.features) == len(self.drafts)
+
+
+@dataclass
+class _ThresholdHistory:
+    """A session's threshold-stopped rounds, which decide whether the next one defers."""
+
+    rounds: int = 0
+    fully_accepted: int = 0
+
+    @property
+    def defers(self) -> bool:
+        # Deferring saves a shallow pass and a verification row per rejected
+        # round and costs a one-row verification per fully accepted one.  On
+        # the desk model at context 20 that pays while under 41% of the
+        # rounds are fully accepted if they draft one token, and under about
+        # a third if they draft two.
+        return 3 * self.fully_accepted < self.rounds
+
+    def record(self, stop_reason: StopReason, drafted: int, accepted: int) -> None:
+        if stop_reason is StopReason.THRESHOLD:
+            self.rounds += 1
+            self.fully_accepted += accepted == drafted
+
+
+def deferred_rounds(rounds: list[RoundTrace]) -> list[bool]:
+    """Which of one request's rounds deferred their final draft's feature."""
+    history, flags = _ThresholdHistory(), []
+    for trace in rounds:
+        flags.append(trace.stop_reason is StopReason.THRESHOLD and history.defers)
+        history.record(trace.stop_reason, trace.drafted, trace.accepted_drafts)
+    return flags
 
 
 class DecodeSession:
@@ -117,6 +166,12 @@ class DecodeSession:
     ``_deep_backlog`` until the first ``verify_window`` and in ``_backlog``
     until the first probe, so a request that never drafts never runs the
     adapter.
+
+    A round that stops on the threshold defers its final draft's feature
+    while fewer than a third of the session's earlier threshold-stopped
+    rounds were fully accepted, so a session starts eager.  Its verification
+    computes that feature, and the bonus token from it, only after full
+    acceptance.
     """
 
     def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
@@ -141,6 +196,7 @@ class DecodeSession:
         self._deep_backlog: list[np.ndarray] = [rows] if len(rows) else []
         self._backlog: list[np.ndarray] = list(self._deep_backlog)
         self._opening: FeatureBlock | None = None
+        self._history = _ThresholdHistory()
         if len(prompt) <= max_len:
             self._opening = FeatureBlock(start=self.committed, values=features.values[-1:])
 
@@ -157,7 +213,9 @@ class DecodeSession:
         """Draft until threshold / step budget / capacity; return the unit.
 
         The step budget is ``gamma_max``, lowered to ``max_drafts`` when given,
-        e.g. so that a round never drafts tokens the caller cannot keep.
+        e.g. so that a round never drafts tokens the caller cannot keep.  A
+        round that stops on the threshold leaves out its final draft's
+        feature when the session defers it.
         """
         max_len = self.model.config.max_seq_len
         gamma = policy.gamma_max if max_drafts is None else min(policy.gamma_max, max_drafts)
@@ -165,15 +223,11 @@ class DecodeSession:
         drafts: list[int] = []
         confidences: list[float] = []
         start = self.committed
-        threshold_hit = False
         block, self._opening = self._opening, None
         if block is None:
             block = forward_shallow(self.model, [self.tokens[-1]], self.caches)
         while True:
             rows.append(block.values[0])
-            if threshold_hit:
-                reason = StopReason.THRESHOLD
-                break
             if len(drafts) == gamma:
                 reason = StopReason.MAX_STEPS
                 break
@@ -184,7 +238,10 @@ class DecodeSession:
             drafts.append(token)
             confidences.append(confidence)
             if not confidence > policy.eta:  # a NaN confidence stops too
-                threshold_hit = True
+                reason = StopReason.THRESHOLD
+                if not self._history.defers:
+                    rows.append(forward_shallow(self.model, [token], self.caches).values[0])
+                break
             block = forward_shallow(self.model, [token], self.caches)
         features = FeatureBlock(start=start, values=np.stack(rows))
         return DraftWindow(features, drafts, confidences, reason)
@@ -195,24 +252,28 @@ class DecodeSession:
         Accepts the longest draft prefix matching the target's greedy tokens,
         emits it plus the target's own token at the first mismatch (or the
         bonus token after full acceptance), and rolls every cache back to the
-        new committed prefix.  The first verification also carries the
-        pending prompt rows through the deep layers, without their final
-        norm and head.
+        new committed prefix.  A deferred unit gets its final draft's
+        shallow pass and a one-row pass for the bonus token only after full
+        acceptance.  The first verification also carries the pending prompt
+        rows through the deep layers, without their final norm and head.
         """
         block, self._deep_backlog = _extend_back(self._deep_backlog, window.features), []
         logits = forward_remaining(self.model, block, self.caches, len(window.features))
         targets = logits.argmax(axis=-1).tolist()
         accepted = _accepted_prefix(window.drafts, targets)
-        emitted = window.drafts[:accepted] + [targets[accepted]]
-
-        kept = window.features.start + accepted + 1
+        self._history.record(window.stop_reason, len(window.drafts), accepted)
         if accepted == len(window.drafts):
             # Full acceptance: nothing to discard; the final feature was
             # never probed, so it stays pending for the next adapter batch.
-            self._backlog.append(window.features.values[-1:])
+            final = window.features
+            if window.deferred:
+                final = forward_shallow(self.model, window.drafts[-1:], self.caches)
+                targets += forward_remaining(self.model, final, self.caches).argmax(axis=-1).tolist()
+            self._backlog.append(final.values[-1:])
         else:
-            self.caches.rollback(kept)
+            self.caches.rollback(window.features.start + accepted + 1)
             self._backlog = []
+        emitted = window.drafts[:accepted] + [targets[accepted]]
         self.tokens.extend(emitted)
         return accepted, emitted
 

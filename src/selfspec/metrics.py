@@ -68,6 +68,8 @@ class BenchReport:
     speedup: float | None = None
     tokens_per_sec: float | None = None
     simulated_speedup: float | None = None
+    nonfinite_confidences: int | None = None
+    deferred_rounds: int | None = None
     per_prompt_cr: list[float] = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -82,6 +84,8 @@ class BenchReport:
             "speedup": self.speedup,
             "tokens_per_sec": self.tokens_per_sec,
             "simulated_speedup": self.simulated_speedup,
+            "nonfinite_confidences": self.nonfinite_confidences,
+            "deferred_rounds": self.deferred_rounds,
             "per_prompt_cr": self.per_prompt_cr,
         }
         return json.dumps(payload, indent=2)

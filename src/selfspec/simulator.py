@@ -1,11 +1,15 @@
 """Analytic latency model and policy sweeps.
 
 The model charges four abstract costs per round: one shallow forward per
-feature (``d_k`` drafts plus the stopped token's feature), one adapter probe
-per draft, one batched remaining-layers verification, and a fixed per-round
-overhead.  In the free-draft limit (all costs but the verification zero) the
-predicted speedup equals the compression rate, which is the proportionality
-the sweeps explore.
+feature (the newest token's and each draft's, ``d_k + 1`` in all), one
+adapter probe per draft, one batched remaining-layers verification, and a
+fixed per-round overhead.  A round that deferred its final draft's feature
+(``engine.deferred_rounds`` replays the engine's rule per request) is
+charged one shallow forward fewer when it is rejected, and a second,
+one-row verification when it is fully accepted.  In the free-draft limit
+(all costs but the verification zero) the predicted speedup equals the
+compression rate when no fully accepted round was deferred, which is the
+proportionality the sweeps explore.
 """
 
 from __future__ import annotations
@@ -18,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapter import AdapterWeights, adapter_forward, draft_logits
-from .engine import DecodeSession, DraftPolicy, RoundTrace, measure_walltime, run_corpus
+from .engine import (
+    DecodeSession,
+    DraftPolicy,
+    GenerationResult,
+    deferred_rounds,
+    measure_walltime,
+    run_corpus,
+)
 from .errors import CalibrationError, ConfigError, MetricsDomainError
 from .metrics import CTAR_WINDOWS, aggregate
 from .model import FeatureBlock, KVCacheSet, TargetWeights, forward_remaining, forward_shallow
@@ -40,26 +51,39 @@ class LatencyModel:
         if min(self.c_shallow, self.c_adapter, self.c_overhead) < 0:
             raise ConfigError("component costs must be >= 0")
 
-    def round_cost(self, drafted: int) -> float:
+    def round_cost(
+        self, drafted: int, deferred: bool = False, fully_accepted: bool = False
+    ) -> float:
+        """Cost of a round with ``drafted`` drafts.
+
+        A deferred round runs its final draft's shallow pass, and a second
+        verification, only when it is fully accepted.
+        """
+        final_pass = not deferred or fully_accepted
+        bonus_pass = deferred and fully_accepted
         return (
             drafted * (self.c_shallow + self.c_adapter)
-            + self.c_shallow
-            + self.c_big
+            + final_pass * self.c_shallow
+            + (1 + bonus_pass) * self.c_big
             + self.c_overhead
         )
 
 
 def simulate_speedup(
-    traces: list[RoundTrace], lat: LatencyModel, n_tokens: int
+    results: list[GenerationResult], lat: LatencyModel, n_tokens: int
 ) -> float:
-    """Predicted vanilla-time over speculative-time for one run's traces."""
-    emitted = sum(t.emitted for t in traces)
+    """Predicted vanilla-time over speculative-time for one run's requests."""
+    emitted = sum(t.emitted for r in results for t in r.rounds)
     if emitted != n_tokens:
         raise MetricsDomainError(
             f"traces emit {emitted} tokens but n_tokens is {n_tokens}"
         )
     t_vanilla = n_tokens * lat.c_big
-    t_spec = sum(lat.round_cost(t.drafted) for t in traces)
+    t_spec = sum(
+        lat.round_cost(t.drafted, deferred, t.accepted_drafts == t.drafted)
+        for r in results
+        for t, deferred in zip(r.rounds, deferred_rounds(r.rounds))
+    )
     return t_vanilla / t_spec
 
 
@@ -121,7 +145,7 @@ def sweep(
                 gamma=run.policy.gamma_max,
                 cr=report.pooled_cr,
                 ctars=report.ctar_pooled,
-                simulated_speedup=simulate_speedup(run.rounds, lat, report.total_tokens),
+                simulated_speedup=simulate_speedup(run.results, lat, report.total_tokens),
                 measured_speedup=report.speedup,
             )
         )

@@ -10,7 +10,10 @@ parity break between the trees::
 The grid covers float32 and float64, the deep-residual dial alpha 1 and 0.1
 (deep ``wo`` and ``down`` scaled by alpha), model seeds 1 and 2, the init
 and passthrough adapters, prompt lengths around the 64-key chunk and the
-context limit, three draft policies and three request lengths.  A
+context limit, four draft policies and three request lengths.  Under policy
+(1.0, 6) every drafting round stops on the threshold, so after a rejected
+round the engine defers the final draft's feature: the grid covers deferred
+rounds that are rejected and deferred rounds that are fully accepted.  A
 ``generate`` line holds the tokens, ``truncated`` and every ``RoundTrace``
 field, with confidences as ``float.hex``; a ``logits`` line holds the sha256
 of the full-prompt logits; a ``corpus`` line holds the sha256 of a
@@ -36,7 +39,7 @@ ALPHAS = (1.0, 0.1)
 SEEDS = (1, 2)
 ADAPTERS = ("init", "passthrough")
 PROMPT_LENGTHS = (1, 2, 63, 64, 65, MAX_SEQ_LEN - 1, MAX_SEQ_LEN, MAX_SEQ_LEN + 1)
-POLICIES = ((0.6, 6), (0.0, 3), (1.0, 0))
+POLICIES = ((0.6, 6), (0.0, 3), (1.0, 0), (1.0, 6))
 N_TOKENS = (1, 2, 48)
 SEED_63 = (1 << 63) - 25
 # (vocab, n_seqs, len_range, seed); the last six are the benchmark's short

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import selfspec.cli
 import selfspec.engine
 from selfspec import gen_passthrough_model, passthrough_adapter
 from selfspec.cli import main
@@ -169,6 +170,36 @@ class TestBench:
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["pooled_cr"] == 7.0
+
+    def test_json_counts_nonfinite_confidences_and_deferred_rounds(
+        self, tmp_path, artifacts, monkeypatch
+    ):
+        # A NaN confidence stops each drafting round at its first draft.
+        probe = selfspec.engine.draft_logits
+        runs = []
+
+        def nan_confidence(*args):
+            logits, _, token = probe(*args)
+            return logits, float("nan"), token
+
+        def recorded(*args):
+            runs.append(run_corpus(*args))
+            return runs[-1]
+
+        run_corpus = selfspec.cli.run_corpus
+        monkeypatch.setattr(selfspec.engine, "draft_logits", nan_confidence)
+        monkeypatch.setattr(selfspec.cli, "run_corpus", recorded)
+        model, adapter, corpus = artifacts
+        out = tmp_path / "report.json"
+        assert main([
+            "bench", "--model", str(model), "--adapter", str(adapter),
+            "--corpus", str(corpus), "--n-tokens", "24", "--out", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        [run] = runs[0][1]
+        assert payload["nonfinite_confidences"] == sum(t.drafted for t in run.rounds) > 0
+        deferred = sum(sum(selfspec.engine.deferred_rounds(r.rounds)) for r in run.results)
+        assert payload["deferred_rounds"] == deferred > 0
 
     def test_csv_format(self, tmp_path, artifacts):
         model, adapter, corpus = artifacts

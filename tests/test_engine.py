@@ -14,9 +14,15 @@ from selfspec import (
     measure_walltime,
     vanilla_greedy_decode,
 )
-from selfspec.engine import DecodeSession, run_corpus
+from selfspec.engine import DecodeSession, RoundTrace, deferred_rounds, run_corpus
 from selfspec.errors import CapacityError, ConfigError, LosslessnessError
 from selfspec.seeding import generator
+
+
+def replayed(result):
+    """(deferred, fully accepted) for each round of ``result``."""
+    flags = deferred_rounds(result.rounds)
+    return [(d, r.accepted_drafts == r.drafted) for r, d in zip(result.rounds, flags)]
 
 
 def randomized_adapter(model, seed, spread=0.15):
@@ -379,8 +385,15 @@ class TestPromptPass:
         policy = DraftPolicy(eta=0.6, gamma_max=6)
         result = generate(small_model, small_adapter, policy, self.PROMPT, 48)
         assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 48)
-        assert calls["forward_remaining"] == len(result.rounds)
-        assert calls["forward_shallow"] == sum(r.drafted + 1 for r in result.rounds)
+        # A deferred round skips its final draft's shallow pass unless it is
+        # fully accepted, when it runs that pass and a second verification.
+        rounds = replayed(result)
+        assert (True, False) in rounds and (True, True) in rounds
+        bonus_passes = sum(deferred and full for deferred, full in rounds)
+        assert calls["forward_remaining"] == len(result.rounds) + bonus_passes
+        assert calls["forward_shallow"] == sum(
+            r.drafted + (not deferred or full) for r, (deferred, full) in zip(result.rounds, rounds)
+        )
         assert calls["draft_logits"] == sum(r.drafted for r in result.rounds)
 
 
@@ -406,12 +419,137 @@ class TestHeadRows:
         policy = DraftPolicy(eta=0.6, gamma_max=6)
         result = generate(small_model, small_adapter, policy, self.PROMPT, 24)
         assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 24)
-        # each round's window, round 1 included, then one row per greedy token
-        assert head_rows == [r.drafted + 1 for r in result.rounds] + [1] * 24
+        # each round's window, round 1 included, then one row per greedy token;
+        # a deferred window leaves out the final draft's row, and heads it in
+        # a one-row pass of its own only after full acceptance
+        rounds = replayed(result)
+        assert (True, False) in rounds and (True, True) in rounds
+        windows = []
+        for trace, (deferred, full) in zip(result.rounds, rounds):
+            windows += [trace.drafted + (not deferred)] + [1] * (deferred and full)
+        assert head_rows == windows + [1] * 24
 
     def test_greedy_prompt_pass_heads_one_row(self, small_model, head_rows):
         vanilla_greedy_decode(small_model, self.PROMPT, 5)
         assert head_rows == [1] * 5
+
+
+class TestDeferredBonus:
+    """A threshold round may leave its final draft's feature to verification."""
+
+    @staticmethod
+    def force(monkeypatch, defers):
+        monkeypatch.setattr(selfspec.engine._ThresholdHistory, "defers", property(lambda _: defers))
+
+    def test_rule_starts_eager_and_switches_after_rejections(self):
+        thr, steps = StopReason.THRESHOLD, StopReason.MAX_STEPS
+        # (stop reason, drafted, accepted) of one request's rounds
+        rounds = [(thr, 2, 0), (thr, 1, 0), (steps, 3, 3), (thr, 1, 1), (thr, 2, 2),
+                  (thr, 1, 0), (thr, 1, 0), (thr, 1, 0), (thr, 1, 0)]
+        traces = [RoundTrace(d, a, a + 1, [0.5] * d, reason) for reason, d, a in rounds]
+        # eager until a threshold round is rejected; a non-threshold round
+        # never defers and does not count; deferring stops once a third of
+        # the threshold rounds were fully accepted (2 of 4, 2 of 5, 2 of 6)
+        # and resumes below (2 of 7)
+        assert deferred_rounds(traces) == [False, True, False, True, False,
+                                           False, False, False, True]
+        assert deferred_rounds([]) == []
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    def test_session_follows_the_replayed_rule(self, small_model, monkeypatch, eta):
+        windows = []
+        draft_window = DecodeSession.draft_window
+
+        def recorded(session, *args):
+            window = draft_window(session, *args)
+            windows.append(window)
+            return window
+
+        monkeypatch.setattr(DecodeSession, "draft_window", recorded)
+        for seed in (3, 4):
+            adapter = randomized_adapter(small_model, seed)
+            windows.clear()
+            result = generate(small_model, adapter, DraftPolicy(eta=eta, gamma_max=6), [4, 2, 0], 40)
+            assert [w.deferred for w in windows] == deferred_rounds(result.rounds)
+            assert not windows[0].deferred
+            assert any(w.deferred for w in windows)
+            for window in windows:
+                assert len(window.features) == len(window.drafts) + (not window.deferred)
+
+    @pytest.mark.parametrize("prompt", [[7], [7, 3, 1]], ids=["round-one", "pending-prompt"])
+    def test_forced_deferral_matches_eager_bit_for_bit(self, planted, monkeypatch, prompt):
+        # The planted fixture accepts every draft; at eta 0.75 its rounds stop
+        # on the threshold after one to six drafts.
+        model, adapter = planted
+        policy = DraftPolicy(eta=0.75, gamma_max=6)
+        logits = []
+        remaining = selfspec.engine.forward_remaining
+
+        def recorded(*args):
+            out = remaining(*args)
+            logits.append(out)
+            return out
+
+        monkeypatch.setattr(selfspec.engine, "forward_remaining", recorded)
+
+        def run(defers):
+            self.force(monkeypatch, defers)
+            session = DecodeSession(model, adapter, prompt)
+            states = []
+            for _ in range(4):
+                logits.clear()
+                window = session.draft_window(policy)
+                accepted, emitted = session.verify_window(window)
+                assert window.stop_reason is StopReason.THRESHOLD
+                assert window.deferred == defers and accepted == len(window.drafts)
+                caches = session.caches
+                states.append((
+                    emitted,
+                    logits[-1][-1].tobytes(),  # the bonus token's logits
+                    (caches.shallow_len, caches.deep_len, caches.adapter_len),
+                    np.concatenate(session._backlog).tobytes(),
+                    [(c.k[: c.length].tobytes(), c.v[: c.length].tobytes())
+                     for c in (*caches.shallow, *caches.deep, caches.adapter)],
+                ))
+            assert max(len(state[0]) for state in states) > 2
+            return states
+
+        assert run(True) == run(False)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_forced_deferral_keeps_tokens_and_traces(self, small_model, monkeypatch, seed):
+        adapter = randomized_adapter(small_model, seed)
+        prompt = [5, 3, 8, 1]
+        outcomes = {}
+        for defers in (True, False):
+            self.force(monkeypatch, defers)
+            outcomes[defers] = [
+                generate(small_model, adapter, DraftPolicy(eta=eta, gamma_max=6), prompt, 40)
+                for eta in (0.3, 0.6, 1.0)
+            ]
+        for deferred, eager in zip(outcomes[True], outcomes[False]):
+            assert deferred.tokens == eager.tokens == vanilla_greedy_decode(small_model, prompt, 40)
+            assert deferred.rounds == eager.rounds
+
+    @pytest.mark.parametrize("extra", [-2, -1, 0], ids=["max-2", "max-1", "max"])
+    def test_deferred_rounds_at_the_context(self, small_model, planted, monkeypatch, extra):
+        # Every threshold round defers; eta 1.0 stops each round at its first
+        # draft.  The fully accepting fixture runs the final draft's shallow
+        # pass and verification at the last positions of the context.
+        self.force(monkeypatch, True)
+        length = small_model.config.max_seq_len + extra
+        for model, adapter in ((small_model, randomized_adapter(small_model, 3)), planted):
+            vocab = model.config.vocab_size
+            prompt = [int(t) for t in generator(5, "edge-prompt").integers(vocab, size=length)]
+            room = model.config.max_seq_len + 1 - length
+            for n in (1, 2, 3, 4):
+                result = generate(model, adapter, DraftPolicy(eta=1.0, gamma_max=6), prompt, n)
+                expected = vanilla_greedy_decode(model, prompt, min(n, room))
+                assert result.tokens == expected
+                assert result.truncated == (n > room)
+                drafting = [r for r in result.rounds if r.drafted]
+                assert all(r.stop_reason is StopReason.THRESHOLD for r in drafting)
+                assert bool(drafting) == (min(n, room) >= 2)
 
 
 class TestRunCorpus:

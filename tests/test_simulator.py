@@ -9,20 +9,25 @@ from selfspec import (
     simulate_speedup,
     sweep,
 )
-from selfspec.engine import RoundTrace, StopReason
+from selfspec.engine import GenerationResult, RoundTrace, StopReason
 from selfspec.errors import CalibrationError, ConfigError, MetricsDomainError
 from selfspec.metrics import CTAR_WINDOWS
 from selfspec.seeding import generator
 
 
-def trace(drafted, emitted):
+def trace(drafted, emitted, stop_reason=StopReason.MAX_STEPS):
     return RoundTrace(
         drafted=drafted,
         accepted_drafts=emitted - 1,
         emitted=emitted,
         confidences=[0.5] * drafted,
-        stop_reason=StopReason.MAX_STEPS,
+        stop_reason=stop_reason,
     )
+
+
+def request(traces):
+    """One request's result, as ``simulate_speedup`` takes it."""
+    return GenerationResult(tokens=[], rounds=list(traces))
 
 
 class TestLatencyModel:
@@ -35,6 +40,11 @@ class TestLatencyModel:
     def test_round_cost(self):
         lat = LatencyModel(c_big=10.0, c_shallow=1.0, c_adapter=2.0, c_overhead=0.5)
         assert lat.round_cost(3) == 3 * 3.0 + 1.0 + 10.0 + 0.5
+        # deferred: no final shallow pass when rejected; when fully accepted,
+        # that pass plus a second verification
+        assert lat.round_cost(3, deferred=True) == 3 * 3.0 + 10.0 + 0.5
+        assert lat.round_cost(3, True, True) == 3 * 3.0 + 1.0 + 20.0 + 0.5
+        assert lat.round_cost(3, False, True) == lat.round_cost(3)
 
 
 class TestSimulateSpeedup:
@@ -43,21 +53,21 @@ class TestSimulateSpeedup:
         # one unit against a big forward of ten.
         traces = [trace(1, 2), trace(1, 2)]
         lat = LatencyModel(c_big=10.0, c_shallow=0.0, c_adapter=1.0, c_overhead=0.0)
-        assert simulate_speedup(traces, lat, 4) == pytest.approx(40.0 / 22.0)
+        assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(40.0 / 22.0)
 
     def test_free_draft_limit_equals_cr(self):
         traces = [trace(6, 7), trace(6, 7)]
         lat = LatencyModel(c_big=1.0)
-        assert simulate_speedup(traces, lat, 14) == pytest.approx(7.0, abs=1e-9)
+        assert simulate_speedup([request(traces)], lat, 14) == pytest.approx(7.0, abs=1e-9)
 
     def test_vanilla_identity(self):
         traces = [trace(0, 1)] * 5
         lat = LatencyModel(c_big=3.0)
-        assert simulate_speedup(traces, lat, 5) == pytest.approx(1.0, abs=1e-12)
+        assert simulate_speedup([request(traces)], lat, 5) == pytest.approx(1.0, abs=1e-12)
 
     def test_token_mismatch_rejected(self):
         with pytest.raises(MetricsDomainError):
-            simulate_speedup([trace(1, 2)], LatencyModel(c_big=1.0), 5)
+            simulate_speedup([request([trace(1, 2)])], LatencyModel(c_big=1.0), 5)
 
     def test_free_draft_limit_random_traces(self):
         rng = generator(0, "traces")
@@ -68,17 +78,30 @@ class TestSimulateSpeedup:
             ]
             n = sum(t.emitted for t in traces)
             cr = n / len(traces)
-            speedup = simulate_speedup(traces, LatencyModel(c_big=1.0), n)
+            speedup = simulate_speedup([request(traces)], LatencyModel(c_big=1.0), n)
             assert speedup == pytest.approx(cr, abs=1e-9)
+
+    def test_deferred_rounds_are_charged_their_passes(self):
+        # Every round stops on the threshold.  The first runs eager; after
+        # its rejection the session defers, and keeps deferring while under
+        # a third of its threshold rounds were fully accepted.
+        thr = StopReason.THRESHOLD
+        traces = [trace(1, 1, thr), trace(2, 1, thr), trace(1, 2, thr)]
+        lat = LatencyModel(c_big=10.0, c_shallow=1.0)
+        # eager 2 + 10, deferred and rejected 2 + 10, deferred and accepted 2 + 2 * 10
+        assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(40.0 / 46.0)
+        # the rule is replayed per request: each request starts eager
+        alone = simulate_speedup([request(traces[:1])] * 2, lat, 2)
+        assert alone == pytest.approx(20.0 / 24.0)
 
     def test_monotone_in_each_cost(self):
         traces = [trace(3, 2), trace(2, 4), trace(3, 1)]
         n = 7
         base = LatencyModel(c_big=5.0, c_shallow=0.2, c_adapter=0.1, c_overhead=0.3)
-        s0 = simulate_speedup(traces, base, n)
+        s0 = simulate_speedup([request(traces)], base, n)
         for field in ("c_shallow", "c_adapter", "c_overhead"):
             bumped = {**base.__dict__, field: getattr(base, field) + 0.2}
-            assert simulate_speedup(traces, LatencyModel(**bumped), n) < s0
+            assert simulate_speedup([request(traces)], LatencyModel(**bumped), n) < s0
 
 
 @pytest.fixture(scope="module")
