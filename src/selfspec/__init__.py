@@ -40,6 +40,7 @@ from .model import (
     full_forward,
     gen_model,
     gen_passthrough_model,
+    prefill,
     vanilla_greedy_decode,
 )
 from .simulator import LatencyModel, SimReport, calibrate_latency, simulate_speedup, sweep
@@ -93,6 +94,7 @@ __all__ = [
     "init_adapter",
     "measure_walltime",
     "passthrough_adapter",
+    "prefill",
     "run_corpus",
     "simulate_speedup",
     "sweep",

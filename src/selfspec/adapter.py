@@ -22,6 +22,7 @@ from .kernels import (
     argmax_token,
     causal_attention,
     matmul,
+    prompt_attention,
     rmsnorm,
 )
 from .model import RMS_EPS, FeatureBlock, KVCacheSet, TargetWeights
@@ -140,14 +141,23 @@ def draft_logits(
     Returns ``(logits, confidence, token)`` where confidence is the top-1
     softmax probability and token its greedy argmax.  Passing more than one
     feature advances the adapter cache over all of them (the catch-up batch
-    of a fully accepted round) while predicting only from the last.
+    of a fully accepted round) while predicting only from the last.  A
+    block from position 0 is a session's prompt rows: its attention runs as
+    GEMMs (``prompt_attention``), like the target's ``prefill``.
 
     The top-1 probability is ``1 / sum(exp(logits - logits[token]))``: the
     same bits as ``max(softmax(logits))``, whose top entry is ``exp(0) = 1``
     over the same sum, without building the probability vector.
     """
-    refined = adapter_forward(adapter, features, caches.adapter, model.rope)
-    logits = matmul(refined[-1:], model.lm_head)[0]
+    if features.start == 0:
+        x = features.values
+        attn_out = prompt_attention(
+            adapter.attn, rmsnorm(x, adapter.input_norm, RMS_EPS), caches.adapter, model.rope
+        )
+        refined = rmsnorm(x[-1:] + attn_out[-1:], adapter.output_norm, RMS_EPS)
+    else:
+        refined = adapter_forward(adapter, features, caches.adapter, model.rope)[-1:]
+    logits = matmul(refined, model.lm_head)[0]
     token = argmax_token(logits)
     confidence = 1 / np.add.reduce(np.exp(logits - logits[token]))
     return logits, float(confidence), token

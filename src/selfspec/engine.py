@@ -8,7 +8,9 @@ committed token's and each draft's; one batched pass of the remaining layers
 verifies every draft and supplies the target's token at the first mismatch,
 or the bonus token after full acceptance.  Emitted tokens always come from the
 target's own argmax, which makes the output identical to plain greedy
-decoding for every adapter and policy.
+decoding for every adapter and policy.  The prompt goes through ``prefill``,
+the same call that opens the greedy reference, so round 1 takes its first
+target from the prefill logits and verifies only its draft rows.
 
 The final draft's feature serves only the bonus token, so a round that stops
 on the threshold may defer it: its unit holds ``d`` features, and the final
@@ -32,6 +34,7 @@ import numpy as np
 
 from .adapter import AdapterWeights, draft_logits
 from .errors import CapacityError, ConfigError, LosslessnessError
+from .kernels import argmax_token
 from .metrics import AcceptanceRecord
 from .model import (
     FeatureBlock,
@@ -39,6 +42,7 @@ from .model import (
     TargetWeights,
     forward_remaining,
     forward_shallow,
+    prefill,
     vanilla_greedy_decode,
 )
 
@@ -160,12 +164,11 @@ class DecodeSession:
     saved adapter forward the carry optimization buys.
 
     Each prompt row goes through each stack once.  The session opens with
-    one shallow pass over the whole prompt, whose last row is round 1's
-    first feature.  Before the first verification the deep and adapter
-    caches may be empty, with the other prompt rows pending: in
-    ``_deep_backlog`` until the first ``verify_window`` and in ``_backlog``
-    until the first probe, so a request that never drafts never runs the
-    adapter.
+    ``prefill`` over the whole prompt, which fills the shallow and deep
+    caches and gives the target's token after the prompt.  The last prompt
+    row is round 1's first feature, already verified: round 1 verifies only
+    its draft rows.  The prompt rows wait in ``_backlog`` for the first
+    probe, so a request that never drafts never runs the adapter.
 
     A round that stops on the threshold defers its final draft's feature
     while fewer than a third of the session's earlier threshold-stopped
@@ -191,14 +194,16 @@ class DecodeSession:
         # A prompt of max_seq_len + 1 tokens leaves its newest token no
         # position: the rest is cached and no round opens (a round would
         # raise CapacityError; ``generate`` reports truncation instead).
-        features = forward_shallow(model, prompt[:max_len], self.caches)
+        features, logits = prefill(model, prompt[:max_len], self.caches)
         rows = features.values[: self.committed]
-        self._deep_backlog: list[np.ndarray] = [rows] if len(rows) else []
-        self._backlog: list[np.ndarray] = list(self._deep_backlog)
+        self._backlog: list[np.ndarray] = [rows] if len(rows) else []
         self._opening: FeatureBlock | None = None
+        # targets already known for the leading rows of the next unit
+        self._targets: list[int] = []
         self._history = _ThresholdHistory()
         if len(prompt) <= max_len:
             self._opening = FeatureBlock(start=self.committed, values=features.values[-1:])
+            self._targets = [argmax_token(logits)]
 
     @property
     def committed(self) -> int:
@@ -254,12 +259,15 @@ class DecodeSession:
         bonus token after full acceptance), and rolls every cache back to the
         new committed prefix.  A deferred unit gets its final draft's
         shallow pass and a one-row pass for the bonus token only after full
-        acceptance.  The first verification also carries the pending prompt
-        rows through the deep layers, without their final norm and head.
+        acceptance.  Round 1's first row is the prompt's last, whose target
+        came with the prefill, so the pass runs over its draft rows only, and
+        not at all for a round without them.
         """
-        block, self._deep_backlog = _extend_back(self._deep_backlog, window.features), []
-        logits = forward_remaining(self.model, block, self.caches, len(window.features))
-        targets = logits.argmax(axis=-1).tolist()
+        targets, self._targets = self._targets, []
+        rows = window.features.values[len(targets) :]
+        if len(rows):
+            block = FeatureBlock(start=window.features.start + len(targets), values=rows)
+            targets += forward_remaining(self.model, block, self.caches).argmax(axis=-1).tolist()
         accepted = _accepted_prefix(window.drafts, targets)
         self._history.record(window.stop_reason, len(window.drafts), accepted)
         if accepted == len(window.drafts):
@@ -307,8 +315,10 @@ def generate(
     adapter and policy; a result that had to stop at the context limit is
     flagged ``truncated`` instead of raising.  A round drafts at most
     ``n_tokens - len(out) - 1`` tokens, so every token it emits is kept: a
-    one-token request verifies a single row and drafts nothing.
+    one-token request drafts nothing and takes its token from the prefill.
     """
+    if n_tokens < 0:
+        raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
     session = DecodeSession(model, adapter, prompt)
     rounds: list[RoundTrace] = []
     out: list[int] = []

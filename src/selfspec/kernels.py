@@ -1,8 +1,19 @@
 """Dense kernels shared by the target model, the draft adapter, and training.
 
-Greedy losslessness is checked at zero tolerance, so every kernel here is
-*batch-shape stable*: the bits of an output row depend only on that row's
-inputs, never on how many rows were computed in the same call.  Concretely:
+Greedy losslessness is checked at zero tolerance.  It rests on two facts:
+
+1. Both decoders get their prompt rows from one identical, deterministic
+   call.  ``prompt_attention`` and the model's ``prefill`` run a prompt
+   from position 0 as plain BLAS GEMMs, whose bits may depend on the row
+   count; the greedy reference and a speculative session open with the same
+   call on the same rows, so their prompt K/V rows and first token agree.
+2. Every row after the prompt goes through the kernels below, which are
+   *batch-shape stable*: the bits of an output row depend only on that
+   row's inputs, never on how many rows were computed in the same call.
+   So a batched verification forward equals one-token-at-a-time decoding
+   over the same prefix.
+
+The stable kernels, concretely:
 
 - A matrix product is a stack of one BLAS GEMV per row,
   ``np.matmul(a[:, None, :], b)[:, 0]``.  Every row is its own call with
@@ -31,8 +42,7 @@ inputs, never on how many rows were computed in the same call.  Concretely:
 - rmsnorm's mean square is one BLAS dot per row, and the max over keys is
   exact in any order.
 
-This makes a batched verification forward bit-identical to incremental
-decoding over the same prefix, which is what the acceptance suite relies on.
+The acceptance suite relies on both facts.
 """
 
 from __future__ import annotations
@@ -302,6 +312,49 @@ def causal_attention(
     # one block is the whole context; q[:0] gives a zero-row call its empty one
     ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0], *blocks])
     return _row_gemv(ctx.reshape(n_rows, d), params.wo)
+
+
+def prompt_attention(
+    params: AttentionParams, x: np.ndarray, cache: LayerKVCache, rope_table: RopeTable
+) -> np.ndarray:
+    """Causal multi-head attention over a prompt from position 0, as BLAS GEMMs.
+
+    Fills the empty ``cache`` with the T rows' K/V and returns the attention
+    output, like ``causal_attention`` at ``start_pos=0``, within rounding.
+    The projections are one GEMM per weight plane; per head, the scores and
+    contexts are GEMMs over blocks of ``_ROW_BLOCK`` query rows against the
+    keys up to the block's last row, masked by ``_causal_mask``.  The bits
+    depend on T, so this kernel serves only the prompt rows that every
+    decoder computes in the same call (module docstring, fact 1).
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"attention input must be 2-D, got shape {x.shape}")
+    if cache.length != 0:
+        raise CacheError(f"prompt attention needs an empty cache, got length {cache.length}")
+    n_rows, d = x.shape
+    h, hd = params.n_heads, params.head_dim
+    if d != h * hd:
+        raise ShapeError(f"attention input width {d} != n_heads*head_dim {h * hd}")
+
+    qkv = np.matmul(x, params.wqkv).transpose(1, 0, 2).reshape(n_rows, 3, h, hd)
+    qk = rope_table.apply_block(qkv[:, :2].reshape(n_rows, 2 * h, hd), 0)
+    cache.extend(qk[:, h:], qkv[:, 2])
+    (scale,) = _scalars(x.dtype, 1.0 / math.sqrt(hd))
+    q = (qk[:, :h] * scale).transpose(1, 0, 2)  # (heads, T, head_dim)
+    keys = cache.k[:n_rows].transpose(1, 2, 0)  # (heads, head_dim, T)
+    values = cache.v[:n_rows].transpose(1, 0, 2)  # (heads, T, head_dim)
+
+    mask = _causal_mask(cache.k.shape[0])
+    ctx = np.empty((n_rows, h, hd), dtype=x.dtype)
+    for b0 in range(0, n_rows, _ROW_BLOCK):
+        b1 = min(b0 + _ROW_BLOCK, n_rows)
+        w = np.matmul(q[:, b0:b1], keys[:, :, :b1])  # (heads, rows, keys)
+        np.copyto(w[..., b0:], -np.inf, where=mask[b0:b1, b0:b1])  # keys before b0 are seen
+        w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        den = np.add.reduce(w, axis=-1)
+        ctx[b0:b1] = (np.matmul(w, values[:, :b1]) / den[..., None]).transpose(1, 0, 2)
+    return ctx.reshape(n_rows, d) @ params.wo
 
 
 def gated_ffn(

@@ -3,8 +3,10 @@
 The model is a pre-norm decoder stack (rotary attention + gated FFN) split at
 ``exit_layer``: ``forward_shallow`` runs layers ``[0, exit_layer)`` and emits
 early features, ``forward_remaining`` runs the rest plus final norm and LM
-head.  Their composition equals a monolithic forward; the greedy reference
-decoder below is the correctness oracle for speculative decoding.
+head.  Their composition equals a monolithic forward.  ``prefill`` runs a
+prompt through both stacks at once with GEMM kernels; every decoder opens
+with it.  The greedy reference decoder below is the correctness oracle for
+speculative decoding.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .kernels import (
     causal_attention,
     gated_ffn,
     matmul,
+    prompt_attention,
     rmsnorm,
+    silu,
 )
 from .seeding import generator
 
@@ -57,6 +61,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        if self.n_heads < 1 or self.head_dim < 2:
+            raise ConfigError(
+                f"need n_heads >= 1 and head_dim >= 2, got {self.n_heads} and {self.head_dim}"
+            )
         if self.d_model != self.n_heads * self.head_dim:
             raise ConfigError(
                 f"d_model {self.d_model} != n_heads*head_dim {self.n_heads * self.head_dim}"
@@ -308,31 +316,23 @@ def forward_shallow(
 
 
 def forward_remaining(
-    weights: TargetWeights, features: FeatureBlock, caches: KVCacheSet, last: int | None = None
+    weights: TargetWeights, features: FeatureBlock, caches: KVCacheSet
 ) -> np.ndarray:
     """Run layers ``[exit_layer, n_layers)`` plus final norm and LM head.
 
-    Returns one logits row per feature, or only for the ``last`` features
-    when given: every feature goes through the layers and into the deep
-    cache, but only the kept rows go through the final norm and the head.
-    Kept rows are bit-identical to the same rows of an all-rows call.
-    Feature positions must continue the deep cache exactly; composition with
-    ``forward_shallow`` over the same positions reproduces a full-model
-    forward.
+    Returns one logits row per feature.  Feature positions must continue the
+    deep cache exactly; composition with ``forward_shallow`` over the same
+    positions reproduces a full-model forward.
     """
     if features.start != caches.deep_len:
         raise CacheError(
             f"feature block starts at {features.start} but deep cache has "
             f"{caches.deep_len} positions"
         )
-    if last is not None and not 1 <= last <= len(features):
-        raise ShapeError(f"cannot keep the last {last} of {len(features)} rows")
     cfg = weights.config
     h = features.values
     for i in range(cfg.n_layers - cfg.exit_layer):
         h = _block(h, weights.layers[cfg.exit_layer + i], caches.deep[i], features.start, weights.rope)
-    if last is not None:
-        h = h[len(h) - last :]
     return matmul(rmsnorm(h, weights.final_norm, RMS_EPS), weights.lm_head)
 
 
@@ -343,17 +343,60 @@ def full_forward(
     return forward_remaining(weights, forward_shallow(weights, tokens, caches), caches)
 
 
+def _prompt_block(x, layer: LayerWeights, cache: LayerKVCache, rope: RopeTable):
+    h = x + prompt_attention(layer.attn, rmsnorm(x, layer.attn_norm, RMS_EPS), cache, rope)
+    normed = rmsnorm(h, layer.ffn_norm, RMS_EPS)
+    return h + (silu(normed @ layer.gate) * (normed @ layer.up)) @ layer.down
+
+
+def prefill(
+    weights: TargetWeights, prompt: list[int] | np.ndarray, caches: KVCacheSet
+) -> tuple[FeatureBlock, np.ndarray]:
+    """Run ``prompt`` from position 0 through both stacks with GEMM kernels.
+
+    Fills the empty shallow and deep caches with the prompt's K/V rows and
+    returns the early features of every prompt row and the logits of the
+    last one (the target's token after the prompt).  The products are plain
+    BLAS GEMMs, whose bits depend on the prompt length, so agreement with
+    ``full_forward`` is within rounding.  Greedy equality needs only that
+    every decoder opens with this same call on the same rows (kernels
+    module docstring).
+    """
+    tokens = np.asarray(prompt, dtype=np.int64)
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise ShapeError("prefill expects a non-empty token sequence")
+    if tokens.size > weights.config.max_seq_len:
+        raise CapacityError(
+            f"prompt of {tokens.size} tokens exceeds max_seq_len {weights.config.max_seq_len}"
+        )
+    if caches.shallow_len or caches.deep_len:
+        raise CacheError("prefill needs empty shallow and deep caches")
+    exit_layer = weights.config.exit_layer
+    h = weights.token_embedding[tokens]
+    for layer, cache in zip(weights.layers[:exit_layer], caches.shallow):
+        h = _prompt_block(h, layer, cache, weights.rope)
+    features = FeatureBlock(start=0, values=h)
+    for layer, cache in zip(weights.layers[exit_layer:], caches.deep):
+        h = _prompt_block(h, layer, cache, weights.rope)
+    logits = matmul(rmsnorm(h[-1:], weights.final_norm, RMS_EPS), weights.lm_head)[0]
+    return features, logits
+
+
 def vanilla_greedy_decode(
     weights: TargetWeights, prompt: list[int], n_tokens: int
 ) -> list[int]:
     """One-token-per-forward greedy decoding: the losslessness oracle.
 
-    The newest token is never fed back, so ``len(prompt) + n_tokens - 1``
-    positions are cached: the request fits when that is at most
-    ``max_seq_len``, the same bound up to which ``generate`` emits tokens.
+    The prompt goes through ``prefill``, every later token through the
+    batch-invariant one-row steps.  The newest token is never fed back, so
+    ``len(prompt) + n_tokens - 1`` positions are cached: the request fits
+    when that is at most ``max_seq_len``, the same bound up to which
+    ``generate`` emits tokens.
     """
     if len(prompt) == 0:
         raise ConfigError("prompt must be non-empty")
+    if n_tokens < 0:
+        raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
     if len(prompt) + n_tokens > weights.config.max_seq_len + 1:
         raise CapacityError(
             f"prompt ({len(prompt)}) + n_tokens ({n_tokens}) exceeds max_seq_len + 1 = "
@@ -362,8 +405,8 @@ def vanilla_greedy_decode(
     if n_tokens == 0:
         return []
     caches = KVCacheSet(weights.config, dtype=weights.dtype)
-    logits = forward_remaining(weights, forward_shallow(weights, prompt, caches), caches, 1)
-    out = [argmax_token(logits[-1])]
+    _, logits = prefill(weights, prompt, caches)
+    out = [argmax_token(logits)]
     for _ in range(n_tokens - 1):
         logits = full_forward(weights, [out[-1]], caches)
         out.append(argmax_token(logits[-1]))

@@ -32,7 +32,14 @@ from .engine import (
 )
 from .errors import CalibrationError, ConfigError, MetricsDomainError
 from .metrics import CTAR_WINDOWS, aggregate
-from .model import FeatureBlock, KVCacheSet, TargetWeights, forward_remaining, forward_shallow
+from .model import (
+    FeatureBlock,
+    KVCacheSet,
+    TargetWeights,
+    forward_remaining,
+    forward_shallow,
+    prefill,
+)
 from .seeding import generator
 
 
@@ -178,8 +185,7 @@ def calibrate_latency(
     times: list[float] = []
     for ctx in probe_lengths:
         caches = KVCacheSet(cfg, dtype=model.dtype)
-        feats = forward_shallow(model, tokens[:ctx], caches)
-        forward_remaining(model, feats, caches, 1)
+        feats, _ = prefill(model, tokens[:ctx], caches)
         adapter_forward(adapter, feats, caches.adapter, model.rope)
 
         def time_shallow():
@@ -213,8 +219,8 @@ def calibrate_latency(
     # Whole rounds pin down the per-round overhead.
     prompt = tokens[: max(4, probe_lengths[0])]
     policy = DraftPolicy(eta=0.0, gamma_max=gamma)
-    # The untimed warm-up round also carries the prompt through the deep
-    # layers and the adapter, so every timed round is a steady-state one.
+    # The untimed warm-up round also carries the prompt through the
+    # adapter, so every timed round is a steady-state one.
     session = DecodeSession(model, adapter, prompt)
     session.verify_window(session.draft_window(policy))
     for _ in range(reps):

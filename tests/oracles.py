@@ -13,7 +13,7 @@ RMS_EPS = 1e-5
 
 
 def rms(x, scale):
-    return scale * x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(RMS_EPS))
+    return scale * x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMS_EPS)
 
 
 def rotate(vecs, position, rope_table):

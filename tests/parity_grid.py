@@ -9,17 +9,20 @@ parity break between the trees::
 
 The grid covers float32 and float64, the deep-residual dial alpha 1 and 0.1
 (deep ``wo`` and ``down`` scaled by alpha), model seeds 1 and 2, the init
-and passthrough adapters, prompt lengths around the 64-key chunk and the
-context limit, four draft policies and three request lengths.  Under policy
-(1.0, 6) every drafting round stops on the threshold, so after a rejected
-round the engine defers the final draft's feature: the grid covers deferred
-rounds that are rejected and deferred rounds that are fully accepted.  A
-``generate`` line holds the tokens, ``truncated`` and every ``RoundTrace``
-field, with confidences as ``float.hex``; a ``logits`` line holds the sha256
-of the full-prompt logits; a ``corpus`` line holds the sha256 of a
-``gen_corpus`` output, over vocabularies, length ranges and seeds and the
-benchmark's prompt and training shapes.  An exception is recorded by class
-and message.
+and passthrough adapters, prompt lengths around the 32-row attention block,
+the 64-key chunk and the context limit, four draft policies and three
+request lengths.  Under policy (1.0, 6) every drafting round stops on the
+threshold, so after a rejected round the engine defers the final draft's
+feature: the grid covers deferred rounds that are rejected and deferred
+rounds that are fully accepted.  A ``generate`` line holds the tokens,
+``truncated`` and every ``RoundTrace`` field, with confidences as
+``float.hex``, and ``lossless``: whether its tokens equal the same tree's
+``vanilla_greedy_decode`` for as many tokens as fit the context, so one
+tree's run shows greedy equality over the whole grid.  A ``logits`` line
+holds the sha256 of the full-prompt logits; a ``corpus`` line holds the
+sha256 of a ``gen_corpus`` output, over vocabularies, length ranges and
+seeds and the benchmark's prompt and training shapes.  An exception is
+recorded by class and message.
 
 The script uses only the public API that every tree of the package has, so
 an older tree can be fingerprinted too.  pytest does not collect it.
@@ -38,7 +41,7 @@ DTYPES = ("float32", "float64")
 ALPHAS = (1.0, 0.1)
 SEEDS = (1, 2)
 ADAPTERS = ("init", "passthrough")
-PROMPT_LENGTHS = (1, 2, 63, 64, 65, MAX_SEQ_LEN - 1, MAX_SEQ_LEN, MAX_SEQ_LEN + 1)
+PROMPT_LENGTHS = (1, 2, 31, 32, 33, 63, 64, 65, MAX_SEQ_LEN - 1, MAX_SEQ_LEN, MAX_SEQ_LEN + 1)
 POLICIES = ((0.6, 6), (0.0, 3), (1.0, 0), (1.0, 6))
 N_TOKENS = (1, 2, 48)
 SEED_63 = (1 << 63) - 25
@@ -91,7 +94,17 @@ def _logits_line(ss, model, prompt: list[int]) -> dict:
     return {"shape": list(logits.shape), "sha256": hashlib.sha256(logits.tobytes()).hexdigest()}
 
 
-def _generate_line(ss, model, adapter, policy, prompt: list[int], n_tokens: int) -> dict:
+def _greedy(ss, model, prompt: list[int], n_tokens: int):
+    """The greedy tokens that fit the context, or the error raised."""
+    room = model.config.max_seq_len + 1 - len(prompt)
+    try:
+        return ss.vanilla_greedy_decode(model, prompt, max(0, min(n_tokens, room)))
+    except Exception as exc:  # noqa: BLE001
+        return _error(exc)
+
+
+def _generate_line(ss, model, adapter, policy, prompt: list[int], n_tokens: int,
+                   greedy) -> dict:
     try:
         result = ss.generate(model, adapter, policy, prompt, n_tokens)
     except Exception as exc:  # noqa: BLE001
@@ -101,7 +114,8 @@ def _generate_line(ss, model, adapter, policy, prompt: list[int], n_tokens: int)
          r.stop_reason.value]
         for r in result.rounds
     ]
-    return {"tokens": result.tokens, "truncated": result.truncated, "rounds": rounds}
+    return {"tokens": result.tokens, "truncated": result.truncated, "rounds": rounds,
+            "lossless": result.tokens == greedy}
 
 
 def _corpus_line(vocab: int, n_seqs: int, len_range: tuple[int, int], seed: int) -> dict:
@@ -126,6 +140,8 @@ def grid(ss):
                 base = {"dtype": dtype, "alpha": alpha, "seed": seed}
                 for length, prompt in prompts.items():
                     yield {**base, "prompt_len": length, **_logits_line(ss, model, prompt)}
+                greedy = {(length, n): _greedy(ss, model, prompt, n)
+                          for length, prompt in prompts.items() for n in N_TOKENS}
                 for kind in ADAPTERS:
                     adapter = (ss.init_adapter(model, seed) if kind == "init"
                                else ss.passthrough_adapter(model)).astype(model.dtype)
@@ -136,7 +152,8 @@ def grid(ss):
                                 case = {**base, "adapter": kind, "prompt_len": length,
                                         "eta": eta, "gamma": gamma, "n_tokens": n_tokens}
                                 yield {**case, **_generate_line(
-                                    ss, model, adapter, policy, prompt, n_tokens)}
+                                    ss, model, adapter, policy, prompt, n_tokens,
+                                    greedy[length, n_tokens])}
     for vocab, n_seqs, len_range, seed in CORPUS_GRID:
         case = {"corpus": True, "vocab": vocab, "n_seqs": n_seqs,
                 "len_range": list(len_range), "seed": seed}

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ class TestGenerators:
     def test_zero_heads_is_usage_error(self, tmp_path):
         code = main(["gen-model", "--out", str(tmp_path / "x.kngr"), "--heads", "0"])
         assert code == 2
+
+    def test_zero_width_model_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.kngr"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gen-model", "--out", str(out), "--d-model", "0"])
+        assert code == 2
+        assert "head_dim >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -352,6 +362,24 @@ class TestAdapterShapeCheck:
         assert code == 2
         err = capsys.readouterr().err
         assert str(shape) in err and "(32, 4, 8)" in err
+
+
+class TestNegativeTokenCount:
+    @pytest.mark.parametrize("command,grid", [
+        ("bench", ["--eta", "0.5", "--gamma", "4"]),
+        ("verify-lossless", ["--etas", "0,0.5", "--gammas", "4"]),
+        ("sweep", ["--etas", "0,0.5", "--gammas", "4"]),
+    ], ids=["bench", "verify-lossless", "sweep"])
+    def test_exit_2_not_a_divergence(self, artifacts, capsys, command, grid):
+        model, adapter, corpus = artifacts
+        code = main([
+            command, "--model", str(model), "--adapter", str(adapter),
+            "--corpus", str(corpus), "--n-tokens", "-3", *grid,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "n_tokens must be >= 0" in captured.err
+        assert "losslessness violation" not in captured.out + captured.err
 
 
 class TestParser:

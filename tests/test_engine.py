@@ -156,17 +156,17 @@ class TestVerifyWindow:
 
     def test_shallow_deep_slack_bounded(self, small_model, small_adapter):
         # Mid-round, the shallow cache runs ahead of the deep cache by the
-        # drafts plus the stopped token's feature; in round 1 also by the
-        # prompt rows still pending for the first verification.
+        # drafts plus the stopped token's feature; in round 1 by the drafts
+        # alone, since the prefill put every prompt row in both caches.
         gamma = 4
         prompt = [3, 1, 4]
         session = DecodeSession(small_model, small_adapter, prompt)
+        assert session.caches.shallow_len == session.caches.deep_len == len(prompt)
         for round_idx in range(3):
             window = session.draft_window(DraftPolicy(eta=0.0, gamma_max=gamma))
             slack = session.caches.shallow_len - session.caches.deep_len
-            pending = len(prompt) - 1 if round_idx == 0 else 0
             assert len(window.drafts) <= gamma
-            assert slack == pending + len(window.drafts) + 1
+            assert slack == len(window.drafts) + (round_idx > 0)
             session.verify_window(window)
             assert session.caches.shallow_len == session.caches.deep_len
 
@@ -184,6 +184,22 @@ class TestGenerate:
                         small_model, adapter, DraftPolicy(eta=eta, gamma_max=gamma), prompt, 40
                     )
                     assert result.tokens == reference
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128])
+    def test_lossless_across_prompt_lengths(self, small_model, dtype, length):
+        # Prompt lengths around the 32-row attention blocks, the 64-key
+        # chunks and the context limit (max_seq_len 128).
+        model = small_model.astype(dtype)
+        adapter = randomized_adapter(small_model, seed=3).astype(dtype)
+        prompt = [int(t) for t in generator(length, "grid-prompt").integers(64, size=length)]
+        room = model.config.max_seq_len + 1 - length
+        for n in (1, 2, 48):
+            reference = vanilla_greedy_decode(model, prompt, min(n, room))
+            for eta, gamma in ((0.6, 6), (1.0, 6), (0.0, 3), (0.6, 0)):
+                result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=gamma), prompt, n)
+                assert result.tokens == reference
+                assert result.truncated == (n > room)
 
     def test_planted_fixture_two_full_rounds(self, planted):
         model, adapter = planted
@@ -294,6 +310,11 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(small_model, small_adapter, DraftPolicy(), [], 4)
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_n_tokens_rejected(self, small_model, small_adapter, n):
+        with pytest.raises(ConfigError):
+            generate(small_model, small_adapter, DraftPolicy(), [1, 2, 3], n)
+
     def test_token_out_of_vocab_rejected(self, small_model, small_adapter):
         with pytest.raises(ConfigError):
             generate(small_model, small_adapter, DraftPolicy(), [10**6], 4)
@@ -359,7 +380,7 @@ class TestPromptPass:
     @pytest.fixture()
     def calls(self, monkeypatch):
         counts = {}
-        for name in ("forward_shallow", "forward_remaining", "draft_logits"):
+        for name in ("prefill", "forward_shallow", "forward_remaining", "draft_logits"):
             fn = getattr(selfspec.engine, name)
 
             def counted(*args, _fn=fn, _name=name):
@@ -379,7 +400,10 @@ class TestPromptPass:
         result = generate(small_model, small_adapter, policy, self.PROMPT, n)
         assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, n)
         assert calls.get("draft_logits", 0) == 0
-        assert calls["forward_remaining"] == len(result.rounds) == n
+        # round 1 takes its token from the prefill; each later round verifies one row
+        assert calls["prefill"] == 1
+        assert len(result.rounds) == n
+        assert calls.get("forward_remaining", 0) == n - 1
 
     def test_one_pass_per_stack_and_round(self, small_model, small_adapter, calls):
         policy = DraftPolicy(eta=0.6, gamma_max=6)
@@ -387,18 +411,51 @@ class TestPromptPass:
         assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 48)
         # A deferred round skips its final draft's shallow pass unless it is
         # fully accepted, when it runs that pass and a second verification.
+        # The prefill opens round 1 with its first row already verified, so
+        # round 1 runs no opening shallow pass and verifies its drafts only.
         rounds = replayed(result)
         assert (True, False) in rounds and (True, True) in rounds
+        assert result.rounds[0].drafted > 0
         bonus_passes = sum(deferred and full for deferred, full in rounds)
+        assert calls["prefill"] == 1
         assert calls["forward_remaining"] == len(result.rounds) + bonus_passes
         assert calls["forward_shallow"] == sum(
             r.drafted + (not deferred or full) for r, (deferred, full) in zip(result.rounds, rounds)
-        )
+        ) - 1
         assert calls["draft_logits"] == sum(r.drafted for r in result.rounds)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, 33, 128])
+    def test_session_opens_with_the_greedy_prompt_pass(self, small_model, small_adapter,
+                                                        monkeypatch, dtype, length):
+        # Both decoders run the same prefill on the same rows: the session's
+        # K/V rows and first target equal those of the greedy reference's.
+        model, adapter = small_model.astype(dtype), small_adapter.astype(dtype)
+        passes = []
+        prefill = selfspec.model.prefill
+
+        def recorded(weights, prompt, caches):
+            out = prefill(weights, prompt, caches)
+            passes.append((caches, out[1]))
+            return out
+
+        monkeypatch.setattr(selfspec.model, "prefill", recorded)
+        monkeypatch.setattr(selfspec.engine, "prefill", recorded)
+        prompt = [int(t) for t in generator(length, "prompt").integers(64, size=length)]
+        session = DecodeSession(model, adapter, prompt)
+        greedy = vanilla_greedy_decode(model, prompt, 1)
+        (spec_caches, spec_logits), (greedy_caches, greedy_logits) = passes
+        assert spec_logits.tobytes() == greedy_logits.tobytes()
+        assert session._targets == greedy == [int(np.argmax(greedy_logits))]
+        for stack in ("shallow", "deep"):
+            for ours, theirs in zip(getattr(spec_caches, stack), getattr(greedy_caches, stack)):
+                assert ours.length == theirs.length == length
+                assert ours.k[:length].tobytes() == theirs.k[:length].tobytes()
+                assert ours.v[:length].tobytes() == theirs.v[:length].tobytes()
 
 
 class TestHeadRows:
-    """The final norm and LM head run only over the rows a caller keeps."""
+    """The final norm and LM head run over the prefill's last row and each verified row."""
 
     PROMPT = list(range(3, 43))
 
@@ -419,13 +476,15 @@ class TestHeadRows:
         policy = DraftPolicy(eta=0.6, gamma_max=6)
         result = generate(small_model, small_adapter, policy, self.PROMPT, 24)
         assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 24)
-        # each round's window, round 1 included, then one row per greedy token;
-        # a deferred window leaves out the final draft's row, and heads it in
-        # a one-row pass of its own only after full acceptance
+        # the prefill's last row, round 1's drafts, each later round's
+        # window, then one row per greedy token; a deferred window leaves out
+        # the final draft's row, and heads it in a one-row pass of its own
+        # only after full acceptance
         rounds = replayed(result)
         assert (True, False) in rounds and (True, True) in rounds
-        windows = []
-        for trace, (deferred, full) in zip(result.rounds, rounds):
+        assert result.rounds[0].drafted > 0
+        windows = [1, result.rounds[0].drafted]
+        for trace, (deferred, full) in zip(result.rounds[1:], rounds[1:]):
             windows += [trace.drafted + (not deferred)] + [1] * (deferred and full)
         assert head_rows == windows + [1] * 24
 

@@ -13,6 +13,7 @@ from selfspec.kernels import (
     causal_attention,
     gated_ffn,
     matmul,
+    prompt_attention,
     rmsnorm,
     silu,
     softmax,
@@ -260,6 +261,36 @@ class TestCausalAttention:
         cache = LayerKVCache(2, 4, 8)
         with pytest.raises(CapacityError):
             causal_attention(params, np.zeros((3, 32), dtype=np.float32), cache, 0, table)
+
+
+class TestPromptAttention:
+    """The prompt kernel: GEMMs, equal to causal attention within rounding."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 100])
+    def test_matches_causal_attention_and_dense_oracle(self, dtype, tol, length):
+        table = RopeTable(8, 10000.0, 128, dtype=dtype)
+        mats = (RNG.standard_normal((32, 32)).astype(dtype) * dtype(0.3) for _ in range(4))
+        params = AttentionParams(*mats, n_heads=4, head_dim=8)
+        x = RNG.standard_normal((length, 32)).astype(dtype)
+        c_prompt = LayerKVCache(128, 4, 8, dtype=dtype)
+        c_step = LayerKVCache(128, 4, 8, dtype=dtype)
+        ours = prompt_attention(params, x, c_prompt, table)
+        stable = causal_attention(params, x, c_step, 0, table)
+        assert ours.dtype == dtype and c_prompt.length == length
+        assert np.max(np.abs(ours - stable)) <= tol
+        assert np.max(np.abs(ours - dense_attention(params, x, table))) <= tol
+        for cache in ("k", "v"):
+            rows = getattr(c_prompt, cache)[:length] - getattr(c_step, cache)[:length]
+            assert np.max(np.abs(rows)) <= tol
+
+    def test_needs_an_empty_cache(self):
+        params = _random_params()
+        table = RopeTable(8, 10000.0, 16)
+        cache = LayerKVCache(16, 4, 8)
+        prompt_attention(params, np.ones((2, 32), dtype=np.float32), cache, table)
+        with pytest.raises(CacheError):
+            prompt_attention(params, np.ones((1, 32), dtype=np.float32), cache, table)
 
 
 class TestCacheAndFfn:

@@ -12,12 +12,10 @@ from selfspec import (
 )
 from selfspec.engine import DecodeSession
 from selfspec.errors import CacheError, CapacityError, ConfigError, ShapeError
-from selfspec.model import forward_remaining, forward_shallow
+from selfspec.model import forward_remaining, forward_shallow, prefill
 from selfspec.seeding import generator
 
 from oracles import monolithic_forward, rms
-
-RNG = np.random.default_rng(7)
 
 
 class TestConfig:
@@ -32,6 +30,9 @@ class TestConfig:
             dict(vocab_size=1),
             dict(d_model=60),  # not heads * head_dim
             dict(head_dim=15, d_model=60),
+            dict(d_model=0, head_dim=0),  # zero-width heads
+            dict(d_model=0, n_heads=0),  # no heads
+            dict(n_heads=-4, head_dim=-16),  # negative widths whose product fits
         ],
     )
     def test_invariants(self, override):
@@ -109,25 +110,6 @@ class TestSplitExecution:
         logits = forward_remaining(small_model, features, caches)
         assert logits.shape == (1, small_model.config.vocab_size)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_kept_rows_equal_rows_of_an_all_rows_call(self, small_model, dtype):
-        model = small_model.astype(dtype)
-        tokens = [int(t) for t in RNG.integers(model.config.vocab_size, size=45)]
-        full = full_forward(model, tokens, KVCacheSet(model.config, dtype=dtype))
-        for last in (1, 2, 7, 33, 45):
-            caches = KVCacheSet(model.config, dtype=dtype)
-            kept = forward_remaining(model, forward_shallow(model, tokens, caches), caches, last)
-            assert kept.shape == (last, model.config.vocab_size)
-            assert np.array_equal(kept, full[-last:])
-            assert caches.deep_len == len(tokens)  # every row still reaches the deep cache
-
-    @pytest.mark.parametrize("last", [0, 4])
-    def test_kept_rows_outside_the_block(self, small_model, last):
-        caches = KVCacheSet(small_model.config)
-        features = forward_shallow(small_model, [1, 2, 3], caches)
-        with pytest.raises(ShapeError):
-            forward_remaining(small_model, features, caches, last)
-
     def test_passthrough_logits_are_norm_head_of_embedding(self, small_cfg):
         model = gen_passthrough_model(small_cfg, seed=9)
         tokens = [2, 7, 7]
@@ -142,9 +124,68 @@ class TestSplitExecution:
             forward_shallow(small_model, too_long, caches)
 
 
+class TestPrefill:
+    """The prompt pass: GEMM kernels, agreeing with the split path within rounding."""
+
+    TOLERANCE = {np.float32: 1e-4, np.float64: 1e-10}
+
+    @pytest.fixture(scope="class")
+    def desk_model(self, desk_cfg):
+        return gen_model(desk_cfg, seed=3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 64, 65, 200, 512])
+    def test_matches_oracle_and_split_path(self, desk_model, dtype, length):
+        model = desk_model.astype(dtype)
+        assert length <= model.config.max_seq_len
+        tokens = [int(t) for t in generator(length, "prefill").integers(256, size=length)]
+        caches = KVCacheSet(model.config, dtype=dtype)
+        features, logits = prefill(model, tokens, caches)
+        assert caches.shallow_len == caches.deep_len == length
+        assert caches.adapter_len == 0
+        assert features.start == 0 and len(features) == length
+        split_caches = KVCacheSet(model.config, dtype=dtype)
+        split_features = forward_shallow(model, tokens, split_caches)
+        split = forward_remaining(model, split_features, split_caches)[-1]
+        mono = monolithic_forward(model, tokens)[-1]
+        tol = self.TOLERANCE[dtype]
+        assert logits.dtype == dtype and logits.shape == (model.config.vocab_size,)
+        assert np.max(np.abs(features.values - split_features.values)) <= tol
+        for reference in (split, mono):
+            assert np.max(np.abs(logits - reference)) <= tol
+            assert np.argmax(logits) == np.argmax(reference)
+
+    def test_repeatable_bit_for_bit(self, desk_model):
+        tokens = list(range(3, 203))
+        runs = []
+        for _ in range(2):
+            caches = KVCacheSet(desk_model.config)
+            features, logits = prefill(desk_model, tokens, caches)
+            kv = [(c.k[: c.length].tobytes(), c.v[: c.length].tobytes())
+                  for c in (*caches.shallow, *caches.deep)]
+            runs.append((features.values.tobytes(), logits.tobytes(), kv))
+        assert runs[0] == runs[1]
+
+    def test_bad_inputs(self, small_model):
+        with pytest.raises(ShapeError):
+            prefill(small_model, [], KVCacheSet(small_model.config))
+        with pytest.raises(CapacityError):
+            prefill(small_model, [0] * (small_model.config.max_seq_len + 1),
+                    KVCacheSet(small_model.config))
+        caches = KVCacheSet(small_model.config)
+        prefill(small_model, [1, 2], caches)
+        with pytest.raises(CacheError):
+            prefill(small_model, [3], caches)
+
+
 class TestVanillaDecode:
     def test_zero_tokens(self, small_model):
         assert vanilla_greedy_decode(small_model, [1, 2], 0) == []
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_tokens_rejected(self, small_model, n):
+        with pytest.raises(ConfigError):
+            vanilla_greedy_decode(small_model, [1, 2, 3], n)
 
     def test_deterministic(self, small_model):
         a = vanilla_greedy_decode(small_model, [3, 1, 4], 16)
