@@ -49,29 +49,44 @@ class AdapterWeights:
 
     @property
     def param_count(self) -> int:
-        d = self.d_model
-        return 4 * d * d + 2 * d
+        return sum(tensor.size for tensor in self.tensors().values())
 
     @property
     def dtype(self):
         return self.input_norm.dtype
 
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every trainable tensor by name, in file order (shapes in ``adapter_layout``)."""
+        return {
+            "input_norm": self.input_norm,
+            "wq": self.attn.wq,
+            "wk": self.attn.wk,
+            "wv": self.attn.wv,
+            "wo": self.attn.wo,
+            "output_norm": self.output_norm,
+        }
+
+    @classmethod
+    def from_tensors(cls, n_heads: int, head_dim: int, tensors) -> "AdapterWeights":
+        """The adapter whose ``tensors()`` values are ``tensors``, in order."""
+        input_norm, wq, wk, wv, wo, output_norm = tensors
+        return cls(input_norm, AttentionParams(wq, wk, wv, wo, n_heads, head_dim), output_norm)
+
     def astype(self, dtype) -> "AdapterWeights":
-        return AdapterWeights(
-            input_norm=self.input_norm.astype(dtype),
-            attn=AttentionParams(
-                wq=self.attn.wq.astype(dtype),
-                wk=self.attn.wk.astype(dtype),
-                wv=self.attn.wv.astype(dtype),
-                wo=self.attn.wo.astype(dtype),
-                n_heads=self.attn.n_heads,
-                head_dim=self.attn.head_dim,
-            ),
-            output_norm=self.output_norm.astype(dtype),
+        return self.from_tensors(
+            self.attn.n_heads,
+            self.attn.head_dim,
+            [tensor.astype(dtype) for tensor in self.tensors().values()],
         )
 
     def copy(self) -> "AdapterWeights":
         return self.astype(self.dtype)
+
+
+def adapter_layout(d_model: int) -> list[tuple[int, ...]]:
+    """Tensor shapes in ``AdapterWeights.tensors()`` order."""
+    d = d_model
+    return [(d,), (d, d), (d, d), (d, d), (d, d), (d,)]
 
 
 def init_adapter(model: TargetWeights, seed: int) -> AdapterWeights:
@@ -81,19 +96,12 @@ def init_adapter(model: TargetWeights, seed: int) -> AdapterWeights:
     cfg = model.config
     rng = generator(seed, "adapter")
     scale = np.float32(1.0 / np.sqrt(cfg.d_model))
-    d = cfg.d_model
-
-    def mat() -> np.ndarray:
-        return rng.standard_normal((d, d), dtype=np.float32) * scale
-
-    return AdapterWeights(
-        input_norm=model.final_norm.astype(np.float32).copy(),
-        attn=AttentionParams(
-            wq=mat(), wk=mat(), wv=mat(), wo=mat(),
-            n_heads=cfg.n_heads, head_dim=cfg.head_dim,
-        ),
-        output_norm=model.final_norm.astype(np.float32).copy(),
-    )
+    tensors = [
+        rng.standard_normal(shape, dtype=np.float32) * scale
+        if len(shape) == 2 else model.final_norm.astype(np.float32)
+        for shape in adapter_layout(cfg.d_model)
+    ]
+    return AdapterWeights.from_tensors(cfg.n_heads, cfg.head_dim, tensors)
 
 
 def passthrough_adapter(model: TargetWeights) -> AdapterWeights:
@@ -103,8 +111,9 @@ def passthrough_adapter(model: TargetWeights) -> AdapterWeights:
     coincide bit-for-bit with the target head applied to the same features.
     """
     adapter = init_adapter(model, seed=0)
-    for w in (adapter.attn.wq, adapter.attn.wk, adapter.attn.wv, adapter.attn.wo):
-        w[:] = 0.0
+    for tensor in adapter.tensors().values():
+        if tensor.ndim == 2:
+            tensor[:] = 0.0
     return adapter
 
 

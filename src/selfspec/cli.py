@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +48,7 @@ def _load_model(args) -> TargetWeights:
     _, weights = serialize.load_weights(path)
     exit_layer = getattr(args, "exit_layer", None)
     if exit_layer is not None:
-        weights = TargetWeights(
-            config=weights.config.with_exit_layer(exit_layer),
-            token_embedding=weights.token_embedding,
-            layers=weights.layers,
-            final_norm=weights.final_norm,
-            lm_head=weights.lm_head,
-        )
+        weights = replace(weights, config=replace(weights.config, exit_layer=exit_layer))
     if getattr(args, "f64", False):
         weights = weights.astype(np.float64)
     return weights

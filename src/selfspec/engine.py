@@ -40,6 +40,7 @@ from .model import (
     FeatureBlock,
     KVCacheSet,
     TargetWeights,
+    check_prompt,
     forward_remaining,
     forward_shallow,
     prefill,
@@ -92,10 +93,6 @@ class GenerationResult:
     tokens: list[int]
     rounds: list[RoundTrace]
     truncated: bool = False
-
-    @property
-    def big_forward_count(self) -> int:
-        return len(self.rounds)
 
     @property
     def emitted_per_round(self) -> list[int]:
@@ -178,10 +175,7 @@ class DecodeSession:
     """
 
     def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
-        if len(prompt) == 0:
-            raise ConfigError("prompt must be non-empty")
-        if any(not 0 <= t < model.config.vocab_size for t in prompt):
-            raise ConfigError("prompt token id outside vocabulary")
+        check_prompt(prompt, model.config)
         max_len = model.config.max_seq_len
         if len(prompt) > max_len + 1:
             raise CapacityError(

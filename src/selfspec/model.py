@@ -78,20 +78,6 @@ class ModelConfig:
         if self.ffn_hidden < 1 or self.max_seq_len < 1:
             raise ConfigError("ffn_hidden and max_seq_len must be positive")
 
-    def with_exit_layer(self, exit_layer: int) -> "ModelConfig":
-        """Same model re-split at a different early-exit depth."""
-        return ModelConfig(
-            vocab_size=self.vocab_size,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            head_dim=self.head_dim,
-            n_layers=self.n_layers,
-            ffn_hidden=self.ffn_hidden,
-            exit_layer=exit_layer,
-            rope_theta=self.rope_theta,
-            max_seq_len=self.max_seq_len,
-        )
-
 
 def desk_config(**overrides) -> ModelConfig:
     return ModelConfig(**{**DESK_CONFIG, **overrides})
@@ -134,33 +120,41 @@ class TargetWeights:
     def dtype(self):
         return self.token_embedding.dtype
 
+    def tensors(self) -> list[np.ndarray]:
+        """Every tensor in file order: the embedding, each layer's nine, the
+        final norm and the LM head (shapes in ``model_layout``)."""
+        layers = [
+            tensor
+            for lw in self.layers
+            for tensor in (lw.attn_norm, lw.attn.wq, lw.attn.wk, lw.attn.wv, lw.attn.wo,
+                           lw.ffn_norm, lw.gate, lw.up, lw.down)
+        ]
+        return [self.token_embedding, *layers, self.final_norm, self.lm_head]
+
+    @classmethod
+    def from_tensors(cls, config: ModelConfig, tensors: list[np.ndarray]) -> "TargetWeights":
+        """The weights whose ``tensors()`` are ``tensors``."""
+        embedding, *layer_tensors, final_norm, lm_head = tensors
+        layers = []
+        for i in range(0, len(layer_tensors), 9):
+            attn_norm, wq, wk, wv, wo, ffn_norm, gate, up, down = layer_tensors[i : i + 9]
+            attn = AttentionParams(wq, wk, wv, wo, config.n_heads, config.head_dim)
+            layers.append(LayerWeights(attn_norm, attn, ffn_norm, gate, up, down))
+        return cls(config, embedding, layers, final_norm, lm_head)
+
     def astype(self, dtype) -> "TargetWeights":
         """Copy of the weights in another precision (e.g. float64 for training)."""
-        layers = [
-            LayerWeights(
-                attn_norm=lw.attn_norm.astype(dtype),
-                attn=AttentionParams(
-                    wq=lw.attn.wq.astype(dtype),
-                    wk=lw.attn.wk.astype(dtype),
-                    wv=lw.attn.wv.astype(dtype),
-                    wo=lw.attn.wo.astype(dtype),
-                    n_heads=lw.attn.n_heads,
-                    head_dim=lw.attn.head_dim,
-                ),
-                ffn_norm=lw.ffn_norm.astype(dtype),
-                gate=lw.gate.astype(dtype),
-                up=lw.up.astype(dtype),
-                down=lw.down.astype(dtype),
-            )
-            for lw in self.layers
-        ]
-        return TargetWeights(
-            config=self.config,
-            token_embedding=self.token_embedding.astype(dtype),
-            layers=layers,
-            final_norm=self.final_norm.astype(dtype),
-            lm_head=self.lm_head.astype(dtype),
-        )
+        return self.from_tensors(self.config, [tensor.astype(dtype) for tensor in self.tensors()])
+
+
+def model_layout(config: ModelConfig) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Tensor shapes in ``TargetWeights.tensors()`` order, as ``(repeats,
+    shapes)`` groups: the embedding, one layer's (repeated ``n_layers``
+    times), then the final norm and LM head.  A file's size follows from
+    the groups without listing every layer."""
+    d, h, v = config.d_model, config.ffn_hidden, config.vocab_size
+    layer = [(d,), (d, d), (d, d), (d, d), (d, d), (d,), (d, h), (d, h), (h, d)]
+    return [(1, [(v, d)]), (config.n_layers, layer), (1, [(d,), (d, v)])]
 
 
 @dataclass
@@ -234,41 +228,17 @@ HEAD_SCALE = 4.0
 
 
 def gen_model(config: ModelConfig, seed: int) -> TargetWeights:
-    """Synthetic frozen weights: N(0, 1/sqrt(d_model)) matrices, unit norms."""
+    """Synthetic frozen weights: N(0, 1/sqrt(d_model)) matrices drawn in file
+    order, unit norms, and the LM head scaled by ``HEAD_SCALE``."""
     rng = generator(seed, "model")
     scale = np.float32(1.0 / np.sqrt(config.d_model))
-    d, h, v = config.d_model, config.ffn_hidden, config.vocab_size
-
-    def mat(rows: int, cols: int) -> np.ndarray:
-        return rng.standard_normal((rows, cols), dtype=np.float32) * scale
-
-    layers = []
-    embedding = mat(v, d)
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerWeights(
-                attn_norm=np.ones(d, dtype=np.float32),
-                attn=AttentionParams(
-                    wq=mat(d, d),
-                    wk=mat(d, d),
-                    wv=mat(d, d),
-                    wo=mat(d, d),
-                    n_heads=config.n_heads,
-                    head_dim=config.head_dim,
-                ),
-                ffn_norm=np.ones(d, dtype=np.float32),
-                gate=mat(d, h),
-                up=mat(d, h),
-                down=mat(h, d),
-            )
-        )
-    return TargetWeights(
-        config=config,
-        token_embedding=embedding,
-        layers=layers,
-        final_norm=np.ones(d, dtype=np.float32),
-        lm_head=mat(d, v) * np.float32(HEAD_SCALE),
-    )
+    tensors = [
+        rng.standard_normal(shape, dtype=np.float32) * scale
+        if len(shape) == 2 else np.ones(shape, dtype=np.float32)
+        for repeats, shapes in model_layout(config) for _ in range(repeats) for shape in shapes
+    ]
+    tensors[-1] *= np.float32(HEAD_SCALE)
+    return TargetWeights.from_tensors(config, tensors)
 
 
 def gen_passthrough_model(config: ModelConfig, seed: int) -> TargetWeights:
@@ -279,9 +249,9 @@ def gen_passthrough_model(config: ModelConfig, seed: int) -> TargetWeights:
     zero-attention adapter reproduce the target exactly.
     """
     weights = gen_model(config, seed)
-    for lw in weights.layers:
-        for w in (lw.attn.wq, lw.attn.wk, lw.attn.wv, lw.attn.wo, lw.gate, lw.up, lw.down):
-            w[:] = 0.0
+    for tensor in weights.tensors()[1:-2]:  # the layers' tensors
+        if tensor.ndim == 2:
+            tensor[:] = 0.0
     return weights
 
 
@@ -382,6 +352,14 @@ def prefill(
     return features, logits
 
 
+def check_prompt(prompt: list[int], config: ModelConfig) -> None:
+    """Raise ``ConfigError`` unless ``prompt`` is non-empty and every id is in the vocabulary."""
+    if len(prompt) == 0:
+        raise ConfigError("prompt must be non-empty")
+    if any(not 0 <= t < config.vocab_size for t in prompt):
+        raise ConfigError("prompt token id outside vocabulary")
+
+
 def vanilla_greedy_decode(
     weights: TargetWeights, prompt: list[int], n_tokens: int
 ) -> list[int]:
@@ -393,8 +371,7 @@ def vanilla_greedy_decode(
     when that is at most ``max_seq_len``, the same bound up to which
     ``generate`` emits tokens.
     """
-    if len(prompt) == 0:
-        raise ConfigError("prompt must be non-empty")
+    check_prompt(prompt, weights.config)
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
     if len(prompt) + n_tokens > weights.config.max_seq_len + 1:

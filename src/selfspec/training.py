@@ -16,7 +16,7 @@ import numpy as np
 
 from .adapter import AdapterWeights
 from .errors import ConfigError, ShapeError
-from .kernels import AttentionParams, RopeTable, matmul, softmax
+from .kernels import RopeTable, matmul, softmax
 from .model import RMS_EPS, KVCacheSet, TargetWeights, forward_remaining, forward_shallow
 from .seeding import generator
 
@@ -70,41 +70,6 @@ class DistillBatch:
         return self.early_features.shape[0]
 
 
-@dataclass
-class AdapterGrads:
-    input_norm: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    output_norm: np.ndarray
-
-
-_PARAM_NAMES = ("input_norm", "wq", "wk", "wv", "wo", "output_norm")
-
-
-def adapter_param_dict(adapter: AdapterWeights) -> dict[str, np.ndarray]:
-    return {
-        "input_norm": adapter.input_norm,
-        "wq": adapter.attn.wq,
-        "wk": adapter.attn.wk,
-        "wv": adapter.attn.wv,
-        "wo": adapter.attn.wo,
-        "output_norm": adapter.output_norm,
-    }
-
-
-def adapter_from_params(params: dict[str, np.ndarray], n_heads: int, head_dim: int) -> AdapterWeights:
-    return AdapterWeights(
-        input_norm=params["input_norm"],
-        attn=AttentionParams(
-            wq=params["wq"], wk=params["wk"], wv=params["wv"], wo=params["wo"],
-            n_heads=n_heads, head_dim=head_dim,
-        ),
-        output_norm=params["output_norm"],
-    )
-
-
 def distill_loss(student_logits: np.ndarray, teacher_probs: np.ndarray) -> float:
     """Soft cross-entropy summed over positions and vocabulary.
 
@@ -118,9 +83,14 @@ def distill_loss(student_logits: np.ndarray, teacher_probs: np.ndarray) -> float
     sums = teacher_probs.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > 1e-5:
         raise ShapeError("teacher rows must sum to 1")
-    shifted = student_logits - np.max(student_logits, axis=-1, keepdims=True)
+    return _soft_cross_entropy(student_logits, teacher_probs)[0]
+
+
+def _soft_cross_entropy(logits: np.ndarray, teacher_probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """``distill_loss`` without its input checks, and the student log-probabilities."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    return float(-np.sum(teacher_probs * np.maximum(logp, np.log(LOG_CLAMP))))
+    return float(-np.sum(teacher_probs * np.maximum(logp, np.log(LOG_CLAMP)))), logp
 
 
 def _rms_forward(x: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,12 +138,12 @@ def adapter_backward(
     batch: DistillBatch,
     lm_head: np.ndarray,
     rope: RopeTable,
-) -> tuple[float, AdapterGrads]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and analytic adapter gradients for one sequence batch.
 
     Runs the taped forward and backpropagates through the output norm, the
     causal attention with rotary embedding, and the input norm.  Only
-    adapter tensors receive gradients.
+    adapter tensors receive gradients, keyed like ``AdapterWeights.tensors()``.
     """
     x = batch.early_features
     q_teacher = batch.teacher_probs
@@ -184,13 +154,10 @@ def adapter_backward(
         adapter, x, lm_head, rope
     )
 
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    clamp_floor = np.log(LOG_CLAMP)
-    loss = float(-np.sum(q_teacher * np.maximum(logp, clamp_floor)))
+    loss, logp = _soft_cross_entropy(logits, q_teacher)
 
     # Backward.
-    dlogp = np.where(logp > clamp_floor, -q_teacher, 0.0)
+    dlogp = np.where(logp > np.log(LOG_CLAMP), -q_teacher, 0.0)
     p_student = np.exp(logp)
     dlogits = dlogp - p_student * np.sum(dlogp, axis=-1, keepdims=True)
     dy = matmul(dlogits, lm_head.T)
@@ -213,15 +180,8 @@ def adapter_backward(
     dxn = matmul(dq, adapter.attn.wq.T) + matmul(dk, adapter.attn.wk.T) + matmul(dv, adapter.attn.wv.T)
     _, d_input_norm = _rms_backward(dxn, x, adapter.input_norm, r1)
 
-    grads = AdapterGrads(
-        input_norm=d_input_norm,
-        wq=dwq,
-        wk=dwk,
-        wv=dwv,
-        wo=dwo,
-        output_norm=d_output_norm,
-    )
-    return loss, grads
+    grads = (d_input_norm, dwq, dwk, dwv, dwo, d_output_norm)  # in tensors() order
+    return loss, dict(zip(adapter.tensors(), grads))
 
 
 class AdamW:
@@ -299,7 +259,7 @@ def train_adapter(
     del model64
 
     adapter = adapter_init.astype(np.float64)
-    params = adapter_param_dict(adapter)
+    params = adapter.tensors()
     optimizer = AdamW(cfg)
     rng = generator(cfg.seed, "train")
     curve: list[float] = []
@@ -315,8 +275,8 @@ def train_adapter(
                 loss, grads = adapter_backward(adapter, batches[idx], lm_head, rope)
                 epoch_loss += loss
                 positions += batches[idx].positions
-                for name in _PARAM_NAMES:
-                    grad_sum[name] += getattr(grads, name)
+                for name, grad in grads.items():
+                    grad_sum[name] += grad
             epoch_positions += positions
             mean_grads = {name: g / positions for name, g in grad_sum.items()}
             optimizer.step(params, mean_grads)

@@ -98,12 +98,11 @@ def random_gradcheck_instance(seed, d=8, vocab=11, t_len=3, heads=2):
 def max_grad_error(adapter, batch, lm_head, rope, h=1e-5):
     """Worst mixed abs/rel deviation of analytic grads vs central differences."""
     from selfspec import adapter_backward
-    from selfspec.training import adapter_param_dict
 
     _, grads = adapter_backward(adapter, batch, lm_head, rope)
     worst = 0.0
-    for name, theta in adapter_param_dict(adapter).items():
-        analytic = getattr(grads, name).reshape(-1)
+    for name, theta in adapter.tensors().items():
+        analytic = grads[name].reshape(-1)
         flat = theta.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

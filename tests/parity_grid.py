@@ -19,10 +19,14 @@ rounds that are fully accepted.  A ``generate`` line holds the tokens,
 ``float.hex``, and ``lossless``: whether its tokens equal the same tree's
 ``vanilla_greedy_decode`` for as many tokens as fit the context, so one
 tree's run shows greedy equality over the whole grid.  A ``logits`` line
-holds the sha256 of the full-prompt logits; a ``corpus`` line holds the
-sha256 of a ``gen_corpus`` output, over vocabularies, length ranges and
-seeds and the benchmark's prompt and training shapes.  An exception is
-recorded by class and message.
+holds the sha256 of the full-prompt logits; a ``weights`` line the sha256
+of the bytes ``save_weights`` or ``save_adapter`` writes for a grid model
+or adapter.  The ``train`` line holds the sha256 of the saved adapter that
+a 2-epoch ``train_adapter`` run on a fixed small corpus returns, and its
+loss curve as ``float.hex``.  A ``corpus`` line holds the sha256 of a
+``gen_corpus`` output, over vocabularies, length ranges and seeds and the
+benchmark's prompt and training shapes.  An exception is recorded by class
+and message.
 
 The script uses only the public API that every tree of the package has, so
 an older tree can be fingerprinted too.  pytest does not collect it.
@@ -34,6 +38,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 MAX_SEQ_LEN = 128
@@ -118,6 +123,32 @@ def _generate_line(ss, model, adapter, policy, prompt: list[int], n_tokens: int,
             "lossless": result.tokens == greedy}
 
 
+def _weights_line(ss, weights) -> dict:
+    """The sha256 of the bytes that ``weights``, a model or an adapter, saves to."""
+    from selfspec import serialize
+
+    is_adapter = isinstance(weights, ss.AdapterWeights)
+    save = serialize.save_adapter if is_adapter else serialize.save_weights
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights"
+        save(weights, path)
+        return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def _train_line(ss) -> dict:
+    """A 2-epoch distillation of the init adapter on a fixed 8-sequence corpus."""
+    from selfspec.corpus import gen_corpus
+
+    model = ss.gen_model(ss.desk_config(max_seq_len=MAX_SEQ_LEN), 1)
+    corpus = gen_corpus(model.config.vocab_size, 8, (6, 12), 5)
+    cfg = ss.TrainConfig(epochs=2, batch=3, seed=4)
+    try:
+        trained, curve = ss.train_adapter(model, ss.init_adapter(model, 2), corpus, cfg)
+    except Exception as exc:  # noqa: BLE001
+        return {"error": _error(exc)}
+    return {**_weights_line(ss, trained), "curve": [float(loss).hex() for loss in curve]}
+
+
 def _corpus_line(vocab: int, n_seqs: int, len_range: tuple[int, int], seed: int) -> dict:
     from selfspec.corpus import gen_corpus
 
@@ -138,6 +169,7 @@ def grid(ss):
                 model = _model(ss, np, dtype, alpha, seed)
                 prompts = {n: _prompt(np, model.config.vocab_size, seed, n) for n in PROMPT_LENGTHS}
                 base = {"dtype": dtype, "alpha": alpha, "seed": seed}
+                yield {**base, "weights": "model", **_weights_line(ss, model)}
                 for length, prompt in prompts.items():
                     yield {**base, "prompt_len": length, **_logits_line(ss, model, prompt)}
                 greedy = {(length, n): _greedy(ss, model, prompt, n)
@@ -145,6 +177,8 @@ def grid(ss):
                 for kind in ADAPTERS:
                     adapter = (ss.init_adapter(model, seed) if kind == "init"
                                else ss.passthrough_adapter(model)).astype(model.dtype)
+                    yield {**base, "weights": "adapter", "adapter": kind,
+                           **_weights_line(ss, adapter)}
                     for length, prompt in prompts.items():
                         for eta, gamma in POLICIES:
                             policy = ss.DraftPolicy(eta=eta, gamma_max=gamma)
@@ -154,6 +188,7 @@ def grid(ss):
                                 yield {**case, **_generate_line(
                                     ss, model, adapter, policy, prompt, n_tokens,
                                     greedy[length, n_tokens])}
+    yield {"train": True, **_train_line(ss)}
     for vocab, n_seqs, len_range, seed in CORPUS_GRID:
         case = {"corpus": True, "vocab": vocab, "n_seqs": n_seqs,
                 "len_range": list(len_range), "seed": seed}

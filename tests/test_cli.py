@@ -327,13 +327,30 @@ class TestSweep:
         assert lines[0].split(",")[:3] == ["eta", "gamma", "CR"]
 
     def test_exit_layer_override(self, tmp_path, artifacts):
+        # Re-splitting at load time must act like a model generated with
+        # that exit layer: same weights, only the header's exit_layer differs.
         model, adapter, corpus = artifacts
-        out = tmp_path / "sweep.csv"
+        split_at_1 = tmp_path / "exit1.kngr"
         assert main([
-            "sweep", "--model", str(model), "--adapter", str(adapter),
-            "--corpus", str(corpus), "--etas", "0", "--gammas", "2",
-            "--n-tokens", "8", "--exit-layer", "1", "--out", str(out),
+            "gen-model", "--out", str(split_at_1), "--seed", "1",
+            "--vocab", "64", "--d-model", "32", "--heads", "4",
+            "--layers", "4", "--ffn-hidden", "48", "--exit-layer", "1",
+            "--max-seq-len", "128",
         ]) == 0
+        header = 4 + 4 + 8 * 8 + 8
+        assert split_at_1.read_bytes()[header:] == model.read_bytes()[header:]
+        rows = {}
+        for name, args in (("override", [str(model), "--exit-layer", "1"]),
+                           ("generated", [str(split_at_1)])):
+            out = tmp_path / f"{name}.csv"
+            assert main([
+                "sweep", "--adapter", str(adapter), "--corpus", str(corpus),
+                "--etas", "0,0.5", "--gammas", "2,4", "--n-tokens", "8",
+                "--out", str(out), "--model", *args,
+            ]) == 0
+            # eta, gamma, CR and CTAR_1..6; the speedup columns are timings
+            rows[name] = [line.split(",")[:9] for line in out.read_text().splitlines()]
+        assert rows["override"] == rows["generated"]
 
 
 class TestAdapterShapeCheck:

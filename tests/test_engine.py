@@ -9,9 +9,12 @@ from selfspec import (
     DraftPolicy,
     StopReason,
     TargetWeights,
+    desk_config,
+    gen_model,
     generate,
     init_adapter,
     measure_walltime,
+    passthrough_adapter,
     vanilla_greedy_decode,
 )
 from selfspec.engine import DecodeSession, RoundTrace, deferred_rounds, run_corpus
@@ -205,12 +208,12 @@ class TestGenerate:
         model, adapter = planted
         result = generate(model, adapter, DraftPolicy(eta=0.0, gamma_max=6), [7], 14)
         assert result.emitted_per_round == [7, 7]
-        assert result.big_forward_count == 2
+        assert len(result.rounds) == 2
         assert result.tokens == vanilla_greedy_decode(model, [7], 14)
 
     def test_gamma_zero_degenerates_to_vanilla(self, small_model, small_adapter):
         result = generate(small_model, small_adapter, DraftPolicy(eta=0.0, gamma_max=0), [2, 2], 12)
-        assert result.big_forward_count == 12
+        assert len(result.rounds) == 12
         assert result.emitted_per_round == [1] * 12
 
     def test_trace_accounting(self, small_model, small_adapter):
@@ -318,6 +321,17 @@ class TestGenerate:
     def test_token_out_of_vocab_rejected(self, small_model, small_adapter):
         with pytest.raises(ConfigError):
             generate(small_model, small_adapter, DraftPolicy(), [10**6], 4)
+
+    @pytest.mark.parametrize("prompt", [[-1, 5], [256, 5]], ids=["negative", "vocab_size"])
+    @pytest.mark.parametrize("decoder", ["vanilla", "speculative"])
+    def test_both_decoders_reject_ids_outside_vocabulary(self, decoder, prompt):
+        # -1 would otherwise index the embedding's last row; 256 is one past it.
+        model = gen_model(desk_config(), 1)
+        with pytest.raises(ConfigError, match="outside vocabulary"):
+            if decoder == "vanilla":
+                vanilla_greedy_decode(model, prompt, 3)
+            else:
+                generate(model, passthrough_adapter(model), DraftPolicy(), prompt, 3)
 
 
 class TestCapacityContract:

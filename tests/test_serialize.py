@@ -1,9 +1,16 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from selfspec import gen_model, init_adapter
+from selfspec import (
+    desk_config,
+    gen_model,
+    gen_passthrough_model,
+    init_adapter,
+    passthrough_adapter,
+)
 from selfspec.errors import FormatError
 from selfspec.serialize import (
     load_adapter,
@@ -161,6 +168,40 @@ class TestAdapterFile:
         path.write_bytes(raw[:-4] if edit == "truncate" else raw + b"\0\0\0\0")
         with pytest.raises(FormatError):
             load_adapter(path)
+
+
+# sha256 of the saved bytes of generated models (seed 3) and adapters (on the
+# seed-3 model; init seed 4).  They pin the file format, the tensor order
+# and each generator's RNG order.
+GOLDEN = {
+    ("small", "gen_model"): "e6331087ea5fdfc66faebce0c09d0dae92d9bddd2aefac9af3b0366d3dc13156",
+    ("small", "gen_passthrough_model"):
+        "71c550ade4d6915cb43be85cb5aab6d95c3fef4a79d02b12a3f14db699b311dc",
+    ("small", "init_adapter"): "71e21efe98e7b23e65de4d64cb61867d93abbf1e03c426e43f849beae1404962",
+    ("small", "passthrough_adapter"):
+        "7ea7f9ab1adf163102cc20d8c08c4de9b5646d1f3f31bbdec1288f976d7b703d",
+    ("desk", "gen_model"): "2f50fb32b5648770f26887ab26fdd7c140d82e8d664f2e16c7c02817da7bc8bc",
+    ("desk", "gen_passthrough_model"):
+        "a09e050949a44072e2b869aede2884a014272276f945984f39fa7f135007558b",
+    ("desk", "init_adapter"): "e4a95c7cdb8104f353a51f7cf0632a29870efd7272ca5443899f9e6845f68f87",
+    ("desk", "passthrough_adapter"):
+        "8326f5a3561d9d135d0101bd0fbf2de1846764c5631ac431abb219987c758232",
+}
+
+
+@pytest.mark.parametrize("config,kind", sorted(GOLDEN),
+                         ids=[f"{config}-{kind}" for config, kind in sorted(GOLDEN)])
+def test_golden_file_bytes(small_cfg, tmp_path, config, kind):
+    cfg = small_cfg if config == "small" else desk_config()
+    path = tmp_path / "out"
+    if kind.endswith("model"):
+        make = gen_model if kind == "gen_model" else gen_passthrough_model
+        save_weights(make(cfg, 3), path)
+    else:
+        model = gen_model(cfg, 3)
+        save_adapter(init_adapter(model, 4) if kind == "init_adapter"
+                     else passthrough_adapter(model), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[config, kind]
 
 
 class TestCorpus:

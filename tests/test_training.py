@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from selfspec import (
     AdamW,
+    AdapterWeights,
     KVCacheSet,
     TrainConfig,
     adapter_backward,
@@ -16,12 +17,7 @@ from selfspec.errors import ConfigError, ShapeError
 from selfspec.kernels import RopeTable, matmul
 from selfspec.model import forward_shallow
 from selfspec.seeding import generator
-from selfspec.training import (
-    adapter_from_params,
-    adapter_param_dict,
-    adapter_student_forward,
-    build_distill_batches,
-)
+from selfspec.training import adapter_student_forward, build_distill_batches
 
 from oracles import max_grad_error, random_gradcheck_instance as random_instance
 
@@ -86,10 +82,10 @@ class TestAdapterBackward:
     def test_only_adapter_grads_exposed(self):
         adapter, batch, lm_head, rope = random_instance(2)
         _, grads = adapter_backward(adapter, batch, lm_head, rope)
-        names = sorted(vars(grads))
+        names = sorted(grads)
         assert names == ["input_norm", "output_norm", "wk", "wo", "wq", "wv"]
         for name in names:
-            assert getattr(grads, name).shape == adapter_param_dict(adapter)[name].shape
+            assert grads[name].shape == adapter.tensors()[name].shape
 
     def test_tape_forward_matches_inference_path(self, small_model, small_adapter):
         # The differentiable forward and the cached inference forward are the
@@ -178,8 +174,8 @@ class TestTrainAdapter:
         assert np.max(np.abs(sums - 1.0)) <= 1e-5
 
     def test_param_dict_round_trip(self, small_adapter):
-        params = adapter_param_dict(small_adapter)
-        rebuilt = adapter_from_params(
-            params, small_adapter.attn.n_heads, small_adapter.attn.head_dim
+        params = small_adapter.tensors()
+        rebuilt = AdapterWeights.from_tensors(
+            small_adapter.attn.n_heads, small_adapter.attn.head_dim, params.values()
         )
         assert np.array_equal(rebuilt.attn.wv, small_adapter.attn.wv)
