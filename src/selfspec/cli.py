@@ -19,7 +19,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import serialize
 from .adapter import init_adapter
-from .engine import DraftPolicy, deferred_rounds, run_corpus
+from .engine import DraftPolicy, run_corpus
 from .errors import LosslessnessError, SelfspecError
 from .metrics import aggregate
 from .model import DESK_CONFIG, ModelConfig, TargetWeights, gen_model
@@ -172,7 +172,8 @@ def cmd_bench(args) -> int:
     report.nonfinite_confidences = sum(
         not math.isfinite(c) for trace in run.rounds for c in trace.confidences
     )
-    report.deferred_rounds = sum(sum(deferred_rounds(r.rounds)) for r in run.results)
+    report.drafting_rounds = sum(trace.drafted > 0 for trace in run.rounds)
+    report.deferred_rounds = sum(trace.deferred for trace in run.rounds)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 

@@ -12,14 +12,19 @@ decoding for every adapter and policy.  The prompt goes through ``prefill``,
 the same call that opens the greedy reference, so round 1 takes its first
 target from the prefill logits and verifies only its draft rows.
 
-The final draft's feature serves only the bonus token, so a round that stops
-on the threshold may defer it: its unit holds ``d`` features, and the final
-draft's shallow pass and a one-row verification run only once every draft
-is accepted.  A session defers while fewer than a third of its earlier
-threshold-stopped rounds were fully accepted (``deferred_rounds`` replays
-that rule over a request's traces).  The kernels are batch invariant, so
-the one-row pass gives the bits the batched row would have: tokens, traces
-and caches do not depend on the choice.
+Before each round the session decides, from its own counts and a fixed
+table of pass costs, whether the round's first draft is expected to save
+more than it costs (Leviathan et al.'s expected-speedup trade-off,
+estimated online).  A round that does not draft is an ordinary zero-draft
+round: one shallow row and a one-row verification, the same as
+``gamma_max=0``.  The same counts and costs say whether a round that stops
+on the threshold defers its final draft's feature, which serves only the
+bonus token: its unit then holds ``d`` features, and the final draft's
+shallow pass and a one-row verification run only once every draft is
+accepted (``RoundTrace.deferred``).  The kernels are batch invariant, so
+the one-row pass gives the bits the batched row would have, and the
+decisions read no clock: tokens, traces and caches are a deterministic
+function of the inputs, and the tokens are greedy's.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .metrics import AcceptanceRecord
 from .model import (
     FeatureBlock,
     KVCacheSet,
+    ModelConfig,
     TargetWeights,
     check_prompt,
     forward_remaining,
@@ -52,10 +58,11 @@ from .model import (
 class DraftPolicy:
     """Drafting stops unless top-1 confidence > eta, or after gamma_max drafts.
 
-    The stop comparison is inclusive, so ``eta=1.0`` keeps exactly one
+    The stop comparison is inclusive, so ``eta=1.0`` keeps at most one
     (always low-confidence) draft per round; ``gamma_max=0`` drafts nothing.
-    A non-finite (NaN) confidence is never above eta, so it stops the round
-    after its draft like a low one.
+    ``gamma_max`` is a cap: a round the session decides not to draft in
+    drafts nothing, whatever the policy.  A non-finite (NaN) confidence is
+    never above eta, so it stops the round after its draft like a low one.
     """
 
     eta: float = 0.6
@@ -79,6 +86,8 @@ class RoundTrace:
     """Accounting for one draft/verify round.
 
     ``emitted`` counts tokens kept; it always equals ``accepted_drafts + 1``.
+    ``deferred`` says whether the round left its final draft's feature out
+    of the verified unit.
     """
 
     drafted: int
@@ -86,6 +95,7 @@ class RoundTrace:
     emitted: int
     confidences: list[float]
     stop_reason: StopReason
+    deferred: bool
 
 
 @dataclass
@@ -118,35 +128,83 @@ class DraftWindow:
         return len(self.features) == len(self.drafts)
 
 
-@dataclass
-class _ThresholdHistory:
-    """A session's threshold-stopped rounds, which decide whether the next one defers."""
+# Pass costs in units of one decoder layer's one-row pass, fitted on the
+# desk model (seed 1, contexts 12 and 36; ``timeit`` best of 7 x 300 calls on
+# 2 shared x86-64 cores, numpy 2.4.6, OpenBLAS 0.3.31).  Its two shallow
+# layers took 118-210 us for one row, an adapter probe 54-100 us, and the six
+# remaining layers with the LM head 413-530 us at T=1 and 772-1106 us at T=7:
+# a + b*T with b/a about 0.17, and one layer's one-row pass about 69 us.
+# Other depths scale the per-layer terms by ``exit_layer`` and ``n_layers``;
+# that is an extrapolation, measured at the desk depth only.
+SHALLOW_ROW = 0.9  # one row through one shallow layer
+PROBE = 0.9  # one adapter probe: attention layer, norms and LM head
+VERIFY_PASS = 0.85  # a: one remaining layer's pass, whatever its rows
+VERIFY_ROW = 0.15  # b: each row of that pass, per remaining layer
+# Before its first drafting round a session counts PRIOR_ROUNDS drafting
+# rounds, PRIOR_HITS of them with their first draft accepted, so it starts
+# by drafting.
+PRIOR_ROUNDS = 4
+PRIOR_HITS = 3
+# Rounds a session skips after the first drafting round that leaves the
+# estimate losing; each further losing drafting round doubles it.
+BACKOFF = 4
 
-    rounds: int = 0
-    fully_accepted: int = 0
+
+class _Drafting:
+    """A session's drafting counts, and the decisions they drive.
+
+    A round drafts while its first draft is expected to pay: accepted in
+    ``hits`` of the session's ``rounds`` drafting rounds, it saves one
+    greedy step (a shallow row and a one-row verification) and costs its
+    probe, its shallow row and its verification row.  The drafts after the
+    first run only above the policy's threshold, so the decision does not
+    depend on the policy.  When the first draft loses, the session skips
+    rounds, twice as many after each losing round it drafts in between.
+    A threshold-stopped round defers its final draft's row while the rows
+    the session's threshold rounds would have saved (shallow pass and
+    verification row) outweigh the one-row verification steps their full
+    acceptances would have paid.  The costs are the fixed table above, so
+    the decisions never read the clock.
+    """
+
+    def __init__(self, config: ModelConfig):
+        shallow = config.exit_layer * SHALLOW_ROW
+        deep = config.n_layers - config.exit_layer
+        row = deep * VERIFY_ROW
+        self.step = shallow + deep * VERIFY_PASS + row
+        self.per_draft = PROBE + shallow + row
+        self.per_deferral = shallow + row
+        self.rounds, self.hits = PRIOR_ROUNDS, PRIOR_HITS
+        self.stopped = self.full = 0  # threshold-stopped rounds, fully accepted ones
+        self.skips, self.backoff = 0, BACKOFF
 
     @property
     def defers(self) -> bool:
-        # Deferring saves a shallow pass and a verification row per rejected
-        # round and costs a one-row verification per fully accepted one.  On
-        # the desk model at context 20 that pays while under 41% of the
-        # rounds are fully accepted if they draft one token, and under about
-        # a third if they draft two.
-        return 3 * self.fully_accepted < self.rounds
+        """Whether a round that stops on the threshold should defer its final row."""
+        return self.stopped * self.per_deferral > self.full * self.step
+
+    @property
+    def pays(self) -> bool:
+        """Whether a round's first draft is expected to save more than it costs."""
+        return self.hits * self.step > self.rounds * self.per_draft
+
+    def drafts(self) -> bool:
+        """Whether the round about to open drafts; one call per round that could."""
+        if self.skips:
+            self.skips -= 1
+            return False
+        return True
 
     def record(self, stop_reason: StopReason, drafted: int, accepted: int) -> None:
+        self.rounds += 1
+        self.hits += accepted > 0
         if stop_reason is StopReason.THRESHOLD:
-            self.rounds += 1
-            self.fully_accepted += accepted == drafted
-
-
-def deferred_rounds(rounds: list[RoundTrace]) -> list[bool]:
-    """Which of one request's rounds deferred their final draft's feature."""
-    history, flags = _ThresholdHistory(), []
-    for trace in rounds:
-        flags.append(trace.stop_reason is StopReason.THRESHOLD and history.defers)
-        history.record(trace.stop_reason, trace.drafted, trace.accepted_drafts)
-    return flags
+            self.stopped += 1
+            self.full += accepted == drafted
+        if self.pays:
+            self.backoff = BACKOFF
+        else:
+            self.skips, self.backoff = self.backoff, 2 * self.backoff
 
 
 class DecodeSession:
@@ -167,11 +225,13 @@ class DecodeSession:
     its draft rows.  The prompt rows wait in ``_backlog`` for the first
     probe, so a request that never drafts never runs the adapter.
 
-    A round that stops on the threshold defers its final draft's feature
-    while fewer than a third of the session's earlier threshold-stopped
-    rounds were fully accepted, so a session starts eager.  Its verification
-    computes that feature, and the bonus token from it, only after full
-    acceptance.
+    Before each round that may draft, ``_Drafting`` decides from the
+    session's counts whether it does.  A skipped round's feature joins
+    ``_backlog`` for the next probe.  A round that stops on the threshold
+    defers its final draft's feature while the session's threshold-stopped
+    rounds were rarely fully accepted, so a session starts eager.  Its
+    verification computes that feature, and the bonus token from it, only
+    after full acceptance.
     """
 
     def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
@@ -194,7 +254,7 @@ class DecodeSession:
         self._opening: FeatureBlock | None = None
         # targets already known for the leading rows of the next unit
         self._targets: list[int] = []
-        self._history = _ThresholdHistory()
+        self._drafting = _Drafting(model.config)
         if len(prompt) <= max_len:
             self._opening = FeatureBlock(start=self.committed, values=features.values[-1:])
             self._targets = [argmax_token(logits)]
@@ -212,12 +272,15 @@ class DecodeSession:
         """Draft until threshold / step budget / capacity; return the unit.
 
         The step budget is ``gamma_max``, lowered to ``max_drafts`` when given,
-        e.g. so that a round never drafts tokens the caller cannot keep.  A
-        round that stops on the threshold leaves out its final draft's
-        feature when the session defers it.
+        e.g. so that a round never drafts tokens the caller cannot keep, and
+        to zero when the session decides not to draft this round.  A round
+        that stops on the threshold leaves out its final draft's feature
+        when the session defers it.
         """
         max_len = self.model.config.max_seq_len
         gamma = policy.gamma_max if max_drafts is None else min(policy.gamma_max, max_drafts)
+        if gamma and not self._drafting.drafts():
+            gamma = 0
         rows: list[np.ndarray] = []
         drafts: list[int] = []
         confidences: list[float] = []
@@ -238,7 +301,7 @@ class DecodeSession:
             confidences.append(confidence)
             if not confidence > policy.eta:  # a NaN confidence stops too
                 reason = StopReason.THRESHOLD
-                if not self._history.defers:
+                if not self._drafting.defers:
                     rows.append(forward_shallow(self.model, [token], self.caches).values[0])
                 break
             block = forward_shallow(self.model, [token], self.caches)
@@ -263,7 +326,8 @@ class DecodeSession:
             block = FeatureBlock(start=window.features.start + len(targets), values=rows)
             targets += forward_remaining(self.model, block, self.caches).argmax(axis=-1).tolist()
         accepted = _accepted_prefix(window.drafts, targets)
-        self._history.record(window.stop_reason, len(window.drafts), accepted)
+        if window.drafts:
+            self._drafting.record(window.stop_reason, len(window.drafts), accepted)
         if accepted == len(window.drafts):
             # Full acceptance: nothing to discard; the final feature was
             # never probed, so it stays pending for the next adapter batch.
@@ -329,6 +393,7 @@ def generate(
                 emitted=len(emitted),
                 confidences=window.confidences,
                 stop_reason=window.stop_reason,
+                deferred=window.deferred,
             )
         )
     return GenerationResult(tokens=out, rounds=rounds)

@@ -69,6 +69,7 @@ class BenchReport:
     tokens_per_sec: float | None = None
     simulated_speedup: float | None = None
     nonfinite_confidences: int | None = None
+    drafting_rounds: int | None = None
     deferred_rounds: int | None = None
     per_prompt_cr: list[float] = field(default_factory=list)
 
@@ -85,6 +86,7 @@ class BenchReport:
             "tokens_per_sec": self.tokens_per_sec,
             "simulated_speedup": self.simulated_speedup,
             "nonfinite_confidences": self.nonfinite_confidences,
+            "drafting_rounds": self.drafting_rounds,
             "deferred_rounds": self.deferred_rounds,
             "per_prompt_cr": self.per_prompt_cr,
         }

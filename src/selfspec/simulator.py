@@ -4,12 +4,11 @@ The model charges four abstract costs per round: one shallow forward per
 feature (the newest token's and each draft's, ``d_k + 1`` in all), one
 adapter probe per draft, one batched remaining-layers verification, and a
 fixed per-round overhead.  A round that deferred its final draft's feature
-(``engine.deferred_rounds`` replays the engine's rule per request) is
-charged one shallow forward fewer when it is rejected, and a second,
-one-row verification when it is fully accepted.  In the free-draft limit
-(all costs but the verification zero) the predicted speedup equals the
-compression rate when no fully accepted round was deferred, which is the
-proportionality the sweeps explore.
+(``RoundTrace.deferred``) is charged one shallow forward fewer when it is
+rejected, and a second, one-row verification when it is fully accepted.
+In the free-draft limit (all costs but the verification zero) the
+predicted speedup equals the compression rate when no fully accepted round
+was deferred, which is the proportionality the sweeps explore.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .engine import (
     DecodeSession,
     DraftPolicy,
     GenerationResult,
-    deferred_rounds,
     measure_walltime,
     run_corpus,
 )
@@ -87,9 +85,9 @@ def simulate_speedup(
         )
     t_vanilla = n_tokens * lat.c_big
     t_spec = sum(
-        lat.round_cost(t.drafted, deferred, t.accepted_drafts == t.drafted)
+        lat.round_cost(t.drafted, t.deferred, t.accepted_drafts == t.drafted)
         for r in results
-        for t, deferred in zip(r.rounds, deferred_rounds(r.rounds))
+        for t in r.rounds
     )
     return t_vanilla / t_spec
 
@@ -216,7 +214,9 @@ def calibrate_latency(
         rows.append([0.0, 0.0, 1.0, 0.0])
         times.append(measure_walltime(time_big, reps)[1])
 
-    # Whole rounds pin down the per-round overhead.
+    # Whole rounds pin down the per-round overhead.  They follow the
+    # session's own drafting decision, so a session whose drafts lose also
+    # times the zero-draft rounds that the runs it predicts are made of.
     prompt = tokens[: max(4, probe_lengths[0])]
     policy = DraftPolicy(eta=0.0, gamma_max=gamma)
     # The untimed warm-up round also carries the prompt through the

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -49,3 +50,17 @@ def small_adapter(small_model):
 def planted(small_cfg):
     model = gen_passthrough_model(small_cfg, seed=43)
     return model, passthrough_adapter(model)
+
+
+@pytest.fixture(scope="session")
+def dialed_desk_model():
+    """Build the desk model (seed 1) with its deep ``wo`` and ``down`` scaled by alpha."""
+
+    def build(alpha: float):
+        model = gen_model(desk_config(), seed=1)
+        for layer in model.layers[model.config.exit_layer:]:
+            layer.attn.wo *= np.float32(alpha)
+            layer.down *= np.float32(alpha)
+        return model
+
+    return build

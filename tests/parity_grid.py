@@ -7,14 +7,22 @@ parity break between the trees::
     python3 tests/parity_grid.py --src src > change.jsonl
     cmp parent.jsonl change.jsonl
 
+A change that alters the traces on purpose (say, a new drafting decision)
+still keeps the tokens; ``--tokens`` prints only the ``generate`` lines,
+each with its case, ``tokens``, ``truncated`` and ``lossless``, for the
+same ``cmp``.
+
 The grid covers float32 and float64, the deep-residual dial alpha 1 and 0.1
 (deep ``wo`` and ``down`` scaled by alpha), model seeds 1 and 2, the init
 and passthrough adapters, prompt lengths around the 32-row attention block,
 the 64-key chunk and the context limit, four draft policies and three
 request lengths.  Under policy (1.0, 6) every drafting round stops on the
-threshold, so after a rejected round the engine defers the final draft's
-feature: the grid covers deferred rounds that are rejected and deferred
-rounds that are fully accepted.  A ``generate`` line holds the tokens,
+threshold, so after a rejected round the engine may defer the final
+draft's feature: the grid covers deferred rounds that are rejected and
+deferred rounds that are fully accepted.  The ``desk-low`` cases are the
+benchmark's shape (the default desk config, alpha 1, the init adapter,
+policy (0.6, 6), 48 tokens), whose sessions skip most rounds after their
+first few drafts are rejected.  A ``generate`` line holds the tokens,
 ``truncated`` and every ``RoundTrace`` field, with confidences as
 ``float.hex``, and ``lossless``: whether its tokens equal the same tree's
 ``vanilla_greedy_decode`` for as many tokens as fit the context, so one
@@ -47,6 +55,7 @@ ALPHAS = (1.0, 0.1)
 SEEDS = (1, 2)
 ADAPTERS = ("init", "passthrough")
 PROMPT_LENGTHS = (1, 2, 31, 32, 33, 63, 64, 65, MAX_SEQ_LEN - 1, MAX_SEQ_LEN, MAX_SEQ_LEN + 1)
+DESK_LOW_PROMPT_LENGTHS = (6, 7, 8, 9, 10, 11, 12)
 POLICIES = ((0.6, 6), (0.0, 3), (1.0, 0), (1.0, 6))
 N_TOKENS = (1, 2, 48)
 SEED_63 = (1 << 63) - 25
@@ -116,7 +125,7 @@ def _generate_line(ss, model, adapter, policy, prompt: list[int], n_tokens: int,
         return {"error": _error(exc)}
     rounds = [
         [r.drafted, r.accepted_drafts, r.emitted, [float(c).hex() for c in r.confidences],
-         r.stop_reason.value]
+         r.stop_reason.value] + ([r.deferred] if hasattr(r, "deferred") else [])
         for r in result.rounds
     ]
     return {"tokens": result.tokens, "truncated": result.truncated, "rounds": rounds,
@@ -159,9 +168,24 @@ def _corpus_line(vocab: int, n_seqs: int, len_range: tuple[int, int], seed: int)
     return {"sha256": hashlib.sha256(json.dumps(seqs).encode()).hexdigest()}
 
 
+def desk_low(ss, np):
+    """The benchmark's desk-low shape, one ``generate`` line per prompt length."""
+    model = ss.gen_model(ss.desk_config(), 1)
+    adapter = ss.init_adapter(model, 2)
+    policy = ss.DraftPolicy(eta=0.6, gamma_max=6)
+    for length in DESK_LOW_PROMPT_LENGTHS:
+        prompt = _prompt(np, model.config.vocab_size, 3, length)
+        case = {"case": "desk-low", "prompt_len": length, "eta": policy.eta,
+                "gamma": policy.gamma_max, "n_tokens": 48}
+        yield {**case, **_generate_line(ss, model, adapter, policy, prompt, 48,
+                                        _greedy(ss, model, prompt, 48))}
+
+
 def grid(ss):
     """Yield one JSON-ready dict per case, in a fixed order."""
     import numpy as np
+
+    yield from desk_low(ss, np)
 
     for dtype in DTYPES:
         for alpha in ALPHAS:
@@ -199,9 +223,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, required=True,
                         help="the src directory of the tree to fingerprint")
+    parser.add_argument("--tokens", action="store_true",
+                        help="print only the generate lines, without their round traces")
     args = parser.parse_args(argv)
     ss = _import(args.src.resolve())
     for line in grid(ss):
+        if args.tokens:
+            if "eta" not in line:
+                continue
+            line.pop("rounds", None)
         print(json.dumps(line, sort_keys=True))
     return 0
 

@@ -208,8 +208,12 @@ class TestBench:
         payload = json.loads(out.read_text())
         [run] = runs[0][1]
         assert payload["nonfinite_confidences"] == sum(t.drafted for t in run.rounds) > 0
-        deferred = sum(sum(selfspec.engine.deferred_rounds(r.rounds)) for r in run.results)
+        deferred = sum(t.deferred for t in run.rounds)
         assert payload["deferred_rounds"] == deferred > 0
+        # rounds the session's decision skipped draft nothing
+        drafting = sum(t.drafted > 0 for t in run.rounds)
+        assert payload["drafting_rounds"] == drafting
+        assert deferred <= drafting < len(run.rounds) - len(run.results)
 
     def test_csv_format(self, tmp_path, artifacts):
         model, adapter, corpus = artifacts

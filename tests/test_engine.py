@@ -17,15 +17,14 @@ from selfspec import (
     passthrough_adapter,
     vanilla_greedy_decode,
 )
-from selfspec.engine import DecodeSession, RoundTrace, deferred_rounds, run_corpus
+from selfspec.engine import DecodeSession, run_corpus
 from selfspec.errors import CapacityError, ConfigError, LosslessnessError
 from selfspec.seeding import generator
 
 
 def replayed(result):
     """(deferred, fully accepted) for each round of ``result``."""
-    flags = deferred_rounds(result.rounds)
-    return [(d, r.accepted_drafts == r.drafted) for r, d in zip(result.rounds, flags)]
+    return [(r.deferred, r.accepted_drafts == r.drafted) for r in result.rounds]
 
 
 def randomized_adapter(model, seed, spread=0.15):
@@ -487,15 +486,18 @@ class TestHeadRows:
         return rows
 
     def test_verification_heads_only_the_window(self, small_model, small_adapter, head_rows):
-        policy = DraftPolicy(eta=0.6, gamma_max=6)
+        # eta 1.0 stops every drafting round on the threshold, so this
+        # session has skipped rounds and deferred rounds of both outcomes
+        policy = DraftPolicy(eta=1.0, gamma_max=6)
         result = generate(small_model, small_adapter, policy, self.PROMPT, 24)
         assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 24)
         # the prefill's last row, round 1's drafts, each later round's
-        # window, then one row per greedy token; a deferred window leaves out
-        # the final draft's row, and heads it in a one-row pass of its own
-        # only after full acceptance
+        # window (one row for a skipped round), then one row per greedy
+        # token; a deferred window leaves out the final draft's row, and
+        # heads it in a one-row pass of its own only after full acceptance
         rounds = replayed(result)
         assert (True, False) in rounds and (True, True) in rounds
+        assert any(r.drafted == 0 for r in result.rounds[:-1])
         assert result.rounds[0].drafted > 0
         windows = [1, result.rounds[0].drafted]
         for trace, (deferred, full) in zip(result.rounds[1:], rounds[1:]):
@@ -512,24 +514,33 @@ class TestDeferredBonus:
 
     @staticmethod
     def force(monkeypatch, defers):
-        monkeypatch.setattr(selfspec.engine._ThresholdHistory, "defers", property(lambda _: defers))
+        monkeypatch.setattr(selfspec.engine._Drafting, "defers", property(lambda _: defers))
 
     def test_rule_starts_eager_and_switches_after_rejections(self):
         thr, steps = StopReason.THRESHOLD, StopReason.MAX_STEPS
-        # (stop reason, drafted, accepted) of one request's rounds
+        # (stop reason, drafted, accepted) of one request's drafting rounds
         rounds = [(thr, 2, 0), (thr, 1, 0), (steps, 3, 3), (thr, 1, 1), (thr, 2, 2),
-                  (thr, 1, 0), (thr, 1, 0), (thr, 1, 0), (thr, 1, 0)]
-        traces = [RoundTrace(d, a, a + 1, [0.5] * d, reason) for reason, d, a in rounds]
-        # eager until a threshold round is rejected; a non-threshold round
-        # never defers and does not count; deferring stops once a third of
-        # the threshold rounds were fully accepted (2 of 4, 2 of 5, 2 of 6)
-        # and resumes below (2 of 7)
-        assert deferred_rounds(traces) == [False, True, False, True, False,
-                                           False, False, False, True]
-        assert deferred_rounds([]) == []
+                  (thr, 1, 0), (thr, 1, 0), (thr, 1, 1)]
+
+        def replay(config):
+            decision, flags = selfspec.engine._Drafting(config), []
+            for reason, drafted, accepted in rounds:
+                flags.append(decision.defers)
+                decision.record(reason, drafted, accepted)
+            return flags
+
+        # Deferral pays while the threshold rounds' fully accepted share is
+        # under (shallow row + verification row) / greedy step: 2.7 / 7.8 on
+        # the desk model.  Eager until a threshold round is rejected; a round
+        # that stops on the step budget does not count.  Then fully
+        # accepted: 1 of 3, 2 of 4, 2 of 5 and 2 of 6 (defers below 0.346).
+        assert replay(desk_config()) == [False, True, True, True, True,
+                                         False, False, True]
 
     @pytest.mark.parametrize("eta", [0.6, 1.0])
     def test_session_follows_the_replayed_rule(self, small_model, monkeypatch, eta):
+        # A fresh decision fed each drafting round's trace makes the same
+        # choices the session made: whether to draft and whether to defer.
         windows = []
         draft_window = DecodeSession.draft_window
 
@@ -543,11 +554,21 @@ class TestDeferredBonus:
             adapter = randomized_adapter(small_model, seed)
             windows.clear()
             result = generate(small_model, adapter, DraftPolicy(eta=eta, gamma_max=6), [4, 2, 0], 40)
-            assert [w.deferred for w in windows] == deferred_rounds(result.rounds)
+            assert [w.deferred for w in windows] == [r.deferred for r in result.rounds]
             assert not windows[0].deferred
             assert any(w.deferred for w in windows)
             for window in windows:
                 assert len(window.features) == len(window.drafts) + (not window.deferred)
+            decision, remaining = selfspec.engine._Drafting(small_model.config), 40
+            for trace in result.rounds:
+                drafts = remaining > 1 and decision.drafts()
+                assert (trace.drafted > 0) == drafts
+                threshold = trace.stop_reason is StopReason.THRESHOLD
+                assert trace.deferred == (drafts and threshold and decision.defers)
+                if drafts:
+                    decision.record(trace.stop_reason, trace.drafted, trace.accepted_drafts)
+                remaining -= trace.emitted
+            assert any(not r.drafted for r in result.rounds[:-1])
 
     @pytest.mark.parametrize("prompt", [[7], [7, 3, 1]], ids=["round-one", "pending-prompt"])
     def test_forced_deferral_matches_eager_bit_for_bit(self, planted, monkeypatch, prompt):
@@ -602,7 +623,13 @@ class TestDeferredBonus:
             ]
         for deferred, eager in zip(outcomes[True], outcomes[False]):
             assert deferred.tokens == eager.tokens == vanilla_greedy_decode(small_model, prompt, 40)
-            assert deferred.rounds == eager.rounds
+            # the traces differ only in the deferral flag, set on each
+            # drafting round that stops on the threshold
+            assert not any(r.deferred for r in eager.rounds)
+            assert [r.deferred for r in deferred.rounds] == [
+                r.drafted > 0 and r.stop_reason is StopReason.THRESHOLD for r in deferred.rounds
+            ]
+            assert [dataclasses.replace(r, deferred=False) for r in deferred.rounds] == eager.rounds
 
     @pytest.mark.parametrize("extra", [-2, -1, 0], ids=["max-2", "max-1", "max"])
     def test_deferred_rounds_at_the_context(self, small_model, planted, monkeypatch, extra):
@@ -623,6 +650,99 @@ class TestDeferredBonus:
                 drafting = [r for r in result.rounds if r.drafted]
                 assert all(r.stop_reason is StopReason.THRESHOLD for r in drafting)
                 assert bool(drafting) == (min(n, room) >= 2)
+
+
+class TestDraftingDecision:
+    """Before each round the session decides from its own counts whether to draft."""
+
+    @pytest.fixture(scope="class")
+    def desk_low(self, dialed_desk_model):
+        # the benchmark's desk-low shape: drafts are almost never accepted
+        model = dialed_desk_model(1.0)
+        return model, init_adapter(model, 2)
+
+    def test_no_clock_and_deterministic(self, desk_low, monkeypatch):
+        class NoClock:
+            def __getattr__(self, name):
+                raise AssertionError(f"the engine read time.{name}")
+
+        model, adapter = desk_low
+        monkeypatch.setattr(selfspec.engine, "time", NoClock())
+        prompt = [9, 8, 7, 6, 5, 4]
+        first, second = (generate(model, adapter, DraftPolicy(), prompt, 48) for _ in range(2))
+        assert first.tokens == vanilla_greedy_decode(model, prompt, 48)
+        assert first == second
+        assert any(not r.drafted for r in first.rounds[:-1])
+
+    @pytest.mark.parametrize("eta,gamma", [(0.0, 6), (0.75, 6), (1.0, 6), (0.0, 2)])
+    def test_always_accepting_adapter_never_skips(self, planted, eta, gamma):
+        model, adapter = planted
+        result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=gamma), [7, 3], 48)
+        assert result.tokens == vanilla_greedy_decode(model, [7, 3], 48)
+        remaining = 48
+        for trace in result.rounds:
+            assert trace.drafted <= remaining - 1
+            assert (trace.drafted > 0) == (remaining > 1)
+            assert trace.accepted_drafts == trace.drafted
+            remaining -= trace.emitted
+
+    @pytest.mark.parametrize("eta,gamma", [(0.6, 6), (1.0, 6), (0.0, 3)])
+    def test_always_rejected_drafts_stop_drafting(self, desk_low, monkeypatch, eta, gamma):
+        # Every draft is rejected, so every round emits the target's own
+        # token.  A first draft pays while accepted in over 3.6 / 7.8 of the
+        # rounds; the prior (3 of 4) keeps that up for 2 rejected rounds.
+        # After the third the session drafts once after each of 4, 8 and 16
+        # skipped rounds, whatever the policy: 6 of 48 rounds draft.
+        model, adapter = desk_low
+        monkeypatch.setattr(selfspec.engine, "_accepted_prefix", lambda drafts, targets: 0)
+        prompt = [9, 8, 7, 6, 5, 4]
+        result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=gamma), prompt, 48)
+        assert result.tokens == vanilla_greedy_decode(model, prompt, 48)
+        assert [r.drafted > 0 for r in result.rounds] == (
+            [1] * 3 + [0] * 4 + [1] + [0] * 8 + [1] + [0] * 16 + [1] + [0] * 14
+        )
+
+    def test_skips_double_after_each_losing_round(self):
+        decision = selfspec.engine._Drafting(desk_config())
+
+        def rounds(outcomes):
+            """1 per drafting round, 0 per skipped one, recording each (drafted, accepted)."""
+            pattern = []
+            for drafted, accepted in outcomes:
+                while not decision.drafts():
+                    pattern.append(0)
+                pattern.append(1)
+                decision.record(StopReason.MAX_STEPS, drafted, accepted)
+            return pattern
+
+        # on the desk model a first draft pays while hits * 7.8 > rounds * 3.6;
+        # the prior counts 3 hits in 4 rounds, and only first drafts count
+        assert rounds([(6, 0), (1, 0), (1, 0), (1, 0)]) == [1] * 3 + [0] * 4 + [1]
+        # a round that accepts six drafts is still one hit, so 4 hits in 9
+        # rounds lose; 5 in 10 pay again: the next round drafts, and the
+        # next loss waits 4 rounds again
+        assert rounds([(6, 6), (2, 2), (1, 0), (1, 0)]) == (
+            [0] * 8 + [1] + [0] * 16 + [1] + [1] + [0] * 4 + [1]
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    def test_lossless_across_dials(self, dialed_desk_model, dtype, alpha):
+        model = dialed_desk_model(alpha)
+        adapter = (passthrough_adapter(model) if alpha < 1 else init_adapter(model, 2)).astype(dtype)
+        model = model.astype(dtype)
+        vocab = model.config.vocab_size
+        skipped = 0
+        for length in (1, 9, 33):
+            prompt = [int(t) for t in generator(length, "dial-prompt").integers(vocab, size=length)]
+            for n in (1, 2, 48):
+                reference = vanilla_greedy_decode(model, prompt, n)
+                for eta, gamma in ((0.6, 6), (1.0, 6), (0.0, 3), (0.6, 0)):
+                    result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=gamma), prompt, n)
+                    assert result.tokens == reference
+                    skipped += gamma > 0 and any(not r.drafted for r in result.rounds[:-1])
+        # the passthrough adapter's drafts pay, so only the α=1 sessions skip
+        assert (skipped > 0) == (alpha == 1.0)
 
 
 class TestRunCorpus:

@@ -8,6 +8,8 @@ from selfspec import (
     full_forward,
     gen_model,
     gen_passthrough_model,
+    generate,
+    passthrough_adapter,
     vanilla_greedy_decode,
 )
 from selfspec.engine import DecodeSession
@@ -258,3 +260,34 @@ class TestRollback:
         fresh = full_forward(small_model, committed, KVCacheSet(small_model.config))[-1]
         assert np.max(np.abs(cont - fresh)) <= 1e-4
         assert np.argmax(cont) == np.argmax(fresh)
+
+
+class TestGreedyAgainstMonolithic:
+    """Greedy decoding checked against a forward that shares none of its code.
+
+    Along ``vanilla_greedy_decode``'s token path, one float64
+    ``monolithic_forward`` pass (no cache, no layer split, no chunking, no
+    shared prefill) gives the logits before every emitted token.  Wherever
+    their top-2 margin exceeds ``MARGIN``, the decoded token must be their
+    argmax.  ``generate`` equals the greedy decode, so it is checked too.
+    """
+
+    MARGIN = 1e-3
+    N_TOKENS = 48
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 63, 64, 65, "capacity"])
+    def test_argmax_matches_where_the_margin_is_clear(self, dialed_desk_model, alpha, length):
+        model = dialed_desk_model(alpha)
+        if length == "capacity":
+            # the request fills the context exactly
+            length = model.config.max_seq_len + 1 - self.N_TOKENS
+        prompt = [int(t) for t in generator(length, "oracle-prompt").integers(256, size=length)]
+        tokens = vanilla_greedy_decode(model, prompt, self.N_TOKENS)
+        spec = generate(model, passthrough_adapter(model), DraftPolicy(), prompt, self.N_TOKENS)
+        assert spec.tokens == tokens and not spec.truncated
+        logits = monolithic_forward(model.astype(np.float64), prompt + tokens[:-1])[length - 1 :]
+        top2 = np.sort(logits, axis=-1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > self.MARGIN
+        assert clear.mean() >= 0.9
+        assert np.array_equal(np.argmax(logits, axis=-1)[clear], np.asarray(tokens)[clear])

@@ -15,13 +15,14 @@ from selfspec.metrics import CTAR_WINDOWS
 from selfspec.seeding import generator
 
 
-def trace(drafted, emitted, stop_reason=StopReason.MAX_STEPS):
+def trace(drafted, emitted, stop_reason=StopReason.MAX_STEPS, deferred=False):
     return RoundTrace(
         drafted=drafted,
         accepted_drafts=emitted - 1,
         emitted=emitted,
         confidences=[0.5] * drafted,
         stop_reason=stop_reason,
+        deferred=deferred,
     )
 
 
@@ -82,17 +83,18 @@ class TestSimulateSpeedup:
             assert speedup == pytest.approx(cr, abs=1e-9)
 
     def test_deferred_rounds_are_charged_their_passes(self):
-        # Every round stops on the threshold.  The first runs eager; after
-        # its rejection the session defers, and keeps deferring while under
-        # a third of its threshold rounds were fully accepted.
+        # Every round stops on the threshold; each trace says whether it
+        # deferred.  The first runs eager, the others deferred.
         thr = StopReason.THRESHOLD
-        traces = [trace(1, 1, thr), trace(2, 1, thr), trace(1, 2, thr)]
+        traces = [trace(1, 1, thr), trace(2, 1, thr, True), trace(1, 2, thr, True)]
         lat = LatencyModel(c_big=10.0, c_shallow=1.0)
         # eager 2 + 10, deferred and rejected 2 + 10, deferred and accepted 2 + 2 * 10
         assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(40.0 / 46.0)
-        # the rule is replayed per request: each request starts eager
-        alone = simulate_speedup([request(traces[:1])] * 2, lat, 2)
-        assert alone == pytest.approx(20.0 / 24.0)
+        # a rejected round costs a shallow pass less when it deferred
+        eager = simulate_speedup([request(traces[:1])] * 2, lat, 2)
+        assert eager == pytest.approx(20.0 / 24.0)
+        deferred = simulate_speedup([request([trace(1, 1, thr, True)])] * 2, lat, 2)
+        assert deferred == pytest.approx(20.0 / 22.0)
 
     def test_monotone_in_each_cost(self):
         traces = [trace(3, 2), trace(2, 4), trace(3, 1)]
