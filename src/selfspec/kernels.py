@@ -25,20 +25,29 @@ The stable kernels, concretely:
 - The q, k and v projections are one ``np.matmul`` of the rows against the
   stacked ``(3, d, d)`` weights: the same GEMV per row and plane as three
   separate products, in one dispatch.
-- Attention scores and contexts are GEMVs over fixed 64-key chunks of the
-  cache, cut at absolute positions (the buffers are grown by whole
-  chunks).  A GEMV over a row's own keys would not do: BLAS handles matrix
-  rows in unrolled groups plus a remainder, so a key's arithmetic would
-  depend on how many keys the call holds, and that count differs between
-  the rows of one call.  In a chunk, a key's score depends only on the
-  query, the key and the key's offset in the chunk.
+- Attention runs per block of query rows over a key span of whole 64-key
+  chunks, from position 0 through the chunk that holds the block's last
+  row (the buffers are grown by whole chunks).  A row's scores are one GEMV
+  per head over the span's keys.  A GEMV over a row's own keys would not
+  do: BLAS handles matrix rows in unrolled groups plus a remainder, so a
+  key's arithmetic would depend on how many keys the call holds, and that
+  count differs between the rows of one call.  Over whole chunks there is
+  no remainder: a GEMV over n*64 keys gives each key the score that a
+  64-key GEMV gives it, bit for bit, so a key's score depends only on the
+  query and the key.
 - Keys a row may not see, including the padding past the cache length, get
   a score of -inf, so their softmax weights are exactly 0.  The value rows
-  there are finite (grown and rolled-back rows are zeroed), so they add
-  exact zeros to a chunk's context; a chunk's weight sum is a fixed-length
-  64-term sum.  Chunks are folded in key order (``np.add.accumulate``), so
-  the chunks past a row's prefix, present in a batched call but not in the
-  row's own call, only add zeros at the end.
+  there are finite (grown and rolled-back rows are zeroed).  A row's
+  context numerator is one GEMV of its weights against the span's value
+  rows.  A batched call's span can reach whole chunks past the row's own
+  span, and trailing chunks of exact-zero weights leave that GEMV's result
+  unchanged, bit for bit.  The weight sum is not one sum over the span,
+  because numpy's pairwise summation groups terms by the length summed; it
+  is a fixed 64-term sum per chunk, the chunks folded in key order
+  (``np.add.accumulate``), so trailing chunks only add zeros at the end.
+- The two GEMV facts above are properties of the BLAS build, not of numpy's
+  contract; ``TestBatchInvariance`` pins them for numpy 2.4.6 with
+  OpenBLAS 0.3.31.
 - rmsnorm's mean square is one BLAS dot per row, and the max over keys is
   exact in any order.
 
@@ -56,7 +65,7 @@ import numpy as np
 from .errors import CacheError, CapacityError, ConfigError, ShapeError
 
 
-_KEY_CHUNK = 64  # keys per attention GEMV; cache buffers hold a whole number of chunks
+_KEY_CHUNK = 64  # attention spans and weight sums come in whole chunks; so do cache buffers
 _ROW_BLOCK = 32  # query rows per masked attention pass; bounds the score buffer
 
 
@@ -216,7 +225,9 @@ class LayerKVCache:
     zeroes the rest.  Truncation moves the length marker back, which is
     exactly the rollback semantics verification needs, and zeroes the
     dropped value rows, so the rows that attention reads past ``length``
-    always hold finite values.
+    always hold finite values.  ``k_heads`` and ``v_heads`` are
+    ``(heads, rows, head_dim)`` views of the buffers, rebuilt at each
+    growth: attention's operand for one GEMV per head over a key span.
     """
 
     def __init__(self, capacity: int, n_heads: int, head_dim: int, dtype=np.float32):
@@ -235,10 +246,8 @@ class LayerKVCache:
         k[: self.length] = self.k[: self.length]
         v[: self.length] = self.v[: self.length]
         self.k, self.v = k, v
-        # (heads, chunks, _KEY_CHUNK, head_dim) views: one GEMV operand per head and chunk
-        chunked = (chunks, _KEY_CHUNK, *k.shape[1:])
-        self.key_chunks = k.reshape(chunked).transpose(2, 0, 1, 3)
-        self.value_chunks = v.reshape(chunked).transpose(2, 0, 1, 3)
+        self.k_heads = k.transpose(1, 0, 2)
+        self.v_heads = v.transpose(1, 0, 2)
 
     def extend(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         t = k_rows.shape[0]
@@ -271,8 +280,12 @@ def causal_attention(
     ``start_pos..start_pos+T-1``; the call appends T K/V rows and returns the
     attention output (before any residual).  Row ``t`` attends to positions
     ``0..start_pos+t``.  Query rows go through one masked pass per block of
-    ``_ROW_BLOCK`` rows, with the same code for T=1 and T>1, so row ``t``
-    equals a one-row call at ``start_pos+t`` bit for bit (module docstring).
+    ``_ROW_BLOCK`` rows, with the same code for T=1 and T>1.  A block's keys
+    span whole 64-key chunks up to its last row; per row and head, the scores
+    are one GEMV over the span's keys and the context numerator one GEMV
+    over its values, and the weight sum folds fixed 64-term chunk sums in key
+    order.  So row ``t`` equals a one-row call at ``start_pos+t`` bit for
+    bit (module docstring).
     """
     if x.ndim != 2:
         raise ShapeError(f"attention input must be 2-D, got shape {x.shape}")
@@ -294,23 +307,23 @@ def causal_attention(
     blocks = []
     for b0 in range(0, n_rows, _ROW_BLOCK):
         b1 = min(b0 + _ROW_BLOCK, n_rows)
-        n_chunks = -(-(start_pos + b1) // _KEY_CHUNK)
+        p0, p1 = start_pos + b0, start_pos + b1
+        n_chunks = -(-p1 // _KEY_CHUNK)
         span = n_chunks * _KEY_CHUNK
-        # w[t, h, p]: one GEMV per (row, head, chunk) against that chunk's keys
-        w = np.matmul(cache.key_chunks[:, :n_chunks], q[b0:b1, :, None, :, None])
-        w = w.reshape(b1 - b0, h, span)
-        np.copyto(w, -np.inf, where=mask[start_pos + b0 : start_pos + b1, None, :span])
+        # w[t, h, 0, p]: one GEMV per (row, head) against the span's keys
+        w = np.matmul(cache.k_heads[:, :span], q[b0:b1, :, :, None])
+        w = w.reshape(b1 - b0, h, 1, span)
+        # keys before p0 are visible to every row of the block
+        np.copyto(w[..., p0:], -np.inf, where=mask[p0:p1, None, None, p0:span])
         w -= np.maximum.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
-        w = w.reshape(b1 - b0, h, n_chunks, 1, _KEY_CHUNK)
-        den = np.add.reduce(w, axis=-1)
-        num = np.matmul(w, cache.value_chunks[:, :n_chunks])
-        if n_chunks > 1:  # one chunk is its own fold
+        den = np.add.reduce(w.reshape(b1 - b0, h, n_chunks, _KEY_CHUNK), axis=-1)
+        if n_chunks > 1:  # fixed 64-term sums, folded in key order
             den = np.add.accumulate(den, axis=2)
-            num = np.add.accumulate(num, axis=2)
-        blocks.append(num[:, :, -1, 0] / den[:, :, -1])
+        # one GEMV per (row, head) of the weights against the span's values
+        blocks.append(np.matmul(w, cache.v_heads[:, :span]) / den[:, :, -1:, None])
     # one block is the whole context; q[:0] gives a zero-row call its empty one
-    ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0], *blocks])
+    ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0, :, None], *blocks])
     return _row_gemv(ctx.reshape(n_rows, d), params.wo)
 
 

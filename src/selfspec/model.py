@@ -196,6 +196,7 @@ class KVCacheSet:
         self.shallow = [make() for _ in range(config.exit_layer)]
         self.deep = [make() for _ in range(config.n_layers - config.exit_layer)]
         self.adapter = make()
+        self._all = (*self.shallow, *self.deep, self.adapter)
 
     @property
     def shallow_len(self) -> int:
@@ -211,12 +212,17 @@ class KVCacheSet:
 
     def rollback(self, to_length: int) -> None:
         """Truncate every cache to ``to_length`` committed positions."""
-        for cache in (*self.shallow, *self.deep, self.adapter):
+        for cache in self._all:
+            if cache.length != to_length:
+                break
+        else:
+            return  # every cache is there already, as after a rejected deferred round
+        for cache in self._all:
             if to_length > cache.length:
                 raise CacheError(
                     f"rollback to {to_length} exceeds cache length {cache.length}"
                 )
-        for cache in (*self.shallow, *self.deep, self.adapter):
+        for cache in self._all:
             cache.truncate(to_length)
 
 

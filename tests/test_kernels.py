@@ -332,7 +332,7 @@ class TestCacheGrowth:
         cache = LayerKVCache(512, 2, 4)
         assert cache.length == 0
         assert cache.k.shape == cache.v.shape == (0, 2, 4)
-        assert cache.key_chunks.shape == cache.value_chunks.shape == (2, 0, 64, 4)
+        assert cache.k_heads.shape == cache.v_heads.shape == (2, 0, 4)
 
     def test_growth_doubles_and_stops_at_padded_capacity(self):
         cache = LayerKVCache(300, 2, 4)  # padded to 320 rows, five chunks
@@ -342,9 +342,9 @@ class TestCacheGrowth:
             if not held or held[-1] != cache.k.shape[0]:
                 held.append(cache.k.shape[0])
         assert held == [64, 128, 256, 320]
-        assert cache.key_chunks.shape == (2, 5, 64, 4)
-        assert np.shares_memory(cache.key_chunks, cache.k)
-        assert np.shares_memory(cache.value_chunks, cache.v)
+        assert cache.k_heads.shape == (2, 320, 4)
+        assert np.shares_memory(cache.k_heads, cache.k)
+        assert np.shares_memory(cache.v_heads, cache.v)
         # a block larger than double the buffer gets the chunks it needs
         cache = LayerKVCache(300, 2, 4)
         cache.extend(*self._rows(1))
@@ -442,8 +442,9 @@ class TestBatchInvariance:
     ROWS = range(1, 8)
     # a one-row call takes its own branch; check it against long stacks too
     LONG_ROWS = (33, 420)
-    # 125 and 318: the rows of one call reach into different numbers of 64-key chunks
-    STARTS = (0, 7, 63, 64, 125, 300, 318)
+    # 125 and 318: the rows of one call reach into different numbers of 64-key chunks;
+    # from 505 a 7-row call fills the 512-row buffer
+    STARTS = (0, 7, 63, 64, 125, 300, 318, 505)
 
     @staticmethod
     def _assert_rows_match(batched, single_row):
@@ -512,13 +513,43 @@ class TestBatchInvariance:
         assert np.array_equal(rmsnorm(x[-1:], scale)[0], batched[-1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_span_gemvs(self, dtype):
+        # The BLAS facts attention rests on: a GEMV over n*64 keys scores each
+        # key as a 64-key GEMV does, and trailing chunks of zero weights leave
+        # a value GEMV unchanged.
+        rng = np.random.default_rng(6)
+        keys = rng.standard_normal((512, self.HEADS, self.HEAD_DIM)).astype(dtype)
+        values = rng.standard_normal(keys.shape).astype(dtype)
+        k_heads, v_heads = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
+        q = rng.standard_normal((self.HEADS, self.HEAD_DIM, 1)).astype(dtype)
+        weights = rng.random((self.HEADS, 1, 512)).astype(dtype)
+        chunks = [np.matmul(k_heads[:, c : c + 64], q) for c in range(0, 512, 64)]
+        for span in range(64, 513, 64):
+            scores = np.matmul(k_heads[:, :span], q)
+            assert np.array_equal(scores, np.concatenate(chunks[: span // 64], axis=1))
+            padded = np.zeros_like(weights)
+            padded[..., :span] = weights[..., :span]
+            own = np.matmul(weights[..., :span], v_heads[:, :span])
+            for wider in range(span, 513, 64):
+                assert np.array_equal(np.matmul(padded[..., :wider], v_heads[:, :wider]), own)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("start", STARTS)
     def test_causal_attention_after_cached_prefix(self, dtype, start):
+        self._check_after_prefix(dtype, start, self.ROWS)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("start", [100, 318])
+    def test_causal_attention_across_row_blocks(self, dtype, start):
+        # 33 and 45 rows span two query-row blocks and several key chunks
+        self._check_after_prefix(dtype, start, (33, 45))
+
+    def _check_after_prefix(self, dtype, start, row_counts):
         rng, params, table = self._attention_setup(dtype)
         cache = LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype)
         prefix = (start, self.HEADS, self.HEAD_DIM)
         cache.extend(rng.standard_normal(prefix).astype(dtype), rng.standard_normal(prefix).astype(dtype))
-        for rows in self.ROWS:
+        for rows in row_counts:
             x = rng.standard_normal((rows, self.D)).astype(dtype)
             batched = causal_attention(params, x, cache, start, table)
             cache.truncate(start)
@@ -559,3 +590,18 @@ class TestBatchInvariance:
         singles = [causal_attention(params, x[t : t + 1], caches[1], start + t, table)[0]
                    for t in range(420)]
         self._assert_rows_match(batched, lambda t: singles[t])
+
+    def test_head_major_views_follow_growth_and_truncate(self):
+        rng = np.random.default_rng(8)
+        cache = LayerKVCache(300, self.HEADS, self.HEAD_DIM)
+        shape = (self.HEADS, self.HEAD_DIM)
+        for op, n in (("extend", 5), ("extend", 70), ("truncate", 40), ("extend", 100),
+                      ("truncate", 0), ("extend", 300)):
+            if op == "extend":
+                new = (n - cache.length, *shape)
+                cache.extend(*(rng.standard_normal(new).astype(np.float32) for _ in range(2)))
+            else:
+                cache.truncate(n)
+            for heads, buffer in ((cache.k_heads, cache.k), (cache.v_heads, cache.v)):
+                assert np.shares_memory(heads, buffer)
+                assert np.array_equal(heads, buffer.transpose(1, 0, 2))

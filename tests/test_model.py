@@ -234,8 +234,12 @@ class TestRollback:
         assert (accepted, committed) == (0, 3)
         caches = session.caches
         assert caches.shallow_len == caches.deep_len == caches.adapter_len == committed
+        every = (*caches.shallow, *caches.deep, caches.adapter)
+        before = [(c.k.copy(), c.v.copy()) for c in every]
         caches.rollback(committed)
         assert caches.shallow_len == caches.deep_len == caches.adapter_len == committed
+        for c, (k, v) in zip(every, before):
+            assert np.array_equal(c.k, k) and np.array_equal(c.v, v)
 
     def test_rollback_beyond_length_rejected(self, small_model):
         caches = KVCacheSet(small_model.config)
