@@ -43,7 +43,7 @@ from .model import (
     prefill,
     vanilla_greedy_decode,
 )
-from .simulator import LatencyModel, SimReport, calibrate_latency, simulate_speedup, sweep
+from .simulator import LatencyModel, calibrate_latency, simulate_speedup, sweep
 from .training import (
     AdamW,
     DistillBatch,
@@ -71,7 +71,6 @@ __all__ = [
     "LatencyModel",
     "ModelConfig",
     "RoundTrace",
-    "SimReport",
     "StopReason",
     "TargetWeights",
     "TrainConfig",

@@ -9,7 +9,6 @@ Every command is deterministic given its ``--seed`` (timing fields aside).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,27 +17,17 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import serialize
-from .adapter import init_adapter
+from .adapter import AdapterWeights, init_adapter
 from .engine import DraftPolicy, run_corpus
 from .errors import LosslessnessError, SelfspecError
-from .metrics import aggregate
+from .metrics import BenchReport, to_csv
 from .model import DESK_CONFIG, ModelConfig, TargetWeights, gen_model
-from .simulator import calibrate_latency, simulate_speedup, sweep
+from .simulator import calibrate_latency, sweep
 from .training import TrainConfig, train_adapter
 
 
 class UsageError(SelfspecError, ValueError):
     """Bad flags or unusable inputs; maps to exit code 2."""
-
-
-def _parse_grid(text: str, kind) -> list:
-    try:
-        values = [kind(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad grid {text!r}: {exc}") from exc
-    if not values:
-        raise UsageError(f"grid {text!r} is empty")
-    return values
 
 
 def _load_model(args) -> TargetWeights:
@@ -144,47 +133,53 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _bench_prompts(model: TargetWeights, sequences, n_tokens: int) -> list[list[int]]:
-    limit = model.config.max_seq_len - n_tokens
+def _decoding_inputs(args) -> tuple[TargetWeights, AdapterWeights, list[list[int]]]:
+    """The model, adapter and prompts that every decoding command reads."""
+    if args.n_tokens < 1:
+        raise UsageError(f"--n-tokens must be >= 1, got {args.n_tokens}")
+    model = _load_model(args)
+    adapter = _load_adapter(args, model)
+    limit = model.config.max_seq_len - args.n_tokens
     if limit < 1:
-        raise UsageError(f"n_tokens {n_tokens} leaves no room for prompts")
-    prompts = [seq[:limit] for seq in sequences]
+        raise UsageError(f"--n-tokens {args.n_tokens} leaves no room for prompts")
+    prompts = [seq[:limit] for seq in _load_corpus(args)]
     for i, prompt in enumerate(prompts):
         if any(not 0 <= t < model.config.vocab_size for t in prompt):
             raise UsageError(f"corpus line {i + 1} has ids outside the model vocabulary")
-    return prompts
+    return model, adapter, prompts
+
+
+def _policy_grid(args) -> list[DraftPolicy]:
+    """One policy per pair of ``--etas`` and ``--gammas`` values."""
+    try:
+        etas = [float(v) for v in args.etas.split(",") if v.strip()]
+        gammas = [int(v) for v in args.gammas.split(",") if v.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad --etas/--gammas grid: {exc}") from exc
+    if not etas or not gammas:
+        raise UsageError(f"empty grid: --etas {args.etas!r} --gammas {args.gammas!r}")
+    return [DraftPolicy(eta=eta, gamma_max=gamma) for eta in etas for gamma in gammas]
+
+
+def _sweep(args, policies: list[DraftPolicy]) -> list[BenchReport]:
+    """Calibrate the latency model, then report each policy over the corpus."""
+    model, adapter, prompts = _decoding_inputs(args)
+    gamma = max(max(p.gamma_max for p in policies), 1)
+    lat = calibrate_latency(model, adapter, reps=3, seed=args.seed, gamma=gamma)
+    return sweep(
+        model, adapter, prompts, policies, lat, args.n_tokens, Path(args.corpus).stem
+    )
 
 
 def cmd_bench(args) -> int:
-    model = _load_model(args)
-    adapter = _load_adapter(args, model)
-    prompts = _bench_prompts(model, _load_corpus(args), args.n_tokens)
-    policy = DraftPolicy(eta=args.eta, gamma_max=args.gamma)
-    lat = calibrate_latency(model, adapter, reps=3, seed=args.seed, gamma=max(args.gamma, 1))
-    vanilla_seconds, [run] = run_corpus(model, adapter, [policy], prompts, args.n_tokens)
-    report = aggregate(
-        run.records,
-        vanilla_seconds=vanilla_seconds,
-        spec_seconds=run.seconds,
-        subtask=Path(args.corpus).stem,
-    )
-    report.simulated_speedup = simulate_speedup(run.results, lat, report.total_tokens)
-    report.nonfinite_confidences = sum(
-        not math.isfinite(c) for trace in run.rounds for c in trace.confidences
-    )
-    report.drafting_rounds = sum(trace.drafted > 0 for trace in run.rounds)
-    report.deferred_rounds = sum(trace.deferred for trace in run.rounds)
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    [report] = _sweep(args, [DraftPolicy(eta=args.eta, gamma_max=args.gamma)])
+    _emit(report.to_json(), args.out)
     return 0
 
 
 def cmd_verify_lossless(args) -> int:
-    model = _load_model(args)
-    adapter = _load_adapter(args, model)
-    prompts = _bench_prompts(model, _load_corpus(args), args.n_tokens)
-    etas = _parse_grid(args.etas, float)
-    gammas = _parse_grid(args.gammas, int)
-    policies = [DraftPolicy(eta=eta, gamma_max=gamma) for eta in etas for gamma in gammas]
+    policies = _policy_grid(args)
+    model, adapter, prompts = _decoding_inputs(args)
     try:
         run_corpus(model, adapter, policies, prompts, args.n_tokens)
     except LosslessnessError as exc:
@@ -195,16 +190,7 @@ def cmd_verify_lossless(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model = _load_model(args)
-    adapter = _load_adapter(args, model)
-    prompts = _bench_prompts(model, _load_corpus(args), args.n_tokens)
-    etas = _parse_grid(args.etas, float)
-    gammas = _parse_grid(args.gammas, int)
-    lat = calibrate_latency(
-        model, adapter, reps=3, seed=args.seed, gamma=max(max(gammas), 1)
-    )
-    report = sweep(model, adapter, prompts, etas, gammas, lat, n_tokens=args.n_tokens)
-    _emit(report.to_csv(), args.out)
+    _emit(to_csv(_sweep(args, _policy_grid(args))), args.out)
     return 0
 
 
@@ -265,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.6)
     p.add_argument("--gamma", type=int, default=6)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify-lossless", help="assert token-exact greedy equality on a grid")

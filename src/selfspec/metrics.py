@@ -1,4 +1,4 @@
-"""Acceptance metrics: compression rate, CTAR, and benchmark aggregation.
+"""Acceptance metrics: compression rate, CTAR, benchmark aggregation and its CSV.
 
 The compression rate of a run that emitted ``s_k`` tokens on round ``k`` is
 ``mean(s_k) = N / |S|``; the consistent token acceptance rate ``CTAR(w)`` is
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import MetricsDomainError, ShapeError
 
@@ -65,6 +65,8 @@ class BenchReport:
     n_prompts: int
     total_tokens: int
     total_rounds: int
+    eta: float | None = None
+    gamma: int | None = None
     speedup: float | None = None
     tokens_per_sec: float | None = None
     simulated_speedup: float | None = None
@@ -74,40 +76,35 @@ class BenchReport:
     per_prompt_cr: list[float] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "subtask": self.subtask,
-            "pooled_cr": self.pooled_cr,
-            "macro_cr": self.macro_cr,
-            "ctar": {f"ctar_{w}": v for w, v in sorted(self.ctar_pooled.items())},
-            "n_prompts": self.n_prompts,
-            "total_tokens": self.total_tokens,
-            "total_rounds": self.total_rounds,
-            "speedup": self.speedup,
-            "tokens_per_sec": self.tokens_per_sec,
-            "simulated_speedup": self.simulated_speedup,
-            "nonfinite_confidences": self.nonfinite_confidences,
-            "drafting_rounds": self.drafting_rounds,
-            "deferred_rounds": self.deferred_rounds,
-            "per_prompt_cr": self.per_prompt_cr,
-        }
+        """Every field, with CTAR as ``{"ctar": {"ctar_<w>": ...}}``."""
+        payload = {"ctar" if k == "ctar_pooled" else k: v for k, v in asdict(self).items()}
+        payload["ctar"] = {f"ctar_{w}": v for w, v in sorted(self.ctar_pooled.items())}
         return json.dumps(payload, indent=2)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        header = ["subtask", "CR"] + [f"CTAR_{w}" for w in CTAR_WINDOWS] + [
-            "speedup",
-            "tokens_per_sec",
-            "simulated_speedup",
-        ]
-        fmt = lambda v: "" if v is None else f"{v:.6f}"
-        writer.writerow(header)
+
+def to_csv(reports: list[BenchReport]) -> str:
+    """One CSV row per report; a field the report lacks is an empty cell."""
+
+    def cell(value, spec: str = ".6f") -> str:
+        return "" if value is None else format(value, spec)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["eta", "gamma", "CR"]
+        + [f"CTAR_{w}" for w in CTAR_WINDOWS]
+        + ["simulated_speedup", "measured_speedup", "tokens_per_sec"]
+        + ["nonfinite_confidences", "drafting_rounds", "deferred_rounds", "subtask"]
+    )
+    for r in reports:
         writer.writerow(
-            [self.subtask, f"{self.pooled_cr:.6f}"]
-            + [f"{self.ctar_pooled[w]:.6f}" for w in CTAR_WINDOWS]
-            + [fmt(self.speedup), fmt(self.tokens_per_sec), fmt(self.simulated_speedup)]
+            [cell(r.eta, "g"), cell(r.gamma, "d"), cell(r.pooled_cr)]
+            + [cell(r.ctar_pooled[w]) for w in CTAR_WINDOWS]
+            + [cell(r.simulated_speedup), cell(r.speedup), cell(r.tokens_per_sec)]
+            + [cell(r.nonfinite_confidences, "d"), cell(r.drafting_rounds, "d")]
+            + [cell(r.deferred_rounds, "d"), r.subtask]
         )
-        return buf.getvalue()
+    return buf.getvalue()
 
 
 def aggregate(

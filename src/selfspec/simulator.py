@@ -9,12 +9,15 @@ rejected, and a second, one-row verification when it is fully accepted.
 In the free-draft limit (all costs but the verification zero) the
 predicted speedup equals the compression rate when no fully accepted round
 was deferred, which is the proportionality the sweeps explore.
+
+``sweep`` decodes a corpus under each of a list of draft policies and makes
+one ``metrics.BenchReport`` per policy, with predicted speedup and trace
+counts added; the CLI's ``bench`` is a one-policy sweep.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,7 +32,7 @@ from .engine import (
     run_corpus,
 )
 from .errors import CalibrationError, ConfigError, MetricsDomainError
-from .metrics import CTAR_WINDOWS, aggregate
+from .metrics import BenchReport, aggregate
 from .model import (
     FeatureBlock,
     KVCacheSet,
@@ -92,69 +95,34 @@ def simulate_speedup(
     return t_vanilla / t_spec
 
 
-@dataclass
-class SweepPoint:
-    eta: float
-    gamma: int
-    cr: float
-    ctars: dict[int, float]
-    simulated_speedup: float
-    measured_speedup: float
-
-
-@dataclass
-class SimReport:
-    points: list[SweepPoint]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["eta", "gamma", "CR"]
-            + [f"CTAR_{w}" for w in CTAR_WINDOWS]
-            + ["simulated_speedup", "measured_speedup"]
-        )
-        for p in self.points:
-            writer.writerow(
-                [f"{p.eta:g}", p.gamma, f"{p.cr:.6f}"]
-                + [f"{p.ctars[w]:.6f}" for w in CTAR_WINDOWS]
-                + [f"{p.simulated_speedup:.6f}", f"{p.measured_speedup:.6f}"]
-            )
-        return buf.getvalue()
-
-
 def sweep(
     model: TargetWeights,
     adapter: AdapterWeights,
     prompts: list[list[int]],
-    etas: list[float],
-    gammas: list[int],
+    policies: list[DraftPolicy],
     lat: LatencyModel,
     n_tokens: int = 64,
-) -> SimReport:
-    """Run the engine at every grid point over the prompts.
+    subtask: str = "corpus",
+) -> list[BenchReport]:
+    """Run the engine under every policy over the prompts; one report each.
 
-    Traces depend on the threshold, so each point re-runs the engine; every
+    Traces depend on the policy, so each policy re-runs the engine; every
     run is cross-checked token-for-token against the greedy reference.
     """
-    policies = [DraftPolicy(eta=eta, gamma_max=gamma) for eta in etas for gamma in gammas]
     vanilla_seconds, runs = run_corpus(model, adapter, policies, prompts, n_tokens)
-    points = []
+    reports = []
     for run in runs:
-        report = aggregate(
-            run.records, vanilla_seconds=vanilla_seconds, spec_seconds=run.seconds
+        report = aggregate(run.records, vanilla_seconds, run.seconds, subtask)
+        traces = run.rounds
+        report.eta, report.gamma = run.policy.eta, run.policy.gamma_max
+        report.simulated_speedup = simulate_speedup(run.results, lat, report.total_tokens)
+        report.nonfinite_confidences = sum(
+            not math.isfinite(c) for trace in traces for c in trace.confidences
         )
-        points.append(
-            SweepPoint(
-                eta=run.policy.eta,
-                gamma=run.policy.gamma_max,
-                cr=report.pooled_cr,
-                ctars=report.ctar_pooled,
-                simulated_speedup=simulate_speedup(run.results, lat, report.total_tokens),
-                measured_speedup=report.speedup,
-            )
-        )
-    return SimReport(points=points)
+        report.drafting_rounds = sum(trace.drafted > 0 for trace in traces)
+        report.deferred_rounds = sum(trace.deferred for trace in traces)
+        reports.append(report)
+    return reports
 
 
 def calibrate_latency(

@@ -194,9 +194,10 @@ def test_criterion_7_ablation_shape(trained_setup):
     model, _, trained, _, held_out, _ = trained_setup
     lat = calibrate_latency(model, trained, reps=3)
     etas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    report = sweep(model, trained, held_out[:6], etas, [6], lat, n_tokens=48)
-    cr_by_eta = {p.eta: p.cr for p in report.points}
-    sim_by_eta = {p.eta: p.simulated_speedup for p in report.points}
+    policies = [DraftPolicy(eta=eta, gamma_max=6) for eta in etas]
+    report = sweep(model, trained, held_out[:6], policies, lat, n_tokens=48)
+    cr_by_eta = {p.eta: p.pooled_cr for p in report}
+    sim_by_eta = {p.eta: p.simulated_speedup for p in report}
     assert cr_by_eta[0.0] == max(cr_by_eta.values()), "eta=0 must attain the maximum CR"
     better = [eta for eta in etas if eta > 0 and sim_by_eta[eta] >= sim_by_eta[0.0]]
     assert better, "some eta > 0 must match or beat eta=0 in simulated speedup"

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import re
 import struct
 import warnings
@@ -8,6 +11,7 @@ import pytest
 
 import selfspec.cli
 import selfspec.engine
+import selfspec.simulator
 from selfspec import gen_passthrough_model, passthrough_adapter
 from selfspec.cli import main
 from selfspec.adapter import AdapterWeights
@@ -55,6 +59,29 @@ def faulty_verifier(monkeypatch):
         return accepted + 1 if accepted < len(drafts) else accepted
 
     monkeypatch.setattr(selfspec.engine, "_accepted_prefix", off_by_one)
+
+
+@pytest.fixture()
+def nan_confidence_runs(monkeypatch):
+    """Every draft confidence is NaN; returns each ``run_corpus`` call's result.
+
+    A NaN confidence stops each drafting round at its first draft.
+    """
+    probe = selfspec.engine.draft_logits
+    run_corpus = selfspec.simulator.run_corpus
+    runs = []
+
+    def nan_confidence(*args):
+        logits, _, token = probe(*args)
+        return logits, float("nan"), token
+
+    def recorded(*args):
+        runs.append(run_corpus(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(selfspec.engine, "draft_logits", nan_confidence)
+    monkeypatch.setattr(selfspec.simulator, "run_corpus", recorded)
+    return runs
 
 
 class TestGenerators:
@@ -182,23 +209,8 @@ class TestBench:
         assert payload["pooled_cr"] == 7.0
 
     def test_json_counts_nonfinite_confidences_and_deferred_rounds(
-        self, tmp_path, artifacts, monkeypatch
+        self, tmp_path, artifacts, nan_confidence_runs
     ):
-        # A NaN confidence stops each drafting round at its first draft.
-        probe = selfspec.engine.draft_logits
-        runs = []
-
-        def nan_confidence(*args):
-            logits, _, token = probe(*args)
-            return logits, float("nan"), token
-
-        def recorded(*args):
-            runs.append(run_corpus(*args))
-            return runs[-1]
-
-        run_corpus = selfspec.cli.run_corpus
-        monkeypatch.setattr(selfspec.engine, "draft_logits", nan_confidence)
-        monkeypatch.setattr(selfspec.cli, "run_corpus", recorded)
         model, adapter, corpus = artifacts
         out = tmp_path / "report.json"
         assert main([
@@ -206,7 +218,7 @@ class TestBench:
             "--corpus", str(corpus), "--n-tokens", "24", "--out", str(out),
         ]) == 0
         payload = json.loads(out.read_text())
-        [run] = runs[0][1]
+        [run] = nan_confidence_runs[0][1]
         assert payload["nonfinite_confidences"] == sum(t.drafted for t in run.rounds) > 0
         deferred = sum(t.deferred for t in run.rounds)
         assert payload["deferred_rounds"] == deferred > 0
@@ -215,16 +227,25 @@ class TestBench:
         assert payload["drafting_rounds"] == drafting
         assert deferred <= drafting < len(run.rounds) - len(run.results)
 
-    def test_csv_format(self, tmp_path, artifacts):
+    def test_json_agrees_with_one_point_sweep(self, tmp_path, artifacts):
         model, adapter, corpus = artifacts
-        out = tmp_path / "report.csv"
-        assert main([
-            "bench", "--model", str(model), "--adapter", str(adapter),
-            "--corpus", str(corpus), "--n-tokens", "8",
-            "--format", "csv", "--out", str(out),
-        ]) == 0
-        header = out.read_text().splitlines()[0]
-        assert header.startswith("subtask,CR,CTAR_1")
+        inputs = ["--model", str(model), "--adapter", str(adapter), "--corpus", str(corpus),
+                  "--n-tokens", "24", "--seed", "5"]
+        bench_out, sweep_out = tmp_path / "bench.json", tmp_path / "sweep.csv"
+        assert main(["bench", *inputs, "--eta", "0.3", "--gamma", "4",
+                     "--out", str(bench_out)]) == 0
+        assert main(["sweep", *inputs, "--etas", "0.3", "--gammas", "4",
+                     "--out", str(sweep_out)]) == 0
+        payload = json.loads(bench_out.read_text())
+        [row] = csv.DictReader(io.StringIO(sweep_out.read_text()))
+        assert (payload["eta"], payload["gamma"]) == (0.3, 4)
+        assert (float(row["eta"]), int(row["gamma"])) == (0.3, 4)
+        assert row["CR"] == f"{payload['pooled_cr']:.6f}"
+        for w in range(1, 7):
+            assert row[f"CTAR_{w}"] == f"{payload['ctar'][f'ctar_{w}']:.6f}"
+        for counter in ("nonfinite_confidences", "drafting_rounds", "deferred_rounds"):
+            assert int(row[counter]) == payload[counter]
+        assert payload["drafting_rounds"] > 0
 
     def test_deterministic_apart_from_timing(self, tmp_path, artifacts):
         model, adapter, corpus = artifacts
@@ -330,6 +351,28 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 2
         assert lines[0].split(",")[:3] == ["eta", "gamma", "CR"]
 
+    def test_csv_counts_match_traces(self, tmp_path, artifacts, nan_confidence_runs):
+        model, adapter, corpus = artifacts
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--model", str(model), "--adapter", str(adapter),
+            "--corpus", str(corpus), "--etas", "0,0.5", "--gammas", "2,4",
+            "--n-tokens", "24", "--out", str(out),
+        ]) == 0
+        [(_, runs)] = nan_confidence_runs
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == len(runs) == 4
+        for row, run in zip(rows, runs):
+            traces = run.rounds
+            assert (float(row["eta"]), int(row["gamma"])) == (run.policy.eta, run.policy.gamma_max)
+            assert int(row["nonfinite_confidences"]) == sum(
+                not math.isfinite(c) for t in traces for c in t.confidences
+            )
+            assert int(row["drafting_rounds"]) == sum(t.drafted > 0 for t in traces)
+            assert int(row["deferred_rounds"]) == sum(t.deferred for t in traces)
+        assert all(int(row["nonfinite_confidences"]) > 0 for row in rows)
+        assert sum(int(row["deferred_rounds"]) for row in rows) > 0
+
     def test_exit_layer_override(self, tmp_path, artifacts):
         # Re-splitting at load time must act like a model generated with
         # that exit layer: same weights, only the header's exit_layer differs.
@@ -393,14 +436,38 @@ class TestNegativeTokenCount:
     ], ids=["bench", "verify-lossless", "sweep"])
     def test_exit_2_not_a_divergence(self, artifacts, capsys, command, grid):
         model, adapter, corpus = artifacts
+        for n_tokens in ("-3", "0"):
+            code = main([
+                command, "--model", str(model), "--adapter", str(adapter),
+                "--corpus", str(corpus), "--n-tokens", n_tokens, *grid,
+            ])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "--n-tokens must be >= 1" in captured.err
+            assert "losslessness violation" not in captured.out + captured.err
+            assert "PASS" not in captured.out
+
+
+class TestPolicyGrid:
+    @pytest.mark.parametrize("command,grid", [
+        ("bench", ["--gamma", "-1"]),
+        ("bench", ["--eta", "1.5"]),
+        ("sweep", ["--gammas", "-1"]),
+        ("sweep", ["--etas", "0,2"]),
+    ], ids=["bench-gamma", "bench-eta", "sweep-gammas", "sweep-etas"])
+    def test_bad_policy_exits_2_before_calibrating(
+        self, artifacts, monkeypatch, command, grid
+    ):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated before validating the policy grid")
+
+        monkeypatch.setattr(selfspec.cli, "calibrate_latency", no_calibration)
+        model, adapter, corpus = artifacts
         code = main([
             command, "--model", str(model), "--adapter", str(adapter),
-            "--corpus", str(corpus), "--n-tokens", "-3", *grid,
+            "--corpus", str(corpus), "--n-tokens", "8", *grid,
         ])
-        captured = capsys.readouterr()
         assert code == 2
-        assert "n_tokens must be >= 0" in captured.err
-        assert "losslessness violation" not in captured.out + captured.err
 
 
 class TestParser:

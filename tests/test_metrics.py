@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from selfspec import AcceptanceRecord, aggregate, compression_rate, ctar
 from selfspec.errors import MetricsDomainError, ShapeError
+from selfspec.metrics import to_csv
 
 from oracles import naive_compression_rate, naive_ctar
 
@@ -105,10 +106,17 @@ class TestAggregate:
 
     def test_csv_columns(self):
         report = aggregate([AcceptanceRecord([3, 1])], subtask="demo")
-        header = report.to_csv().splitlines()[0].split(",")
-        assert header[:2] == ["subtask", "CR"]
-        assert header[2:8] == [f"CTAR_{w}" for w in range(1, 7)]
-        assert header[8:] == ["speedup", "tokens_per_sec", "simulated_speedup"]
+        header, row = to_csv([report]).splitlines()
+        assert header.split(",") == (
+            ["eta", "gamma", "CR"]
+            + [f"CTAR_{w}" for w in range(1, 7)]
+            + ["simulated_speedup", "measured_speedup", "tokens_per_sec"]
+            + ["nonfinite_confidences", "drafting_rounds", "deferred_rounds", "subtask"]
+        )
+        # fields a bare aggregate lacks are empty cells
+        assert row.split(",") == (
+            ["", "", "2.000000"] + ["0.500000"] * 2 + ["0.000000"] * 4 + [""] * 6 + ["demo"]
+        )
 
     def test_json_round_trip(self):
         import json

@@ -11,7 +11,7 @@ from selfspec import (
 )
 from selfspec.engine import GenerationResult, RoundTrace, StopReason
 from selfspec.errors import CalibrationError, ConfigError, MetricsDomainError
-from selfspec.metrics import CTAR_WINDOWS
+from selfspec.metrics import CTAR_WINDOWS, to_csv
 from selfspec.seeding import generator
 
 
@@ -115,39 +115,54 @@ def prompts(small_model):
     ]
 
 
+def grid(etas, gammas):
+    return [DraftPolicy(eta=eta, gamma_max=gamma) for eta in etas for gamma in gammas]
+
+
 class TestSweep:
     def test_grid_shape(self, small_model, small_adapter, prompts):
         lat = LatencyModel(c_big=1.0, c_shallow=0.2, c_adapter=0.1)
-        report = sweep(small_model, small_adapter, prompts, [0.0, 0.5], [0, 3, 6], lat, n_tokens=24)
-        assert len(report.points) == 2 * 3
-        lines = report.to_csv().strip().splitlines()
+        policies = grid([0.0, 0.5], [0, 3, 6])
+        report = sweep(small_model, small_adapter, prompts, policies, lat, n_tokens=24)
+        assert len(report) == 2 * 3
+        lines = to_csv(report).strip().splitlines()
         assert len(lines) == 1 + 6
         assert lines[0].split(",")[:3] == ["eta", "gamma", "CR"]
         assert lines[0].split(",")[3:9] == [f"CTAR_{w}" for w in CTAR_WINDOWS]
+        assert lines[0].split(",")[9:11] == ["simulated_speedup", "measured_speedup"]
+        # appended after the 11 original columns
+        assert lines[0].split(",")[11:] == [
+            "tokens_per_sec", "nonfinite_confidences", "drafting_rounds", "deferred_rounds",
+            "subtask",
+        ]
+        assert [row.split(",")[:2] for row in lines[1:]] == [
+            [eta, gamma] for eta in ("0", "0.5") for gamma in ("0", "3", "6")
+        ]
 
     def test_gamma_zero_row_is_vanilla(self, small_model, small_adapter, prompts):
         lat = LatencyModel(c_big=1.0)
-        report = sweep(small_model, small_adapter, prompts, [0.0, 0.4, 0.9], [0], lat, n_tokens=16)
-        assert all(p.cr == 1.0 for p in report.points)
+        policies = grid([0.0, 0.4, 0.9], [0])
+        report = sweep(small_model, small_adapter, prompts, policies, lat, n_tokens=16)
+        assert all(p.pooled_cr == 1.0 for p in report)
 
     def test_eta_zero_attains_max_cr(self, small_model, small_adapter, prompts):
         lat = LatencyModel(c_big=1.0, c_shallow=0.1, c_adapter=0.1)
         report = sweep(
-            small_model, small_adapter, prompts, [0.0, 0.3, 0.6, 1.0], [6], lat, n_tokens=32
+            small_model, small_adapter, prompts, grid([0.0, 0.3, 0.6, 1.0], [6]), lat, n_tokens=32
         )
-        by_eta = {p.eta: p.cr for p in report.points}
+        by_eta = {p.eta: p.pooled_cr for p in report}
         assert by_eta[0.0] == max(by_eta.values())
 
     def test_cr_grid_reproducible(self, small_model, small_adapter, prompts):
         lat = LatencyModel(c_big=1.0)
-        a = sweep(small_model, small_adapter, prompts, [0.0, 0.5], [2], lat, n_tokens=16)
-        b = sweep(small_model, small_adapter, prompts, [0.0, 0.5], [2], lat, n_tokens=16)
-        assert [p.cr for p in a.points] == [p.cr for p in b.points]
-        assert [p.ctars for p in a.points] == [p.ctars for p in b.points]
+        a = sweep(small_model, small_adapter, prompts, grid([0.0, 0.5], [2]), lat, n_tokens=16)
+        b = sweep(small_model, small_adapter, prompts, grid([0.0, 0.5], [2]), lat, n_tokens=16)
+        assert [p.pooled_cr for p in a] == [p.pooled_cr for p in b]
+        assert [p.ctar_pooled for p in a] == [p.ctar_pooled for p in b]
 
     def test_empty_grid_rejected(self, small_model, small_adapter, prompts):
         with pytest.raises(ConfigError):
-            sweep(small_model, small_adapter, prompts, [], [2], LatencyModel(c_big=1.0), 8)
+            sweep(small_model, small_adapter, prompts, grid([], [2]), LatencyModel(c_big=1.0), 8)
 
 
 class TestCalibration:
