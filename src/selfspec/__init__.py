@@ -21,6 +21,7 @@ from .engine import (
     DecodeSession,
     DraftPolicy,
     GenerationResult,
+    LatencyModel,
     RoundTrace,
     StopReason,
     generate,
@@ -43,7 +44,7 @@ from .model import (
     prefill,
     vanilla_greedy_decode,
 )
-from .simulator import LatencyModel, calibrate_latency, simulate_speedup, sweep
+from .simulator import calibrate_latency, simulate_speedup, sweep
 from .training import (
     AdamW,
     DistillBatch,

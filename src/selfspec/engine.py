@@ -30,6 +30,7 @@ function of the inputs, and the tokens are greedy's.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -128,14 +129,73 @@ class DraftWindow:
         return len(self.features) == len(self.drafts)
 
 
-# Pass costs in units of one decoder layer's one-row pass, fitted on the
-# desk model (seed 1, contexts 12 and 36; ``timeit`` best of 7 x 300 calls on
-# 2 shared x86-64 cores, numpy 2.4.6, OpenBLAS 0.3.31).  Its two shallow
-# layers took 118-210 us for one row, an adapter probe 54-100 us, and the six
-# remaining layers with the LM head 413-530 us at T=1 and 772-1106 us at T=7:
-# a + b*T with b/a about 0.17, and one layer's one-row pass about 69 us.
-# Other depths scale the per-layer terms by ``exit_layer`` and ``n_layers``;
-# that is an extrapolation, measured at the desk depth only.
+def round_passes(drafted: int, deferred: bool = False, fully_accepted: bool = False) -> tuple:
+    """A round's shallow rows, probes, verifications, verified rows and rounds (one).
+
+    An eager round verifies its ``drafted + 1`` features in one pass; a
+    deferred one verifies ``drafted``, and runs its final draft's shallow row
+    and a one-row bonus verification only when every draft is accepted.
+    """
+    bonus = deferred and fully_accepted
+    verified = drafted + (not deferred) + bonus
+    return drafted + (not deferred or bonus), drafted, 1 + bonus, verified, 1
+
+
+@dataclass(frozen=True)
+class LatencyModel:
+    """Per-pass costs, in any consistent time unit.
+
+    ``c_big`` is a one-row verification; a T-row one costs ``c_big + (T - 1) * c_row``.
+    """
+
+    c_big: float
+    c_shallow: float = 0.0
+    c_adapter: float = 0.0
+    c_overhead: float = 0.0
+    c_row: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.c_big <= 0 or min(self.costs) < 0:
+            raise ConfigError(f"need c_big > 0, other costs >= 0 and c_row <= c_big: {self}")
+
+    @property
+    def costs(self) -> tuple[float, ...]:
+        """Each pass's cost in ``round_passes`` order; a verification pass is ``c_big - c_row``."""
+        return self.c_shallow, self.c_adapter, self.c_big - self.c_row, self.c_row, self.c_overhead
+
+    def cost(self, passes) -> float:
+        """The cost of pass counts in ``round_passes`` order, summed left to right.
+
+        The drafting decision's ties between integer counts depend on that association.
+        """
+        return sum(n * c for n, c in zip(passes, self.costs))
+
+    @property
+    def step(self) -> float:
+        """One greedy step: a shallow row and a one-row verification."""
+        return self.cost((1, 0, 1, 1, 0))
+
+    def round_cost(self, drafted: int, deferred: bool = False, fully_accepted: bool = False) -> float:
+        """Cost of a round with ``drafted`` drafts (see ``round_passes``)."""
+        return self.cost(round_passes(drafted, deferred, fully_accepted))
+
+    def request_cost(self, result: GenerationResult) -> float:
+        """Cost of one ``generate`` request: the passes each of its rounds ran."""
+        return sum(
+            self.round_cost(t.drafted, t.deferred, t.accepted_drafts == t.drafted)
+            for t in result.rounds
+        )
+
+
+# The drafting decision's pass costs, in units of one decoder layer's
+# one-row pass, fitted on the desk model (seed 1, contexts 12 and 36;
+# ``timeit`` best of 7 x 300 calls on 2 shared x86-64 cores, numpy 2.4.6,
+# OpenBLAS 0.3.31).  Its two shallow layers took 118-210 us for one row, an
+# adapter probe 54-100 us, and the six remaining layers with the LM head
+# 413-530 us at T=1 and 772-1106 us at T=7: a + b*T with b/a about 0.17, and
+# one layer's one-row pass about 69 us.  ``_decision_costs`` scales the per-layer
+# terms by ``exit_layer`` and ``n_layers`` into a ``LatencyModel``; other
+# depths are an extrapolation, measured at the desk depth only.
 SHALLOW_ROW = 0.9  # one row through one shallow layer
 PROBE = 0.9  # one adapter probe: attention layer, norms and LM head
 VERIFY_PASS = 0.85  # a: one remaining layer's pass, whatever its rows
@@ -148,6 +208,18 @@ PRIOR_HITS = 3
 # Rounds a session skips after the first drafting round that leaves the
 # estimate losing; each further losing drafting round doubles it.
 BACKOFF = 4
+
+
+@functools.lru_cache
+def _decision_costs(config: ModelConfig) -> tuple[float, float, float]:
+    """A greedy step, what a round's first draft adds, and what deferring saves."""
+    deep = config.n_layers - config.exit_layer
+    row = deep * VERIFY_ROW
+    lat = LatencyModel(deep * VERIFY_PASS + row, config.exit_layer * SHALLOW_ROW, PROBE, c_row=row)
+    eager = round_passes(1)
+    first_draft = [n - z for n, z in zip(eager, round_passes(0))]
+    deferral = [n - d for n, d in zip(eager, round_passes(1, True))]
+    return lat.step, lat.cost(first_draft), lat.cost(deferral)
 
 
 class _Drafting:
@@ -168,12 +240,7 @@ class _Drafting:
     """
 
     def __init__(self, config: ModelConfig):
-        shallow = config.exit_layer * SHALLOW_ROW
-        deep = config.n_layers - config.exit_layer
-        row = deep * VERIFY_ROW
-        self.step = shallow + deep * VERIFY_PASS + row
-        self.per_draft = PROBE + shallow + row
-        self.per_deferral = shallow + row
+        self.step, self.per_draft, self.per_deferral = _decision_costs(config)
         self.rounds, self.hits = PRIOR_ROUNDS, PRIOR_HITS
         self.stopped = self.full = 0  # threshold-stopped rounds, fully accepted ones
         self.skips, self.backoff = 0, BACKOFF
@@ -417,12 +484,6 @@ class PolicyRun:
         return [AcceptanceRecord(result.emitted_per_round) for result in self.results]
 
 
-def _timed(fn: Callable, *args) -> tuple[object, float]:
-    t0 = time.perf_counter()
-    result = fn(*args)
-    return result, time.perf_counter() - t0
-
-
 def _divergence_report(policy: DraftPolicy, prompt_idx: int, result, reference) -> str:
     pos = next(
         (i for i, (a, b) in enumerate(zip(result.tokens, reference)) if a != b),
@@ -454,14 +515,14 @@ def run_corpus(
     """
     if not policies or not prompts:
         raise ConfigError("a corpus run needs at least one policy and one prompt")
-    references, vanilla_seconds = zip(
-        *(_timed(vanilla_greedy_decode, model, prompt, n_tokens) for prompt in prompts)
+    vanilla_seconds, references = zip(
+        *(measure_walltime(vanilla_greedy_decode, model, prompt, n_tokens) for prompt in prompts)
     )
     runs = []
     for policy in policies:
         run = PolicyRun(policy, [], [])
         for idx, (prompt, reference) in enumerate(zip(prompts, references)):
-            result, seconds = _timed(generate, model, adapter, policy, prompt, n_tokens)
+            seconds, result = measure_walltime(generate, model, adapter, policy, prompt, n_tokens)
             if result.tokens != reference:
                 raise LosslessnessError(_divergence_report(policy, idx, result, reference))
             run.results.append(result)
@@ -470,23 +531,19 @@ def run_corpus(
     return list(vanilla_seconds), runs
 
 
-def measure_walltime(
-    run: Callable[[], object], repetitions: int = 3
-) -> tuple[float, float, object]:
-    """Median monotonic-clock timing of ``run`` after one warmup call.
+def measure_walltime(fn: Callable, *args, repetitions: int = 1, warmup: bool = False) -> tuple:
+    """Median monotonic-clock seconds of ``repetitions`` calls ``fn(*args)``.
 
-    Returns ``(tokens_per_sec, seconds, result)`` when the result exposes
-    ``tokens`` (tokens/sec is 0 otherwise).
+    With ``warmup`` one untimed call runs first.  Returns the seconds and
+    the last call's result.
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
-    result = run()  # warmup
+    if warmup:
+        fn(*args)
     times = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        result = run()
+        result = fn(*args)
         times.append(time.perf_counter() - t0)
-    seconds = float(np.median(times))
-    tokens = getattr(result, "tokens", None)
-    n = len(tokens) if tokens is not None else 0
-    return (n / seconds if seconds > 0 and n else 0.0), seconds, result
+    return float(np.median(times)), result

@@ -1,14 +1,12 @@
-"""Analytic latency model and policy sweeps.
+"""Latency predictions from traces, calibration, and policy sweeps.
 
-The model charges four abstract costs per round: one shallow forward per
-feature (the newest token's and each draft's, ``d_k + 1`` in all), one
-adapter probe per draft, one batched remaining-layers verification, and a
-fixed per-round overhead.  A round that deferred its final draft's feature
-(``RoundTrace.deferred``) is charged one shallow forward fewer when it is
-rejected, and a second, one-row verification when it is fully accepted.
-In the free-draft limit (all costs but the verification zero) the
-predicted speedup equals the compression rate when no fully accepted round
-was deferred, which is the proportionality the sweeps explore.
+``engine.LatencyModel`` prices the passes each round ran (``round_passes``):
+a shallow row per feature, an adapter probe per draft, a verification of
+``c_big`` for one row plus ``c_row`` per further row (a deferred round's
+bonus pass is one row), and a per-round overhead.  Greedy decoding costs a
+shallow row and a one-row verification per token, the step the drafting
+decision weighs a draft against.  In the free-draft limit (every cost but
+``c_big`` zero) the predicted speedup equals the compression rate.
 
 ``sweep`` decodes a corpus under each of a list of draft policies and makes
 one ``metrics.BenchReport`` per policy, with predicted speedup and trace
@@ -18,8 +16,6 @@ counts added; the CLI's ``bench`` is a one-policy sweep.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +24,9 @@ from .engine import (
     DecodeSession,
     DraftPolicy,
     GenerationResult,
+    LatencyModel,
     measure_walltime,
+    round_passes,
     run_corpus,
 )
 from .errors import CalibrationError, ConfigError, MetricsDomainError
@@ -43,56 +41,15 @@ from .model import (
 )
 from .seeding import generator
 
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Abstract per-component costs (any consistent time unit)."""
-
-    c_big: float
-    c_shallow: float = 0.0
-    c_adapter: float = 0.0
-    c_overhead: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.c_big <= 0:
-            raise ConfigError(f"c_big must be > 0, got {self.c_big}")
-        if min(self.c_shallow, self.c_adapter, self.c_overhead) < 0:
-            raise ConfigError("component costs must be >= 0")
-
-    def round_cost(
-        self, drafted: int, deferred: bool = False, fully_accepted: bool = False
-    ) -> float:
-        """Cost of a round with ``drafted`` drafts.
-
-        A deferred round runs its final draft's shallow pass, and a second
-        verification, only when it is fully accepted.
-        """
-        final_pass = not deferred or fully_accepted
-        bonus_pass = deferred and fully_accepted
-        return (
-            drafted * (self.c_shallow + self.c_adapter)
-            + final_pass * self.c_shallow
-            + (1 + bonus_pass) * self.c_big
-            + self.c_overhead
-        )
+PROBE_LENGTHS = (8, 24, 48)  # contexts at which calibration times single passes
 
 
-def simulate_speedup(
-    results: list[GenerationResult], lat: LatencyModel, n_tokens: int
-) -> float:
+def simulate_speedup(results: list[GenerationResult], lat: LatencyModel, n_tokens: int) -> float:
     """Predicted vanilla-time over speculative-time for one run's requests."""
     emitted = sum(t.emitted for r in results for t in r.rounds)
     if emitted != n_tokens:
-        raise MetricsDomainError(
-            f"traces emit {emitted} tokens but n_tokens is {n_tokens}"
-        )
-    t_vanilla = n_tokens * lat.c_big
-    t_spec = sum(
-        lat.round_cost(t.drafted, t.deferred, t.accepted_drafts == t.drafted)
-        for r in results
-        for t in r.rounds
-    )
-    return t_vanilla / t_spec
+        raise MetricsDomainError(f"traces emit {emitted} tokens but n_tokens is {n_tokens}")
+    return n_tokens * lat.step / sum(lat.request_cost(r) for r in results)
 
 
 def sweep(
@@ -126,91 +83,75 @@ def sweep(
 
 
 def calibrate_latency(
-    model: TargetWeights,
-    adapter: AdapterWeights,
-    probe_lengths: tuple[int, ...] = (8, 24, 48),
-    reps: int = 5,
-    seed: int = 0,
-    gamma: int = 6,
+    model: TargetWeights, adapter: AdapterWeights, reps: int = 5, seed: int = 0, gamma: int = 6
 ) -> LatencyModel:
-    """Fit the four component costs from timed micro-runs.
+    """Fit the five pass costs from timed passes and whole rounds.
 
-    Observations are direct timings of single-token shallow forwards,
-    adapter probes and unit verifications at several context lengths, plus
-    whole engine rounds; the cost vector is the least-squares solution with
-    negative components clamped to zero.
+    At each of ``PROBE_LENGTHS`` it times one shallow row, one adapter
+    probe, and verifications of 1 and ``gamma + 1`` rows; then it times
+    whole engine rounds, counting each one's passes with ``round_passes``.
+    The costs are the least-squares solution in ``LatencyModel.cost`` order,
+    with negative components clamped to zero.
     """
     cfg = model.config
     rng = generator(seed, "calibration")
-    horizon = max(probe_lengths) + gamma + 4
+    horizon = max(PROBE_LENGTHS) + gamma + 4
     if horizon >= cfg.max_seq_len:
         raise ConfigError("probe lengths exceed the model context")
     tokens = [int(t) for t in rng.integers(cfg.vocab_size, size=horizon)]
 
-    rows: list[list[float]] = []
-    times: list[float] = []
-    for ctx in probe_lengths:
+    rows, times = [], []
+
+    def timed(passes: tuple[int, ...], restore: list, fn, *args) -> None:
+        """Time ``fn(*args)``, rolling the ``restore`` caches back after each call."""
+        lengths = [c.length for c in restore]
+
+        def once():
+            fn(*args)
+            for c, n in zip(restore, lengths):
+                c.truncate(n)
+
+        rows.append(passes)
+        times.append(measure_walltime(once, repetitions=reps, warmup=True)[0])
+
+    for ctx in PROBE_LENGTHS:
         caches = KVCacheSet(cfg, dtype=model.dtype)
         feats, _ = prefill(model, tokens[:ctx], caches)
         adapter_forward(adapter, feats, caches.adapter, model.rope)
-
-        def time_shallow():
-            forward_shallow(model, [tokens[ctx]], caches)
-            for c in caches.shallow:
-                c.truncate(ctx)
-
-        rows.append([1.0, 0.0, 0.0, 0.0])
-        times.append(measure_walltime(time_shallow, reps)[1])
-
+        timed((1, 0, 0, 0, 0), caches.shallow, forward_shallow, model, [tokens[ctx]], caches)
         probe = forward_shallow(model, [tokens[ctx]], caches)
-
-        def time_adapter():
-            draft_logits(model, adapter, probe, caches)
-            caches.adapter.truncate(ctx)
-
-        rows.append([0.0, 1.0, 0.0, 0.0])
-        times.append(measure_walltime(time_adapter, reps)[1])
-
+        timed((0, 1, 0, 0, 0), [caches.adapter], draft_logits, model, adapter, probe, caches)
         unit = forward_shallow(model, tokens[ctx + 1 : ctx + 1 + gamma], caches)
-        unit_block = FeatureBlock(start=ctx, values=np.concatenate([probe.values, unit.values]))
-
-        def time_big():
-            forward_remaining(model, unit_block, caches)
-            for c in caches.deep:
-                c.truncate(ctx)
-
-        rows.append([0.0, 0.0, 1.0, 0.0])
-        times.append(measure_walltime(time_big, reps)[1])
+        values = np.concatenate([probe.values, unit.values])
+        for n_rows in (1, gamma + 1):
+            block = FeatureBlock(start=ctx, values=values[:n_rows])
+            timed((0, 0, 1, n_rows, 0), caches.deep, forward_remaining, model, block, caches)
 
     # Whole rounds pin down the per-round overhead.  They follow the
     # session's own drafting decision, so a session whose drafts lose also
     # times the zero-draft rounds that the runs it predicts are made of.
-    prompt = tokens[: max(4, probe_lengths[0])]
+    prompt = tokens[: max(4, PROBE_LENGTHS[0])]
     policy = DraftPolicy(eta=0.0, gamma_max=gamma)
     # The untimed warm-up round also carries the prompt through the
     # adapter, so every timed round is a steady-state one.
     session = DecodeSession(model, adapter, prompt)
     session.verify_window(session.draft_window(policy))
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        window = session.draft_window(policy)
-        session.verify_window(window)
-        dt = time.perf_counter() - t0
-        d = float(len(window.drafts))
-        rows.append([d + 1.0, d, 1.0, 1.0])
-        times.append(dt)
 
-    design = np.array(rows)
-    observed = np.array(times)
-    if np.linalg.matrix_rank(design) < 4:
+    def one_round():
+        window = session.draft_window(policy)
+        return window, session.verify_window(window)[0]
+
+    for _ in range(reps):
+        seconds, (window, accepted) = measure_walltime(one_round)
+        drafted = len(window.drafts)
+        rows.append(round_passes(drafted, window.deferred, accepted == drafted))
+        times.append(seconds)
+
+    design = np.array(rows, dtype=float)
+    if np.linalg.matrix_rank(design) < design.shape[1]:
         raise CalibrationError("calibration design matrix is singular")
-    fitted, *_ = np.linalg.lstsq(design, observed, rcond=None)
-    c_shallow, c_adapter, c_big, c_overhead = np.maximum(fitted, 0.0)
-    if c_big <= 0:
+    fitted, *_ = np.linalg.lstsq(design, np.array(times), rcond=None)
+    c_shallow, c_adapter, c_pass, c_row, c_overhead = np.maximum(fitted, 0.0).tolist()
+    if c_pass + c_row <= 0:
         raise CalibrationError("calibration produced a non-positive verification cost")
-    return LatencyModel(
-        c_big=float(c_big),
-        c_shallow=float(c_shallow),
-        c_adapter=float(c_adapter),
-        c_overhead=float(c_overhead),
-    )
+    return LatencyModel(c_pass + c_row, c_shallow, c_adapter, c_overhead, c_row)

@@ -799,15 +799,27 @@ class TestRunCorpus:
 
 class TestMeasureWalltime:
     def test_self_speedup_is_about_one(self, small_model):
-        run = lambda: vanilla_greedy_decode(small_model, [1, 2, 3], 8)
-        _, seconds_a, _ = measure_walltime(run, repetitions=3)
-        _, seconds_b, _ = measure_walltime(run, repetitions=3)
+        args = (vanilla_greedy_decode, small_model, [1, 2, 3], 8)
+        seconds_a, _ = measure_walltime(*args, repetitions=3, warmup=True)
+        seconds_b, _ = measure_walltime(*args, repetitions=3, warmup=True)
         assert 0.2 <= seconds_a / seconds_b <= 5.0  # identity up to timer noise
 
-    def test_tokens_per_sec_definition(self, small_model, small_adapter):
-        run = lambda: generate(small_model, small_adapter, DraftPolicy(), [1, 2], 16)
-        tokens_per_sec, seconds, result = measure_walltime(run, repetitions=3)
-        assert tokens_per_sec == pytest.approx(len(result.tokens) / seconds)
+    def test_median_of_timed_calls_and_last_result(self, monkeypatch):
+        class Clock:
+            ticks = iter([0.0, 5.0, 10.0, 11.0, 20.0, 23.0])  # calls of 5, 1 and 3 s
+
+            def perf_counter(self):
+                return next(self.ticks)
+
+        monkeypatch.setattr(selfspec.engine, "time", Clock())
+        calls = []
+        seconds, result = measure_walltime(
+            lambda x: calls.append(x) or len(calls), 7, repetitions=3, warmup=True
+        )
+        assert seconds == 3.0
+        assert calls == [7] * 4 and result == 4  # the warm-up is not timed
+        with pytest.raises(ConfigError):
+            measure_walltime(len, [], repetitions=0)
 
     def test_full_acceptance_fixture_beats_vanilla(self):
         # With every draft accepted, skipping per-token deep forwards must

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from selfspec import (
     DraftPolicy,
     LatencyModel,
     calibrate_latency,
+    gen_model,
     generate,
+    init_adapter,
+    measure_walltime,
     simulate_speedup,
     sweep,
 )
@@ -37,6 +42,10 @@ class TestLatencyModel:
             LatencyModel(c_big=0.0)
         with pytest.raises(ConfigError):
             LatencyModel(c_big=1.0, c_shallow=-0.1)
+        with pytest.raises(ConfigError):
+            LatencyModel(c_big=1.0, c_row=-0.5)
+        with pytest.raises(ConfigError):  # a row costs more than a one-row pass
+            LatencyModel(c_big=1.0, c_row=1.5)
 
     def test_round_cost(self):
         lat = LatencyModel(c_big=10.0, c_shallow=1.0, c_adapter=2.0, c_overhead=0.5)
@@ -46,6 +55,22 @@ class TestLatencyModel:
         assert lat.round_cost(3, deferred=True) == 3 * 3.0 + 10.0 + 0.5
         assert lat.round_cost(3, True, True) == 3 * 3.0 + 1.0 + 20.0 + 0.5
         assert lat.round_cost(3, False, True) == lat.round_cost(3)
+
+    def test_verification_charges_each_row_past_the_first(self):
+        lat = LatencyModel(c_big=10.0, c_row=1.5)
+        # an eager round verifies its drafts and the newest token's row
+        for drafted in range(7):
+            assert lat.round_cost(drafted) == 10.0 + drafted * 1.5
+        # a deferred round verifies one row fewer
+        assert lat.round_cost(3, deferred=True) == 10.0 + 2 * 1.5
+
+    def test_deferred_bonus_pass_is_one_row(self):
+        lat = LatencyModel(c_big=8.0, c_shallow=1.0, c_adapter=2.0, c_overhead=0.5, c_row=0.25)
+        rejected, accepted = lat.round_cost(6, True), lat.round_cost(6, True, True)
+        # full acceptance adds the final draft's shallow row and a one-row pass
+        assert accepted - rejected == 1.0 + 8.0
+        # six drafts, seven rows in all, over two verification passes
+        assert accepted == 7 * 1.0 + 6 * 2.0 + 2 * 8.0 + 5 * 0.25 + 0.5
 
 
 class TestSimulateSpeedup:
@@ -65,6 +90,13 @@ class TestSimulateSpeedup:
         traces = [trace(0, 1)] * 5
         lat = LatencyModel(c_big=3.0)
         assert simulate_speedup([request(traces)], lat, 5) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_draft_rounds_cost_a_greedy_step(self):
+        # A gamma_max=0 run: each round is one shallow row and a one-row
+        # verification, which is what a greedy step costs.
+        traces = [trace(0, 1)] * 5
+        lat = LatencyModel(c_big=3.0, c_shallow=0.5, c_adapter=2.0)
+        assert simulate_speedup([request(traces)] * 2, lat, 10) == 1.0
 
     def test_token_mismatch_rejected(self):
         with pytest.raises(MetricsDomainError):
@@ -88,20 +120,21 @@ class TestSimulateSpeedup:
         thr = StopReason.THRESHOLD
         traces = [trace(1, 1, thr), trace(2, 1, thr, True), trace(1, 2, thr, True)]
         lat = LatencyModel(c_big=10.0, c_shallow=1.0)
-        # eager 2 + 10, deferred and rejected 2 + 10, deferred and accepted 2 + 2 * 10
-        assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(40.0 / 46.0)
+        # eager 2 + 10, deferred and rejected 2 + 10, deferred and accepted
+        # 2 + 2 * 10, against four greedy steps of 1 + 10
+        assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(44.0 / 46.0)
         # a rejected round costs a shallow pass less when it deferred
         eager = simulate_speedup([request(traces[:1])] * 2, lat, 2)
-        assert eager == pytest.approx(20.0 / 24.0)
+        assert eager == pytest.approx(22.0 / 24.0)
         deferred = simulate_speedup([request([trace(1, 1, thr, True)])] * 2, lat, 2)
-        assert deferred == pytest.approx(20.0 / 22.0)
+        assert deferred == pytest.approx(22.0 / 22.0)
 
     def test_monotone_in_each_cost(self):
         traces = [trace(3, 2), trace(2, 4), trace(3, 1)]
         n = 7
         base = LatencyModel(c_big=5.0, c_shallow=0.2, c_adapter=0.1, c_overhead=0.3)
         s0 = simulate_speedup([request(traces)], base, n)
-        for field in ("c_shallow", "c_adapter", "c_overhead"):
+        for field in ("c_shallow", "c_adapter", "c_overhead", "c_row"):
             bumped = {**base.__dict__, field: getattr(base, field) + 0.2}
             assert simulate_speedup([request(traces)], LatencyModel(**bumped), n) < s0
 
@@ -167,29 +200,24 @@ class TestSweep:
 
 class TestCalibration:
     def test_fit_is_positive_and_usable(self, small_model, small_adapter):
-        lat = calibrate_latency(small_model, small_adapter, probe_lengths=(6, 12), reps=3)
+        lat = calibrate_latency(small_model, small_adapter, reps=3)
         assert lat.c_big > 0
-        assert min(lat.c_shallow, lat.c_adapter, lat.c_overhead) >= 0.0
+        assert min(lat.c_shallow, lat.c_adapter, lat.c_overhead, lat.c_row) >= 0.0
+        assert lat.c_row <= lat.c_big
 
     def test_predicts_held_out_run(self, small_model, small_adapter):
-        import time
-
         policy = DraftPolicy(eta=0.0, gamma_max=6)
         prompt = [5, 1, 3, 2]
         n_tokens = 48
         generate(small_model, small_adapter, policy, prompt, n_tokens)  # warmup
 
         def relative_error():
-            lat = calibrate_latency(
-                small_model, small_adapter, probe_lengths=(6, 12, 20), reps=9
+            lat = calibrate_latency(small_model, small_adapter, reps=9)
+            measured, result = measure_walltime(
+                generate, small_model, small_adapter, policy, prompt, n_tokens, repetitions=7
             )
-            times = []
-            for _ in range(7):
-                t0 = time.perf_counter()
-                result = generate(small_model, small_adapter, policy, prompt, n_tokens)
-                times.append(time.perf_counter() - t0)
-            measured = float(np.median(times))
-            predicted = sum(lat.round_cost(t.drafted) for t in result.rounds)
+            # the charge ``simulate_speedup`` sums for each request
+            predicted = lat.request_cost(result)
             return abs(predicted - measured) / measured
 
         # Timer noise on a busy box can spoil one calibration; allow a retry.
@@ -197,33 +225,29 @@ class TestCalibration:
             assert relative_error() <= 0.25
 
     def test_deep_stack_raises_big_cost(self, desk_cfg):
-        from selfspec import gen_model, init_adapter
         from selfspec.model import ModelConfig
 
         shallow_cfg = desk_cfg
         deep_cfg = ModelConfig(**{**shallow_cfg.__dict__, "n_layers": 14})
         lat_small = calibrate_latency(
-            gen_model(shallow_cfg, 1), init_adapter(gen_model(shallow_cfg, 1), 2),
-            probe_lengths=(8,), reps=5,
+            gen_model(shallow_cfg, 1), init_adapter(gen_model(shallow_cfg, 1), 2), reps=5
         )
         lat_big = calibrate_latency(
-            gen_model(deep_cfg, 1), init_adapter(gen_model(deep_cfg, 1), 2),
-            probe_lengths=(8,), reps=5,
+            gen_model(deep_cfg, 1), init_adapter(gen_model(deep_cfg, 1), 2), reps=5
         )
         # Doubling the remaining-layer count should raise the verification
         # cost roughly proportionally; allow a generous band for timer noise.
         assert lat_big.c_big > lat_small.c_big * 1.2
 
-    def test_probe_lengths_beyond_context(self, small_model, small_adapter):
-        with pytest.raises(ConfigError):
-            calibrate_latency(
-                small_model, small_adapter,
-                probe_lengths=(small_model.config.max_seq_len,), reps=1,
-            )
+    def test_probe_lengths_beyond_context(self, small_cfg):
+        # the longest probe context, 48, plus gamma rows does not fit 56
+        short = gen_model(dataclasses.replace(small_cfg, max_seq_len=56), seed=41)
+        with pytest.raises(ConfigError, match="probe lengths exceed the model context"):
+            calibrate_latency(short, init_adapter(short, seed=42), reps=1)
 
     def test_singular_design_detected(self, monkeypatch, small_model, small_adapter):
         monkeypatch.setattr(
             np.linalg, "matrix_rank", lambda *_args, **_kw: 3
         )
         with pytest.raises(CalibrationError):
-            calibrate_latency(small_model, small_adapter, probe_lengths=(6,), reps=1)
+            calibrate_latency(small_model, small_adapter, reps=1)
