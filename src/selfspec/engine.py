@@ -205,9 +205,6 @@ VERIFY_ROW = 0.15  # b: each row of that pass, per remaining layer
 # by drafting.
 PRIOR_ROUNDS = 4
 PRIOR_HITS = 3
-# Rounds a session skips after the first drafting round that leaves the
-# estimate losing; each further losing drafting round doubles it.
-BACKOFF = 4
 
 
 @functools.lru_cache
@@ -225,15 +222,16 @@ def _decision_costs(config: ModelConfig) -> tuple[float, float, float]:
 class _Drafting:
     """A session's drafting counts, and the decisions they drive.
 
-    A round drafts while its first draft is expected to pay: accepted in
+    A round's first draft pays while it is expected to: accepted in
     ``hits`` of the session's ``rounds`` drafting rounds, it saves one
     greedy step (a shallow row and a one-row verification) and costs its
-    probe, its shallow row and its verification row.  The drafts after the
-    first run only above the policy's threshold, so the decision does not
-    depend on the policy.  When the first draft loses, the session skips
-    rounds, twice as many after each losing round it drafts in between.
-    A threshold-stopped round defers its final draft's row while the rows
-    the session's threshold rounds would have saved (shallow pass and
+    probe, its shallow row and its verification row.  Round 1 drafts
+    whatever the prior says; the first drafting round after which a first
+    draft no longer pays sets ``ended``, and no later round of the request
+    drafts.  The drafts after the first run only above the policy's
+    threshold, so the decision does not depend on the policy.  A
+    threshold-stopped round defers its final draft's row while the rows the
+    session's threshold rounds would have saved (shallow pass and
     verification row) outweigh the one-row verification steps their full
     acceptances would have paid.  The costs are the fixed table above, so
     the decisions never read the clock.
@@ -243,7 +241,7 @@ class _Drafting:
         self.step, self.per_draft, self.per_deferral = _decision_costs(config)
         self.rounds, self.hits = PRIOR_ROUNDS, PRIOR_HITS
         self.stopped = self.full = 0  # threshold-stopped rounds, fully accepted ones
-        self.skips, self.backoff = 0, BACKOFF
+        self.ended = False  # no round of the request drafts any more
 
     @property
     def defers(self) -> bool:
@@ -255,23 +253,13 @@ class _Drafting:
         """Whether a round's first draft is expected to save more than it costs."""
         return self.hits * self.step > self.rounds * self.per_draft
 
-    def drafts(self) -> bool:
-        """Whether the round about to open drafts; one call per round that could."""
-        if self.skips:
-            self.skips -= 1
-            return False
-        return True
-
     def record(self, stop_reason: StopReason, drafted: int, accepted: int) -> None:
         self.rounds += 1
         self.hits += accepted > 0
         if stop_reason is StopReason.THRESHOLD:
             self.stopped += 1
             self.full += accepted == drafted
-        if self.pays:
-            self.backoff = BACKOFF
-        else:
-            self.skips, self.backoff = self.backoff, 2 * self.backoff
+        self.ended |= not self.pays
 
 
 class DecodeSession:
@@ -292,13 +280,13 @@ class DecodeSession:
     its draft rows.  The prompt rows wait in ``_backlog`` for the first
     probe, so a request that never drafts never runs the adapter.
 
-    Before each round that may draft, ``_Drafting`` decides from the
-    session's counts whether it does.  A skipped round's feature joins
-    ``_backlog`` for the next probe.  A round that stops on the threshold
-    defers its final draft's feature while the session's threshold-stopped
-    rounds were rarely fully accepted, so a session starts eager.  Its
-    verification computes that feature, and the bonus token from it, only
-    after full acceptance.
+    A session drafts from round 1 until the first drafting round after
+    which, by ``_Drafting``'s counts, drafting no longer pays; every later
+    round of the request is a zero-draft round.  A round that stops on the
+    threshold defers its final draft's feature while the session's
+    threshold-stopped rounds were rarely fully accepted, so a session starts
+    eager.  Its verification computes that feature, and the bonus token from
+    it, only after full acceptance.
     """
 
     def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
@@ -338,15 +326,17 @@ class DecodeSession:
     def draft_window(self, policy: DraftPolicy, max_drafts: int | None = None) -> DraftWindow:
         """Draft until threshold / step budget / capacity; return the unit.
 
-        The step budget is ``gamma_max``, lowered to ``max_drafts`` when given,
-        e.g. so that a round never drafts tokens the caller cannot keep, and
-        to zero when the session decides not to draft this round.  A round
-        that stops on the threshold leaves out its final draft's feature
-        when the session defers it.
+        The step budget is ``gamma_max``, lowered to ``max_drafts`` (>= 0)
+        when given, e.g. so that a round never drafts tokens the caller
+        cannot keep, and to zero once the session has stopped drafting.  A
+        round that stops on the threshold leaves out its final draft's
+        feature when the session defers it.
         """
         max_len = self.model.config.max_seq_len
+        if max_drafts is not None and max_drafts < 0:
+            raise ConfigError(f"max_drafts must be >= 0, got {max_drafts}")
         gamma = policy.gamma_max if max_drafts is None else min(policy.gamma_max, max_drafts)
-        if gamma and not self._drafting.drafts():
+        if self._drafting.ended:
             gamma = 0
         rows: list[np.ndarray] = []
         drafts: list[int] = []

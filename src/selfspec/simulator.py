@@ -91,8 +91,10 @@ def calibrate_latency(
     probe, and verifications of 1 and ``gamma + 1`` rows; then it times
     whole engine rounds, counting each one's passes with ``round_passes``.
     The costs are the least-squares solution in ``LatencyModel.cost`` order,
-    with negative components clamped to zero.
+    with negative components clamped to zero.  ``gamma`` must be at least 1.
     """
+    if gamma < 1:
+        raise ConfigError(f"calibration needs gamma >= 1, got {gamma}")
     cfg = model.config
     rng = generator(seed, "calibration")
     horizon = max(PROBE_LENGTHS) + gamma + 4

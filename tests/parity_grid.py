@@ -21,7 +21,7 @@ threshold, so after a rejected round the engine may defer the final
 draft's feature: the grid covers deferred rounds that are rejected and
 deferred rounds that are fully accepted.  The ``desk-low`` cases are the
 benchmark's shape (the default desk config, alpha 1, the init adapter,
-policy (0.6, 6), 48 tokens), whose sessions skip most rounds after their
+policy (0.6, 6), 48 tokens), whose sessions stop drafting for good once their
 first few drafts are rejected.  A ``generate`` line holds the tokens,
 ``truncated`` and every ``RoundTrace`` field, with confidences as
 ``float.hex``, and ``lossless``: whether its tokens equal the same tree's

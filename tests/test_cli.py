@@ -211,10 +211,12 @@ class TestBench:
     def test_json_counts_nonfinite_confidences_and_deferred_rounds(
         self, tmp_path, artifacts, nan_confidence_runs
     ):
+        # Split at layer 1, a draft is cheap enough next to a greedy step
+        # that sessions draft on after a rejected round, and defer.
         model, adapter, corpus = artifacts
         out = tmp_path / "report.json"
         assert main([
-            "bench", "--model", str(model), "--adapter", str(adapter),
+            "bench", "--model", str(model), "--adapter", str(adapter), "--exit-layer", "1",
             "--corpus", str(corpus), "--n-tokens", "24", "--out", str(out),
         ]) == 0
         payload = json.loads(out.read_text())
@@ -222,7 +224,7 @@ class TestBench:
         assert payload["nonfinite_confidences"] == sum(t.drafted for t in run.rounds) > 0
         deferred = sum(t.deferred for t in run.rounds)
         assert payload["deferred_rounds"] == deferred > 0
-        # rounds the session's decision skipped draft nothing
+        # rounds after a session stopped drafting draft nothing
         drafting = sum(t.drafted > 0 for t in run.rounds)
         assert payload["drafting_rounds"] == drafting
         assert deferred <= drafting < len(run.rounds) - len(run.results)
@@ -352,10 +354,11 @@ class TestSweep:
         assert lines[0].split(",")[:3] == ["eta", "gamma", "CR"]
 
     def test_csv_counts_match_traces(self, tmp_path, artifacts, nan_confidence_runs):
+        # split at layer 1 so that sessions defer (see the bench test above)
         model, adapter, corpus = artifacts
         out = tmp_path / "sweep.csv"
         assert main([
-            "sweep", "--model", str(model), "--adapter", str(adapter),
+            "sweep", "--model", str(model), "--adapter", str(adapter), "--exit-layer", "1",
             "--corpus", str(corpus), "--etas", "0,0.5", "--gammas", "2,4",
             "--n-tokens", "24", "--out", str(out),
         ]) == 0

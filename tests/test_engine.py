@@ -27,6 +27,20 @@ def replayed(result):
     return [(r.deferred, r.accepted_drafts == r.drafted) for r in result.rounds]
 
 
+@pytest.fixture(scope="module")
+def mixed_desk(dialed_desk_model):
+    """The desk model at alpha 0.3 with its passthrough adapter.
+
+    On ``MIXED_PROMPT`` its sessions draft for a few rounds, defer some of
+    them with both outcomes, and then stop drafting.
+    """
+    model = dialed_desk_model(0.3)
+    return model, passthrough_adapter(model)
+
+
+MIXED_PROMPT = [9, 8, 7, 6, 5]
+
+
 def randomized_adapter(model, seed, spread=0.15):
     adapter = init_adapter(model, seed)
     rng = generator(seed, "adapter-noise")
@@ -60,6 +74,15 @@ class TestDraftWindow:
         assert window.drafts == []
         assert len(window.features) == 1
         assert window.stop_reason is StopReason.MAX_STEPS
+
+    @pytest.mark.parametrize("max_drafts", [-1, -7])
+    def test_negative_max_drafts_rejected(self, small_model, small_adapter, max_drafts):
+        session = DecodeSession(small_model, small_adapter, [3, 1, 4])
+        with pytest.raises(ConfigError, match="max_drafts must be >= 0"):
+            session.draft_window(DraftPolicy(eta=0.0, gamma_max=6), max_drafts)
+        # the rejected call leaves the session as it was
+        window = session.draft_window(DraftPolicy(eta=0.0, gamma_max=6), 0)
+        assert window.drafts == [] and window.features.start == 2
 
     def test_eta_one_keeps_the_low_confidence_draft(self, small_model, small_adapter):
         # The stop rule is inclusive: the draft whose confidence triggered
@@ -418,10 +441,11 @@ class TestPromptPass:
         assert len(result.rounds) == n
         assert calls.get("forward_remaining", 0) == n - 1
 
-    def test_one_pass_per_stack_and_round(self, small_model, small_adapter, calls):
+    def test_one_pass_per_stack_and_round(self, mixed_desk, calls):
+        model, adapter = mixed_desk
         policy = DraftPolicy(eta=0.6, gamma_max=6)
-        result = generate(small_model, small_adapter, policy, self.PROMPT, 48)
-        assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 48)
+        result = generate(model, adapter, policy, MIXED_PROMPT, 48)
+        assert result.tokens == vanilla_greedy_decode(model, MIXED_PROMPT, 48)
         # A deferred round skips its final draft's shallow pass unless it is
         # fully accepted, when it runs that pass and a second verification.
         # The prefill opens round 1 with its first row already verified, so
@@ -473,26 +497,27 @@ class TestHeadRows:
     PROMPT = list(range(3, 43))
 
     @pytest.fixture()
-    def head_rows(self, monkeypatch, small_model):
-        rows = []
+    def head_rows(self, monkeypatch):
+        """The row count of each product with ``model``'s LM head, by ``model``."""
+        products = []
         matmul = selfspec.model.matmul
 
         def counted(a, b):
-            if b is small_model.lm_head:
-                rows.append(a.shape[0])
+            products.append((b, a.shape[0]))
             return matmul(a, b)
 
         monkeypatch.setattr(selfspec.model, "matmul", counted)
-        return rows
+        return lambda model: [rows for b, rows in products if b is model.lm_head]
 
-    def test_verification_heads_only_the_window(self, small_model, small_adapter, head_rows):
+    def test_verification_heads_only_the_window(self, mixed_desk, head_rows):
         # eta 1.0 stops every drafting round on the threshold, so this
-        # session has skipped rounds and deferred rounds of both outcomes
+        # session has deferred rounds of both outcomes, then stops drafting
+        model, adapter = mixed_desk
         policy = DraftPolicy(eta=1.0, gamma_max=6)
-        result = generate(small_model, small_adapter, policy, self.PROMPT, 24)
-        assert result.tokens == vanilla_greedy_decode(small_model, self.PROMPT, 24)
+        result = generate(model, adapter, policy, MIXED_PROMPT, 40)
+        assert result.tokens == vanilla_greedy_decode(model, MIXED_PROMPT, 40)
         # the prefill's last row, round 1's drafts, each later round's
-        # window (one row for a skipped round), then one row per greedy
+        # window (one row for a zero-draft round), then one row per greedy
         # token; a deferred window leaves out the final draft's row, and
         # heads it in a one-row pass of its own only after full acceptance
         rounds = replayed(result)
@@ -502,11 +527,11 @@ class TestHeadRows:
         windows = [1, result.rounds[0].drafted]
         for trace, (deferred, full) in zip(result.rounds[1:], rounds[1:]):
             windows += [trace.drafted + (not deferred)] + [1] * (deferred and full)
-        assert head_rows == windows + [1] * 24
+        assert head_rows(model) == windows + [1] * 40
 
     def test_greedy_prompt_pass_heads_one_row(self, small_model, head_rows):
         vanilla_greedy_decode(small_model, self.PROMPT, 5)
-        assert head_rows == [1] * 5
+        assert head_rows(small_model) == [1] * 5
 
 
 class TestDeferredBonus:
@@ -538,9 +563,10 @@ class TestDeferredBonus:
                                          False, False, True]
 
     @pytest.mark.parametrize("eta", [0.6, 1.0])
-    def test_session_follows_the_replayed_rule(self, small_model, monkeypatch, eta):
+    def test_session_follows_the_replayed_rule(self, mixed_desk, monkeypatch, eta):
         # A fresh decision fed each drafting round's trace makes the same
         # choices the session made: whether to draft and whether to defer.
+        model, passthrough = mixed_desk
         windows = []
         draft_window = DecodeSession.draft_window
 
@@ -550,18 +576,17 @@ class TestDeferredBonus:
             return window
 
         monkeypatch.setattr(DecodeSession, "draft_window", recorded)
-        for seed in (3, 4):
-            adapter = randomized_adapter(small_model, seed)
+        for adapter in (passthrough, init_adapter(model, 2)):
             windows.clear()
-            result = generate(small_model, adapter, DraftPolicy(eta=eta, gamma_max=6), [4, 2, 0], 40)
+            result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=6), MIXED_PROMPT, 40)
             assert [w.deferred for w in windows] == [r.deferred for r in result.rounds]
             assert not windows[0].deferred
             assert any(w.deferred for w in windows)
             for window in windows:
                 assert len(window.features) == len(window.drafts) + (not window.deferred)
-            decision, remaining = selfspec.engine._Drafting(small_model.config), 40
+            decision, remaining = selfspec.engine._Drafting(model.config), 40
             for trace in result.rounds:
-                drafts = remaining > 1 and decision.drafts()
+                drafts = remaining > 1 and not decision.ended
                 assert (trace.drafted > 0) == drafts
                 threshold = trace.stop_reason is StopReason.THRESHOLD
                 assert trace.deferred == (drafts and threshold and decision.defers)
@@ -691,38 +716,52 @@ class TestDraftingDecision:
         # Every draft is rejected, so every round emits the target's own
         # token.  A first draft pays while accepted in over 3.6 / 7.8 of the
         # rounds; the prior (3 of 4) keeps that up for 2 rejected rounds.
-        # After the third the session drafts once after each of 4, 8 and 16
-        # skipped rounds, whatever the policy: 6 of 48 rounds draft.
+        # The third ends drafting for the request, whatever the policy.
         model, adapter = desk_low
         monkeypatch.setattr(selfspec.engine, "_accepted_prefix", lambda drafts, targets: 0)
         prompt = [9, 8, 7, 6, 5, 4]
         result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=gamma), prompt, 48)
         assert result.tokens == vanilla_greedy_decode(model, prompt, 48)
         assert [r.drafted > 0 for r in result.rounds] == (
-            [1] * 3 + [0] * 4 + [1] + [0] * 8 + [1] + [0] * 16 + [1] + [0] * 14
+            [1] * 3 + [0] * 45
         )
 
-    def test_skips_double_after_each_losing_round(self):
-        decision = selfspec.engine._Drafting(desk_config())
+    @staticmethod
+    def drive(model, adapter, prompt, n_tokens):
+        """Each round's (drafted, whether drafting has ended after it) of one request."""
+        session, rounds = DecodeSession(model, adapter, prompt), []
+        for _ in range(n_tokens):
+            window = session.draft_window(DraftPolicy(eta=0.6, gamma_max=6))
+            session.verify_window(window)
+            rounds.append((len(window.drafts), session._drafting.ended))
+        return rounds
 
-        def rounds(outcomes):
-            """1 per drafting round, 0 per skipped one, recording each (drafted, accepted)."""
-            pattern = []
+    def test_losing_session_stops_drafting_for_good(self, desk_low, planted, monkeypatch):
+        # the first losing drafting round ends drafting for the whole request
+        model, adapter = planted
+        paying = self.drive(model, adapter, [7, 3], 10)
+        assert all(drafted > 0 and not ended for drafted, ended in paying)
+        model, adapter = desk_low
+        monkeypatch.setattr(selfspec.engine, "_accepted_prefix", lambda drafts, targets: 0)
+        losing = self.drive(model, adapter, [9, 8, 7, 6, 5, 4], 200)
+        assert [drafted > 0 for drafted, _ in losing] == [True] * 3 + [False] * 197
+        assert [ended for _, ended in losing] == [False] * 2 + [True] * 198
+
+    def test_ended_counts_first_drafts_and_holds(self):
+        def ended_after(outcomes):
+            decision, flags = selfspec.engine._Drafting(desk_config()), []
             for drafted, accepted in outcomes:
-                while not decision.drafts():
-                    pattern.append(0)
-                pattern.append(1)
                 decision.record(StopReason.MAX_STEPS, drafted, accepted)
-            return pattern
+                flags.append(decision.ended)
+            return flags
 
         # on the desk model a first draft pays while hits * 7.8 > rounds * 3.6;
         # the prior counts 3 hits in 4 rounds, and only first drafts count
-        assert rounds([(6, 0), (1, 0), (1, 0), (1, 0)]) == [1] * 3 + [0] * 4 + [1]
-        # a round that accepts six drafts is still one hit, so 4 hits in 9
-        # rounds lose; 5 in 10 pay again: the next round drafts, and the
-        # next loss waits 4 rounds again
-        assert rounds([(6, 6), (2, 2), (1, 0), (1, 0)]) == (
-            [0] * 8 + [1] + [0] * 16 + [1] + [1] + [0] * 4 + [1]
+        assert ended_after([(6, 0), (1, 0), (1, 0)]) == [False, False, True]
+        # a round that accepts six drafts is still one hit: 4 hits in 9 rounds
+        # lose; later hits, 5 in 10 and more, do not resume drafting
+        assert ended_after([(6, 6), (2, 0), (1, 0), (1, 0), (1, 0), (1, 1), (1, 1)]) == (
+            [False] * 4 + [True] * 3
         )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -741,7 +780,7 @@ class TestDraftingDecision:
                     result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=gamma), prompt, n)
                     assert result.tokens == reference
                     skipped += gamma > 0 and any(not r.drafted for r in result.rounds[:-1])
-        # the passthrough adapter's drafts pay, so only the α=1 sessions skip
+        # the passthrough adapter's drafts pay, so only the α=1 sessions stop drafting
         assert (skipped > 0) == (alpha == 1.0)
 
 

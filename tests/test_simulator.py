@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import selfspec.simulator
 from selfspec import (
     DraftPolicy,
     LatencyModel,
@@ -251,3 +252,13 @@ class TestCalibration:
         )
         with pytest.raises(CalibrationError):
             calibrate_latency(small_model, small_adapter, reps=1)
+
+    @pytest.mark.parametrize("gamma", [0, -1])
+    def test_gamma_below_one_rejected_before_any_pass(self, monkeypatch, small_model,
+                                                      small_adapter, gamma):
+        def no_pass(*_args):
+            raise AssertionError("calibration ran a pass before checking gamma")
+
+        monkeypatch.setattr(selfspec.simulator, "prefill", no_pass)
+        with pytest.raises(ConfigError, match="gamma >= 1"):
+            calibrate_latency(small_model, small_adapter, reps=1, gamma=gamma)
