@@ -15,9 +15,10 @@ target from the prefill logits and verifies only its draft rows.
 Before each round the session decides, from its own counts and a fixed
 table of pass costs, whether the round's first draft is expected to save
 more than it costs (Leviathan et al.'s expected-speedup trade-off,
-estimated online).  A round that does not draft is an ordinary zero-draft
-round: one shallow row and a one-row verification, the same as
-``gamma_max=0``.  The same counts and costs say whether a round that stops
+estimated online).  Once it does not, no later round drafts.  A round
+with nothing to draft (also under ``gamma_max=0`` or on a request's last
+token) is a greedy step: greedy decoding's own ``greedy_step``, with no
+unit around it.  The same counts and costs say whether a round that stops
 on the threshold defers its final draft's feature, which serves only the
 bonus token: its unit then holds ``d`` features, and the final draft's
 shallow pass and a one-row verification run only once every draft is
@@ -50,6 +51,7 @@ from .model import (
     check_prompt,
     forward_remaining,
     forward_shallow,
+    greedy_step,
     prefill,
     vanilla_greedy_decode,
 )
@@ -280,13 +282,14 @@ class DecodeSession:
     its draft rows.  The prompt rows wait in ``_backlog`` for the first
     probe, so a request that never drafts never runs the adapter.
 
-    A session drafts from round 1 until the first drafting round after
-    which, by ``_Drafting``'s counts, drafting no longer pays; every later
-    round of the request is a zero-draft round.  A round that stops on the
-    threshold defers its final draft's feature while the session's
-    threshold-stopped rounds were rarely fully accepted, so a session starts
-    eager.  Its verification computes that feature, and the bonus token from
-    it, only after full acceptance.
+    ``run_round`` is a session's one round under the budget rule.  A session
+    drafts from round 1 until the first drafting round after which, by
+    ``_Drafting``'s counts, drafting no longer pays; every later round of
+    the request has nothing to draft and is a greedy step.  A round that
+    stops on the threshold defers its final draft's feature while the
+    session's threshold-stopped rounds were rarely fully accepted, so a
+    session starts eager.  Its verification computes that feature, and the
+    bonus token from it, only after full acceptance.
     """
 
     def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
@@ -323,21 +326,33 @@ class DecodeSession:
         feature, self._backlog = _extend_back(self._backlog, feature), []
         return draft_logits(self.model, self.adapter, feature, self.caches)
 
+    def run_round(self, policy: DraftPolicy, max_drafts: int | None = None) -> RoundTrace:
+        """One round of ``generate``: a drafting and verification round, or a greedy step.
+
+        The draft budget is ``draft_window``'s, and zero once the session has
+        stopped drafting.  A round with nothing to draft, but for round 1 (whose
+        token comes from the prefill), is a greedy step traced as a zero-draft
+        round; it ends drafting for good and drops the backlog, as no probe follows.
+        """
+        if self._opening is None and (_budget(policy, max_drafts) == 0 or self._drafting.ended):
+            self._drafting.ended, self._backlog = True, []
+            self.tokens.append(greedy_step(self.model, self.tokens[-1], self.caches))
+            return RoundTrace(0, 0, 1, [], StopReason.MAX_STEPS, deferred=False)
+        window = self.draft_window(policy, max_drafts)
+        accepted, emitted = self.verify_window(window)
+        return RoundTrace(len(window.drafts), accepted, len(emitted), window.confidences,
+                          window.stop_reason, window.deferred)
+
     def draft_window(self, policy: DraftPolicy, max_drafts: int | None = None) -> DraftWindow:
         """Draft until threshold / step budget / capacity; return the unit.
 
         The step budget is ``gamma_max``, lowered to ``max_drafts`` (>= 0)
         when given, e.g. so that a round never drafts tokens the caller
-        cannot keep, and to zero once the session has stopped drafting.  A
-        round that stops on the threshold leaves out its final draft's
-        feature when the session defers it.
+        cannot keep.  A round that stops on the threshold leaves out its
+        final draft's feature when the session defers it.
         """
         max_len = self.model.config.max_seq_len
-        if max_drafts is not None and max_drafts < 0:
-            raise ConfigError(f"max_drafts must be >= 0, got {max_drafts}")
-        gamma = policy.gamma_max if max_drafts is None else min(policy.gamma_max, max_drafts)
-        if self._drafting.ended:
-            gamma = 0
+        gamma = _budget(policy, max_drafts)
         rows: list[np.ndarray] = []
         drafts: list[int] = []
         confidences: list[float] = []
@@ -401,6 +416,12 @@ class DecodeSession:
         return accepted, emitted
 
 
+def _budget(policy: DraftPolicy, max_drafts: int | None) -> int:
+    if max_drafts is not None and max_drafts < 0:
+        raise ConfigError(f"max_drafts must be >= 0, got {max_drafts}")
+    return policy.gamma_max if max_drafts is None else min(policy.gamma_max, max_drafts)
+
+
 def _extend_back(pending: list[np.ndarray], block: FeatureBlock) -> FeatureBlock:
     """``block`` preceded by the ``pending`` feature row blocks just before it."""
     if not pending:
@@ -440,19 +461,8 @@ def generate(
     while len(out) < n_tokens:
         if len(session.tokens) > model.config.max_seq_len:
             return GenerationResult(tokens=out, rounds=rounds, truncated=True)
-        window = session.draft_window(policy, n_tokens - len(out) - 1)
-        accepted, emitted = session.verify_window(window)
-        out.extend(emitted)
-        rounds.append(
-            RoundTrace(
-                drafted=len(window.drafts),
-                accepted_drafts=accepted,
-                emitted=len(emitted),
-                confidences=window.confidences,
-                stop_reason=window.stop_reason,
-                deferred=window.deferred,
-            )
-        )
+        rounds.append(session.run_round(policy, n_tokens - len(out) - 1))
+        out.extend(session.tokens[-rounds[-1].emitted :])
     return GenerationResult(tokens=out, rounds=rounds)
 
 

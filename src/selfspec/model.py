@@ -319,6 +319,11 @@ def full_forward(
     return forward_remaining(weights, forward_shallow(weights, tokens, caches), caches)
 
 
+def greedy_step(weights: TargetWeights, token: int, caches: KVCacheSet) -> int:
+    """One greedy decoding step: cache ``token`` and return the target's next token."""
+    return argmax_token(full_forward(weights, [token], caches)[-1])
+
+
 def _prompt_block(x, layer: LayerWeights, cache: LayerKVCache, rope: RopeTable):
     h = x + prompt_attention(layer.attn, rmsnorm(x, layer.attn_norm, RMS_EPS), cache, rope)
     normed = rmsnorm(h, layer.ffn_norm, RMS_EPS)
@@ -391,6 +396,5 @@ def vanilla_greedy_decode(
     _, logits = prefill(weights, prompt, caches)
     out = [argmax_token(logits)]
     for _ in range(n_tokens - 1):
-        logits = full_forward(weights, [out[-1]], caches)
-        out.append(argmax_token(logits[-1]))
+        out.append(greedy_step(weights, out[-1], caches))
     return out

@@ -129,24 +129,18 @@ def calibrate_latency(
             block = FeatureBlock(start=ctx, values=values[:n_rows])
             timed((0, 0, 1, n_rows, 0), caches.deep, forward_remaining, model, block, caches)
 
-    # Whole rounds pin down the per-round overhead.  They follow the
-    # session's own drafting decision, so a session whose drafts lose also
-    # times the zero-draft rounds that the runs it predicts are made of.
+    # Whole rounds pin down the per-round overhead.  They are ``generate``'s
+    # rounds (``DecodeSession.run_round``), so a session whose drafts lose
+    # also times the greedy steps that the runs it predicts are made of.
     prompt = tokens[: max(4, PROBE_LENGTHS[0])]
     policy = DraftPolicy(eta=0.0, gamma_max=gamma)
     # The untimed warm-up round also carries the prompt through the
     # adapter, so every timed round is a steady-state one.
     session = DecodeSession(model, adapter, prompt)
-    session.verify_window(session.draft_window(policy))
-
-    def one_round():
-        window = session.draft_window(policy)
-        return window, session.verify_window(window)[0]
-
+    session.run_round(policy)
     for _ in range(reps):
-        seconds, (window, accepted) = measure_walltime(one_round)
-        drafted = len(window.drafts)
-        rows.append(round_passes(drafted, window.deferred, accepted == drafted))
+        seconds, trace = measure_walltime(session.run_round, policy)
+        rows.append(round_passes(trace.drafted, trace.deferred, trace.accepted_drafts == trace.drafted))
         times.append(seconds)
 
     design = np.array(rows, dtype=float)

@@ -7,6 +7,7 @@ import selfspec.engine
 import selfspec.model
 from selfspec import (
     DraftPolicy,
+    RoundTrace,
     StopReason,
     TargetWeights,
     desk_config,
@@ -83,6 +84,11 @@ class TestDraftWindow:
         # the rejected call leaves the session as it was
         window = session.draft_window(DraftPolicy(eta=0.0, gamma_max=6), 0)
         assert window.drafts == [] and window.features.start == 2
+        # so is a round that would otherwise be a greedy step
+        session.verify_window(window)
+        with pytest.raises(ConfigError, match="max_drafts must be >= 0"):
+            session.run_round(DraftPolicy(eta=0.0, gamma_max=0), max_drafts)
+        assert len(session.tokens) == 4 and not session._drafting.ended
 
     def test_eta_one_keeps_the_low_confidence_draft(self, small_model, small_adapter):
         # The stop rule is inclusive: the draft whose confidence triggered
@@ -424,6 +430,18 @@ class TestPromptPass:
                 return _fn(*args)
 
             monkeypatch.setattr(selfspec.engine, name, counted)
+        greedy_step = selfspec.engine.greedy_step
+
+        def step(weights, token, caches):
+            # a greedy step is one shallow pass and a one-row verification
+            shallow, deep = caches.shallow_len, caches.deep_len
+            out = greedy_step(weights, token, caches)
+            assert caches.shallow_len - shallow == caches.deep_len - deep == 1
+            for name in ("forward_shallow", "forward_remaining"):
+                counts[name] = counts.get(name, 0) + 1
+            return out
+
+        monkeypatch.setattr(selfspec.engine, "greedy_step", step)
         return counts
 
     @pytest.mark.parametrize("policy,n", [
@@ -566,24 +584,32 @@ class TestDeferredBonus:
     def test_session_follows_the_replayed_rule(self, mixed_desk, monkeypatch, eta):
         # A fresh decision fed each drafting round's trace makes the same
         # choices the session made: whether to draft and whether to defer.
+        # Each round's unit is recorded as (features, drafts, deferred); a
+        # greedy step verifies the newest token's one feature and no draft.
         model, passthrough = mixed_desk
         windows = []
         draft_window = DecodeSession.draft_window
+        greedy_step = selfspec.engine.greedy_step
 
         def recorded(session, *args):
             window = draft_window(session, *args)
-            windows.append(window)
+            windows.append((len(window.features), len(window.drafts), window.deferred))
             return window
 
+        def step(*args):
+            windows.append((1, 0, False))
+            return greedy_step(*args)
+
         monkeypatch.setattr(DecodeSession, "draft_window", recorded)
+        monkeypatch.setattr(selfspec.engine, "greedy_step", step)
         for adapter in (passthrough, init_adapter(model, 2)):
             windows.clear()
             result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=6), MIXED_PROMPT, 40)
-            assert [w.deferred for w in windows] == [r.deferred for r in result.rounds]
-            assert not windows[0].deferred
-            assert any(w.deferred for w in windows)
-            for window in windows:
-                assert len(window.features) == len(window.drafts) + (not window.deferred)
+            assert [deferred for _, _, deferred in windows] == [r.deferred for r in result.rounds]
+            assert not windows[0][2]
+            assert any(deferred for _, _, deferred in windows)
+            for features, drafts, deferred in windows:
+                assert features == drafts + (not deferred)
             decision, remaining = selfspec.engine._Drafting(model.config), 40
             for trace in result.rounds:
                 drafts = remaining > 1 and not decision.ended
@@ -728,24 +754,73 @@ class TestDraftingDecision:
 
     @staticmethod
     def drive(model, adapter, prompt, n_tokens):
-        """Each round's (drafted, whether drafting has ended after it) of one request."""
+        """Each round of one request: (drafted, whether drafting has ended,
+        backlog rows, adapter cache length), the last three after the round."""
         session, rounds = DecodeSession(model, adapter, prompt), []
         for _ in range(n_tokens):
-            window = session.draft_window(DraftPolicy(eta=0.6, gamma_max=6))
-            session.verify_window(window)
-            rounds.append((len(window.drafts), session._drafting.ended))
+            trace = session.run_round(DraftPolicy(eta=0.6, gamma_max=6))
+            backlog = sum(len(rows) for rows in session._backlog)
+            rounds.append((trace.drafted, session._drafting.ended, backlog,
+                           session.caches.adapter_len))
         return rounds
 
     def test_losing_session_stops_drafting_for_good(self, desk_low, planted, monkeypatch):
         # the first losing drafting round ends drafting for the whole request
         model, adapter = planted
         paying = self.drive(model, adapter, [7, 3], 10)
-        assert all(drafted > 0 and not ended for drafted, ended in paying)
+        assert all(drafted > 0 and not ended for drafted, ended, _, _ in paying)
         model, adapter = desk_low
         monkeypatch.setattr(selfspec.engine, "_accepted_prefix", lambda drafts, targets: 0)
         losing = self.drive(model, adapter, [9, 8, 7, 6, 5, 4], 200)
-        assert [drafted > 0 for drafted, _ in losing] == [True] * 3 + [False] * 197
-        assert [ended for _, ended in losing] == [False] * 2 + [True] * 198
+        assert [drafted > 0 for drafted, *_ in losing] == [True] * 3 + [False] * 197
+        assert [ended for _, ended, _, _ in losing] == [False] * 2 + [True] * 198
+        # once drafting has ended no feature row waits for a probe, and the
+        # adapter cache stays where the last drafting round left it
+        assert [backlog for _, _, backlog, _ in losing[2:]] == [0] * 198
+        assert [n for *_, n in losing] == [6, 7, 8] + [8] * 197
+
+    @pytest.mark.parametrize("gamma,n_tokens,cause", [
+        (6, 48, "ended"), (0, 12, "gamma-zero"), (6, 3, "last-token"),
+    ], ids=["ended", "gamma-zero", "last-token"])
+    def test_greedy_step_equals_the_zero_draft_round(self, desk_low, monkeypatch,
+                                                     gamma, n_tokens, cause):
+        # One session takes the greedy step in each round with nothing to
+        # draft; its twin runs that round as ``draft_window(policy, 0)`` and
+        # ``verify_window``.  Tokens, traces and K/V bytes stay equal.
+        model, adapter = desk_low
+        policy, prompt = DraftPolicy(eta=0.6, gamma_max=gamma), [9, 8, 7, 6, 5, 4]
+        steps = []
+        greedy_step = selfspec.engine.greedy_step
+
+        def step(*args):
+            steps.append(None)
+            return greedy_step(*args)
+
+        monkeypatch.setattr(selfspec.engine, "greedy_step", step)
+        fast, slow = (DecodeSession(model, adapter, prompt) for _ in range(2))
+        causes, out = [], 0
+        while out < n_tokens:
+            budget = min(gamma, n_tokens - out - 1)
+            if fast._opening is None and (fast._drafting.ended or budget == 0):
+                causes.append("ended" if fast._drafting.ended else
+                              "gamma-zero" if gamma == 0 else "last-token")
+                window = slow.draft_window(policy, 0)
+                accepted, emitted = slow.verify_window(window)
+                expected = RoundTrace(len(window.drafts), accepted, len(emitted),
+                                      window.confidences, window.stop_reason, window.deferred)
+            else:
+                expected = slow.run_round(policy, n_tokens - out - 1)
+            assert fast.run_round(policy, n_tokens - out - 1) == expected
+            assert fast.tokens == slow.tokens
+            for stack in ("shallow", "deep"):
+                for ours, theirs in zip(getattr(fast.caches, stack), getattr(slow.caches, stack)):
+                    n = ours.length
+                    assert n == theirs.length == len(fast.tokens) - 1
+                    assert ours.k[:n].tobytes() == theirs.k[:n].tobytes()
+                    assert ours.v[:n].tobytes() == theirs.v[:n].tobytes()
+            out += expected.emitted
+        assert cause in causes and len(steps) == len(causes)
+        assert fast.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, n_tokens)
 
     def test_ended_counts_first_drafts_and_holds(self):
         def ended_after(outcomes):
