@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +34,6 @@ def _load_model(args) -> TargetWeights:
     if not path.is_file():
         raise UsageError(f"model file not found: {path}")
     _, weights = serialize.load_weights(path)
-    exit_layer = getattr(args, "exit_layer", None)
-    if exit_layer is not None:
-        weights = replace(weights, config=replace(weights.config, exit_layer=exit_layer))
     if getattr(args, "f64", False):
         weights = weights.astype(np.float64)
     return weights
@@ -242,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--adapter", required=True)
         p.add_argument("--corpus", required=True)
         p.add_argument("--n-tokens", dest="n_tokens", type=int, default=64)
-        p.add_argument("--exit-layer", dest="exit_layer", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--f64", action="store_true", help="run inference in float64")
 

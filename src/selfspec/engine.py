@@ -18,12 +18,12 @@ more than it costs (Leviathan et al.'s expected-speedup trade-off,
 estimated online).  Once it does not, no later round drafts.  A round
 with nothing to draft (also under ``gamma_max=0`` or on a request's last
 token) is a greedy step: greedy decoding's own ``greedy_step``, with no
-unit around it.  The same counts and costs say whether a round that stops
-on the threshold defers its final draft's feature, which serves only the
-bonus token: its unit then holds ``d`` features, and the final draft's
-shallow pass and a one-row verification run only once every draft is
-accepted (``RoundTrace.deferred``).  The kernels are batch invariant, so
-the one-row pass gives the bits the batched row would have, and the
+unit around it.  Until the session's first accepted draft, a round that
+stops on the threshold defers its final draft's feature, which serves
+only the bonus token: its unit then holds ``d`` features, and the final
+draft's shallow pass and a one-row verification run only once every draft
+is accepted (``RoundTrace.deferred``).  The kernels are batch invariant,
+so the one-row pass gives the bits the batched row would have, and the
 decisions read no clock: tokens, traces and caches are a deterministic
 function of the inputs, and the tokens are greedy's.
 """
@@ -210,15 +210,13 @@ PRIOR_HITS = 3
 
 
 @functools.lru_cache
-def _decision_costs(config: ModelConfig) -> tuple[float, float, float]:
-    """A greedy step, what a round's first draft adds, and what deferring saves."""
+def _decision_costs(config: ModelConfig) -> tuple[float, float]:
+    """A greedy step, and what a round's first draft adds to a round."""
     deep = config.n_layers - config.exit_layer
     row = deep * VERIFY_ROW
     lat = LatencyModel(deep * VERIFY_PASS + row, config.exit_layer * SHALLOW_ROW, PROBE, c_row=row)
-    eager = round_passes(1)
-    first_draft = [n - z for n, z in zip(eager, round_passes(0))]
-    deferral = [n - d for n, d in zip(eager, round_passes(1, True))]
-    return lat.step, lat.cost(first_draft), lat.cost(deferral)
+    first_draft = [n - z for n, z in zip(round_passes(1), round_passes(0))]
+    return lat.step, lat.cost(first_draft)
 
 
 class _Drafting:
@@ -232,35 +230,31 @@ class _Drafting:
     draft no longer pays sets ``ended``, and no later round of the request
     drafts.  The drafts after the first run only above the policy's
     threshold, so the decision does not depend on the policy.  A
-    threshold-stopped round defers its final draft's row while the rows the
-    session's threshold rounds would have saved (shallow pass and
-    verification row) outweigh the one-row verification steps their full
-    acceptances would have paid.  The costs are the fixed table above, so
-    the decisions never read the clock.
+    threshold-stopped round defers its final draft's row until a first draft
+    is accepted, so a session runs at most one deferred round's bonus pass:
+    a fully accepted round accepted its first draft.  The costs are the
+    fixed table above, so the decisions never read the clock.
     """
 
     def __init__(self, config: ModelConfig):
-        self.step, self.per_draft, self.per_deferral = _decision_costs(config)
+        self.step, self.per_draft = _decision_costs(config)
         self.rounds, self.hits = PRIOR_ROUNDS, PRIOR_HITS
-        self.stopped = self.full = 0  # threshold-stopped rounds, fully accepted ones
         self.ended = False  # no round of the request drafts any more
 
     @property
     def defers(self) -> bool:
-        """Whether a round that stops on the threshold should defer its final row."""
-        return self.stopped * self.per_deferral > self.full * self.step
+        """Whether a round that stops on the threshold defers its final row."""
+        return self.hits == PRIOR_HITS
 
     @property
     def pays(self) -> bool:
         """Whether a round's first draft is expected to save more than it costs."""
         return self.hits * self.step > self.rounds * self.per_draft
 
-    def record(self, stop_reason: StopReason, drafted: int, accepted: int) -> None:
+    def record(self, hit: bool) -> None:
+        """Count a drafting round, a hit when its first draft was accepted."""
         self.rounds += 1
-        self.hits += accepted > 0
-        if stop_reason is StopReason.THRESHOLD:
-            self.stopped += 1
-            self.full += accepted == drafted
+        self.hits += hit
         self.ended |= not self.pays
 
 
@@ -286,10 +280,11 @@ class DecodeSession:
     drafts from round 1 until the first drafting round after which, by
     ``_Drafting``'s counts, drafting no longer pays; every later round of
     the request has nothing to draft and is a greedy step.  A round that
-    stops on the threshold defers its final draft's feature while the
-    session's threshold-stopped rounds were rarely fully accepted, so a
-    session starts eager.  Its verification computes that feature, and the
-    bonus token from it, only after full acceptance.
+    stops on the threshold defers its final draft's feature until the
+    session's first accepted draft, round 1 included.  Its verification
+    computes that feature, and the bonus token from it, only after full
+    acceptance; a deferred round 1 whose single draft is rejected runs no
+    verification pass, as the prefill verified its only other row.
     """
 
     def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
@@ -333,6 +328,7 @@ class DecodeSession:
         stopped drafting.  A round with nothing to draft, but for round 1 (whose
         token comes from the prefill), is a greedy step traced as a zero-draft
         round; it ends drafting for good and drops the backlog, as no probe follows.
+        A round that stops on the threshold defers while no first draft was accepted.
         """
         if self._opening is None and (_budget(policy, max_drafts) == 0 or self._drafting.ended):
             self._drafting.ended, self._backlog = True, []
@@ -399,7 +395,7 @@ class DecodeSession:
             targets += forward_remaining(self.model, block, self.caches).argmax(axis=-1).tolist()
         accepted = _accepted_prefix(window.drafts, targets)
         if window.drafts:
-            self._drafting.record(window.stop_reason, len(window.drafts), accepted)
+            self._drafting.record(accepted > 0)
         if accepted == len(window.drafts):
             # Full acceptance: nothing to discard; the final feature was
             # never probed, so it stays pending for the next adapter batch.

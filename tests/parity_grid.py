@@ -17,9 +17,10 @@ The grid covers float32 and float64, the deep-residual dial alpha 1 and 0.1
 and passthrough adapters, prompt lengths around the 32-row attention block,
 the 64-key chunk and the context limit, four draft policies and three
 request lengths.  Under policy (1.0, 6) every drafting round stops on the
-threshold, so after a rejected round the engine may defer the final
-draft's feature: the grid covers deferred rounds that are rejected and
-deferred rounds that are fully accepted.  The ``desk-low`` cases are the
+threshold, and until a session's first accepted draft the engine defers
+such a round's final draft's feature, round 1 included: the grid covers
+deferred rounds that are rejected and deferred rounds that are fully
+accepted.  The ``desk-low`` cases are the
 benchmark's shape (the default desk config, alpha 1, the init adapter,
 policy (0.6, 6), 48 tokens), whose sessions stop drafting for good once their
 first few drafts are rejected.  A ``generate`` line holds the tokens,

@@ -19,18 +19,18 @@ from selfspec.kernels import AttentionParams
 from selfspec.serialize import read_corpus, save_adapter, save_weights
 
 
+# The fixture model's shape and seed; its exit layer is given apart.
+MODEL_FLAGS = ["--seed", "1", "--vocab", "64", "--d-model", "32", "--heads", "4",
+               "--layers", "4", "--ffn-hidden", "48", "--max-seq-len", "128"]
+
+
 @pytest.fixture()
 def artifacts(tmp_path):
     """Small model + corpus + trained-ish adapter written through the CLI."""
     model = tmp_path / "model.kngr"
     corpus = tmp_path / "corpus.txt"
     adapter = tmp_path / "adapter.knga"
-    assert main([
-        "gen-model", "--out", str(model), "--seed", "1",
-        "--vocab", "64", "--d-model", "32", "--heads", "4",
-        "--layers", "4", "--ffn-hidden", "48", "--exit-layer", "2",
-        "--max-seq-len", "128",
-    ]) == 0
+    assert main(["gen-model", "--out", str(model), *MODEL_FLAGS, "--exit-layer", "2"]) == 0
     assert main([
         "gen-corpus", "--out", str(corpus), "--seed", "2",
         "--vocab", "64", "--n-seqs", "6", "--len-min", "4", "--len-max", "8",
@@ -39,6 +39,19 @@ def artifacts(tmp_path):
         "train", "--model", str(model), "--corpus", str(corpus),
         "--out", str(adapter), "--epochs", "2", "--batch", "3", "--seed", "3",
     ]) == 0
+    return model, adapter, corpus
+
+
+@pytest.fixture()
+def split_at_1(tmp_path, artifacts):
+    """The fixture model generated at exit layer 1, with the fixture adapter and corpus.
+
+    Split there, a draft is cheap enough next to a greedy step that
+    sessions draft on after a rejected round, and defer.
+    """
+    _, adapter, corpus = artifacts
+    model = tmp_path / "exit1.kngr"
+    assert main(["gen-model", "--out", str(model), *MODEL_FLAGS, "--exit-layer", "1"]) == 0
     return model, adapter, corpus
 
 
@@ -209,14 +222,12 @@ class TestBench:
         assert payload["pooled_cr"] == 7.0
 
     def test_json_counts_nonfinite_confidences_and_deferred_rounds(
-        self, tmp_path, artifacts, nan_confidence_runs
+        self, tmp_path, split_at_1, nan_confidence_runs
     ):
-        # Split at layer 1, a draft is cheap enough next to a greedy step
-        # that sessions draft on after a rejected round, and defer.
-        model, adapter, corpus = artifacts
+        model, adapter, corpus = split_at_1
         out = tmp_path / "report.json"
         assert main([
-            "bench", "--model", str(model), "--adapter", str(adapter), "--exit-layer", "1",
+            "bench", "--model", str(model), "--adapter", str(adapter),
             "--corpus", str(corpus), "--n-tokens", "24", "--out", str(out),
         ]) == 0
         payload = json.loads(out.read_text())
@@ -353,12 +364,11 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 2
         assert lines[0].split(",")[:3] == ["eta", "gamma", "CR"]
 
-    def test_csv_counts_match_traces(self, tmp_path, artifacts, nan_confidence_runs):
-        # split at layer 1 so that sessions defer (see the bench test above)
-        model, adapter, corpus = artifacts
+    def test_csv_counts_match_traces(self, tmp_path, split_at_1, nan_confidence_runs):
+        model, adapter, corpus = split_at_1
         out = tmp_path / "sweep.csv"
         assert main([
-            "sweep", "--model", str(model), "--adapter", str(adapter), "--exit-layer", "1",
+            "sweep", "--model", str(model), "--adapter", str(adapter),
             "--corpus", str(corpus), "--etas", "0,0.5", "--gammas", "2,4",
             "--n-tokens", "24", "--out", str(out),
         ]) == 0
@@ -375,32 +385,6 @@ class TestSweep:
             assert int(row["deferred_rounds"]) == sum(t.deferred for t in traces)
         assert all(int(row["nonfinite_confidences"]) > 0 for row in rows)
         assert sum(int(row["deferred_rounds"]) for row in rows) > 0
-
-    def test_exit_layer_override(self, tmp_path, artifacts):
-        # Re-splitting at load time must act like a model generated with
-        # that exit layer: same weights, only the header's exit_layer differs.
-        model, adapter, corpus = artifacts
-        split_at_1 = tmp_path / "exit1.kngr"
-        assert main([
-            "gen-model", "--out", str(split_at_1), "--seed", "1",
-            "--vocab", "64", "--d-model", "32", "--heads", "4",
-            "--layers", "4", "--ffn-hidden", "48", "--exit-layer", "1",
-            "--max-seq-len", "128",
-        ]) == 0
-        header = 4 + 4 + 8 * 8 + 8
-        assert split_at_1.read_bytes()[header:] == model.read_bytes()[header:]
-        rows = {}
-        for name, args in (("override", [str(model), "--exit-layer", "1"]),
-                           ("generated", [str(split_at_1)])):
-            out = tmp_path / f"{name}.csv"
-            assert main([
-                "sweep", "--adapter", str(adapter), "--corpus", str(corpus),
-                "--etas", "0,0.5", "--gammas", "2,4", "--n-tokens", "8",
-                "--out", str(out), "--model", *args,
-            ]) == 0
-            # eta, gamma, CR and CTAR_1..6; the speedup columns are timings
-            rows[name] = [line.split(",")[:9] for line in out.read_text().splitlines()]
-        assert rows["override"] == rows["generated"]
 
 
 class TestAdapterShapeCheck:
@@ -476,6 +460,13 @@ class TestPolicyGrid:
 class TestParser:
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", ["bench", "verify-lossless", "sweep"])
+    def test_decoding_commands_take_no_exit_layer(self, artifacts, command):
+        # the model header, written by gen-model, sets the exit layer
+        model, adapter, corpus = artifacts
+        assert main([command, "--model", str(model), "--adapter", str(adapter),
+                     "--corpus", str(corpus), "--n-tokens", "4", "--exit-layer", "1"]) == 2
 
     def test_no_command_exit_2(self):
         assert main([]) == 2

@@ -42,6 +42,13 @@ def mixed_desk(dialed_desk_model):
 MIXED_PROMPT = [9, 8, 7, 6, 5]
 
 
+@pytest.fixture(scope="module")
+def desk_low(dialed_desk_model):
+    """The benchmark's desk-low shape: drafts are almost never accepted."""
+    model = dialed_desk_model(1.0)
+    return model, init_adapter(model, 2)
+
+
 def randomized_adapter(model, seed, spread=0.15):
     adapter = init_adapter(model, seed)
     rng = generator(seed, "adapter-noise")
@@ -92,13 +99,18 @@ class TestDraftWindow:
 
     def test_eta_one_keeps_the_low_confidence_draft(self, small_model, small_adapter):
         # The stop rule is inclusive: the draft whose confidence triggered
-        # the stop stays in the window and gets verified.
+        # the stop stays in the window and gets verified.  A fresh session
+        # defers its row, so the unit holds the prompt's last feature alone.
         session = DecodeSession(small_model, small_adapter, [3, 1, 4])
         window = session.draft_window(DraftPolicy(eta=1.0, gamma_max=6))
         assert len(window.drafts) == 1
         assert window.stop_reason is StopReason.THRESHOLD
         assert window.confidences[0] <= 1.0
-        assert len(window.features) == 2
+        assert len(window.features) == 1 and window.deferred
+        accepted, emitted = session.verify_window(window)
+        greedy = vanilla_greedy_decode(small_model, [3, 1, 4], 2)
+        assert accepted == int(window.drafts[0] == greedy[0])
+        assert emitted == greedy[: accepted + 1]
 
     def test_skip_certain_probes_flag(self, small_model, small_adapter):
         # A zero step budget elides the probe that an always-triggering
@@ -537,14 +549,18 @@ class TestHeadRows:
         # the prefill's last row, round 1's drafts, each later round's
         # window (one row for a zero-draft round), then one row per greedy
         # token; a deferred window leaves out the final draft's row, and
-        # heads it in a one-row pass of its own only after full acceptance
+        # heads it in a one-row pass of its own only after full acceptance.
+        # Round 1's first row came with the prefill: deferred, its one draft
+        # leaves no row to verify, and a rejection runs no pass at all.
         rounds = replayed(result)
-        assert (True, False) in rounds and (True, True) in rounds
+        assert rounds[:2] == [(True, False), (True, True)]
         assert any(r.drafted == 0 for r in result.rounds[:-1])
-        assert result.rounds[0].drafted > 0
-        windows = [1, result.rounds[0].drafted]
-        for trace, (deferred, full) in zip(result.rounds[1:], rounds[1:]):
-            windows += [trace.drafted + (not deferred)] + [1] * (deferred and full)
+        assert result.rounds[0].drafted == 1
+        windows = [1]
+        for i, (trace, (deferred, full)) in enumerate(zip(result.rounds, rounds)):
+            verified = trace.drafted + (not deferred) - (i == 0)
+            windows += [verified] * (verified > 0) + [1] * (deferred and full)
+        assert windows[:3] == [1, 1, 1]  # the prefill's row, round 2's draft and its bonus
         assert head_rows(model) == windows + [1] * 40
 
     def test_greedy_prompt_pass_heads_one_row(self, small_model, head_rows):
@@ -559,26 +575,19 @@ class TestDeferredBonus:
     def force(monkeypatch, defers):
         monkeypatch.setattr(selfspec.engine._Drafting, "defers", property(lambda _: defers))
 
-    def test_rule_starts_eager_and_switches_after_rejections(self):
+    def test_rule_defers_until_the_first_accepted_first_draft(self):
         thr, steps = StopReason.THRESHOLD, StopReason.MAX_STEPS
         # (stop reason, drafted, accepted) of one request's drafting rounds
         rounds = [(thr, 2, 0), (thr, 1, 0), (steps, 3, 3), (thr, 1, 1), (thr, 2, 2),
                   (thr, 1, 0), (thr, 1, 0), (thr, 1, 1)]
-
-        def replay(config):
-            decision, flags = selfspec.engine._Drafting(config), []
-            for reason, drafted, accepted in rounds:
-                flags.append(decision.defers)
-                decision.record(reason, drafted, accepted)
-            return flags
-
-        # Deferral pays while the threshold rounds' fully accepted share is
-        # under (shallow row + verification row) / greedy step: 2.7 / 7.8 on
-        # the desk model.  Eager until a threshold round is rejected; a round
-        # that stops on the step budget does not count.  Then fully
-        # accepted: 1 of 3, 2 of 4, 2 of 5 and 2 of 6 (defers below 0.346).
-        assert replay(desk_config()) == [False, True, True, True, True,
-                                         False, False, True]
+        decision, flags = selfspec.engine._Drafting(desk_config()), []
+        for reason, drafted, accepted in rounds:
+            flags.append(decision.defers and reason is thr)
+            decision.record(accepted > 0)
+        # Threshold rounds defer from round 1; the step-budget round that
+        # accepts its drafts ends deferral for the request, and the
+        # rejected threshold rounds after it stay eager.
+        assert flags == [True, True] + [False] * 6
 
     @pytest.mark.parametrize("eta", [0.6, 1.0])
     def test_session_follows_the_replayed_rule(self, mixed_desk, monkeypatch, eta):
@@ -606,7 +615,7 @@ class TestDeferredBonus:
             windows.clear()
             result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=6), MIXED_PROMPT, 40)
             assert [deferred for _, _, deferred in windows] == [r.deferred for r in result.rounds]
-            assert not windows[0][2]
+            assert windows[0][2] == (result.rounds[0].stop_reason is StopReason.THRESHOLD)
             assert any(deferred for _, _, deferred in windows)
             for features, drafts, deferred in windows:
                 assert features == drafts + (not deferred)
@@ -617,9 +626,46 @@ class TestDeferredBonus:
                 threshold = trace.stop_reason is StopReason.THRESHOLD
                 assert trace.deferred == (drafts and threshold and decision.defers)
                 if drafts:
-                    decision.record(trace.stop_reason, trace.drafted, trace.accepted_drafts)
+                    decision.record(trace.accepted_drafts > 0)
                 remaining -= trace.emitted
             assert any(not r.drafted for r in result.rounds[:-1])
+
+    def test_rejected_deferred_round_one_runs_no_verification(self, mixed_desk, monkeypatch):
+        # The prefill verified round 1's only row besides its one draft, so a
+        # deferred round 1 whose draft is rejected emits the prefill's token.
+        model, adapter = mixed_desk
+        calls = []
+        remaining = selfspec.engine.forward_remaining
+
+        def counted(*args):
+            calls.append(None)
+            return remaining(*args)
+
+        monkeypatch.setattr(selfspec.engine, "forward_remaining", counted)
+        session = DecodeSession(model, adapter, MIXED_PROMPT)
+        prefilled = list(session._targets)
+        trace = session.run_round(DraftPolicy(eta=1.0, gamma_max=6))
+        assert trace == RoundTrace(1, 0, 1, trace.confidences, StopReason.THRESHOLD, deferred=True)
+        assert calls == []
+        assert session.tokens[len(MIXED_PROMPT):] == prefilled
+        assert prefilled == vanilla_greedy_decode(model, MIXED_PROMPT, 1)
+
+    def test_rounds_defer_until_the_first_accepted_first_draft(self, mixed_desk, desk_low):
+        counts = {"deferred": 0, "eager threshold": 0}
+        for model, adapter in (mixed_desk, desk_low):
+            for prompt in (MIXED_PROMPT, [9, 8, 7, 6, 5, 4], list(range(40, 52))):
+                for eta, gamma in ((0.6, 6), (1.0, 6), (0.0, 3)):
+                    result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=gamma),
+                                      prompt, 40)
+                    assert result.tokens == vanilla_greedy_decode(model, prompt, 40)
+                    hit = False  # an earlier round's first draft was accepted
+                    for trace in result.rounds:
+                        threshold = trace.drafted > 0 and trace.stop_reason is StopReason.THRESHOLD
+                        assert trace.deferred == (threshold and not hit)
+                        counts["deferred"] += trace.deferred
+                        counts["eager threshold"] += threshold and hit
+                        hit |= trace.accepted_drafts > 0
+        assert counts["deferred"] > 0 and counts["eager threshold"] > 0
 
     @pytest.mark.parametrize("prompt", [[7], [7, 3, 1]], ids=["round-one", "pending-prompt"])
     def test_forced_deferral_matches_eager_bit_for_bit(self, planted, monkeypatch, prompt):
@@ -705,12 +751,6 @@ class TestDeferredBonus:
 
 class TestDraftingDecision:
     """Before each round the session decides from its own counts whether to draft."""
-
-    @pytest.fixture(scope="class")
-    def desk_low(self, dialed_desk_model):
-        # the benchmark's desk-low shape: drafts are almost never accepted
-        model = dialed_desk_model(1.0)
-        return model, init_adapter(model, 2)
 
     def test_no_clock_and_deterministic(self, desk_low, monkeypatch):
         class NoClock:
@@ -823,21 +863,19 @@ class TestDraftingDecision:
         assert fast.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, n_tokens)
 
     def test_ended_counts_first_drafts_and_holds(self):
-        def ended_after(outcomes):
+        def ended_after(hits):
             decision, flags = selfspec.engine._Drafting(desk_config()), []
-            for drafted, accepted in outcomes:
-                decision.record(StopReason.MAX_STEPS, drafted, accepted)
+            for hit in hits:
+                decision.record(hit)
                 flags.append(decision.ended)
             return flags
 
         # on the desk model a first draft pays while hits * 7.8 > rounds * 3.6;
-        # the prior counts 3 hits in 4 rounds, and only first drafts count
-        assert ended_after([(6, 0), (1, 0), (1, 0)]) == [False, False, True]
-        # a round that accepts six drafts is still one hit: 4 hits in 9 rounds
-        # lose; later hits, 5 in 10 and more, do not resume drafting
-        assert ended_after([(6, 6), (2, 0), (1, 0), (1, 0), (1, 0), (1, 1), (1, 1)]) == (
-            [False] * 4 + [True] * 3
-        )
+        # the prior counts 3 hits in 4 rounds
+        assert ended_after([False] * 3) == [False, False, True]
+        # 4 hits in 9 rounds lose; later hits, 5 in 10 and more, do not
+        # resume drafting
+        assert ended_after([True] + [False] * 4 + [True] * 2) == [False] * 4 + [True] * 3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("alpha", [1.0, 0.1])
