@@ -5,6 +5,13 @@ single causal multi-head attention block with a residual, wrapped in two RMS
 norms; the output norm replaces the target's final norm on the draft path,
 and the target's LM head is reused unchanged, so the only trainable state is
 ``4*d**2 + 2*d`` parameters.
+
+The attention is a sliding window: a row attends to the last ``WINDOW``
+positions, itself included (Longformer, arXiv 2004.05150), in drafting and
+in training alike.  A draft probe queries only its block's last row, so its
+cost does not grow with the context: it projects the rows it catches up on
+and attends to at most ``WINDOW`` keys.  Drafts only change the speed,
+never a token, since verification keeps the target's own argmax.
 """
 
 from __future__ import annotations
@@ -22,11 +29,14 @@ from .kernels import (
     argmax_token,
     causal_attention,
     matmul,
-    prompt_attention,
     rmsnorm,
 )
 from .model import RMS_EPS, FeatureBlock, KVCacheSet, TargetWeights
 from .seeding import generator
+
+# Positions a row of the adapter attends to: one 64-key chunk, longer than
+# every training sequence of the benchmark and the quick start.
+WINDOW = 64
 
 
 @dataclass
@@ -122,11 +132,14 @@ def adapter_forward(
     features: FeatureBlock,
     cache: LayerKVCache,
     rope: RopeTable,
+    last_row: bool = False,
 ) -> np.ndarray:
     """Refine early features: ``output_norm(x + attention(input_norm(x)))``.
 
-    Causal, rope-positioned at the features' absolute positions, appending
-    one K/V row per feature.  The result feeds the shared LM head directly.
+    Causal over the last ``WINDOW`` positions, rope-positioned at the
+    features' absolute positions, appending one K/V row per feature.  With
+    ``last_row`` only the block's last row is refined.  The result feeds the
+    shared LM head directly.
     """
     if cache.length != features.start:
         raise CacheError(
@@ -134,9 +147,10 @@ def adapter_forward(
         )
     x = features.values
     attn_out = causal_attention(
-        adapter.attn, rmsnorm(x, adapter.input_norm, RMS_EPS), cache, features.start, rope
+        adapter.attn, rmsnorm(x, adapter.input_norm, RMS_EPS), cache, features.start, rope,
+        window=WINDOW, last_row=last_row,
     )
-    return rmsnorm(x + attn_out, adapter.output_norm, RMS_EPS)
+    return rmsnorm(x[len(x) - len(attn_out) :] + attn_out, adapter.output_norm, RMS_EPS)
 
 
 def draft_logits(
@@ -149,23 +163,16 @@ def draft_logits(
 
     Returns ``(logits, confidence, token)`` where confidence is the top-1
     softmax probability and token its greedy argmax.  Passing more than one
-    feature advances the adapter cache over all of them (the catch-up batch
-    of a fully accepted round) while predicting only from the last.  A
-    block from position 0 is a session's prompt rows: its attention runs as
-    GEMMs (``prompt_attention``), like the target's ``prefill``.
+    feature appends K/V for all of them (the catch-up batch of a fully
+    accepted round, or a session's last ``WINDOW`` prompt rows) while
+    attending only from the last, over the keys of the last ``WINDOW``
+    positions: the rows older than that are neither projected nor read.
 
     The top-1 probability is ``1 / sum(exp(logits - logits[token]))``: the
     same bits as ``max(softmax(logits))``, whose top entry is ``exp(0) = 1``
     over the same sum, without building the probability vector.
     """
-    if features.start == 0:
-        x = features.values
-        attn_out = prompt_attention(
-            adapter.attn, rmsnorm(x, adapter.input_norm, RMS_EPS), caches.adapter, model.rope
-        )
-        refined = rmsnorm(x[-1:] + attn_out[-1:], adapter.output_norm, RMS_EPS)
-    else:
-        refined = adapter_forward(adapter, features, caches.adapter, model.rope)[-1:]
+    refined = adapter_forward(adapter, features, caches.adapter, model.rope, last_row=True)
     logits = matmul(refined, model.lm_head)[0]
     token = argmax_token(logits)
     confidence = 1 / np.add.reduce(np.exp(logits - logits[token]))

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adapter import AdapterWeights, draft_logits
+from .adapter import WINDOW, AdapterWeights, draft_logits
 from .errors import CapacityError, ConfigError, LosslessnessError
 from .kernels import argmax_token
 from .metrics import AcceptanceRecord
@@ -199,7 +199,9 @@ class LatencyModel:
 # terms by ``exit_layer`` and ``n_layers`` into a ``LatencyModel``; other
 # depths are an extrapolation, measured at the desk depth only.
 SHALLOW_ROW = 0.9  # one row through one shallow layer
-PROBE = 0.9  # one adapter probe: attention layer, norms and LM head
+# one adapter probe: norms, LM head and one attention row over the last
+# WINDOW keys, so its cost no longer grows with the context
+PROBE = 0.9
 VERIFY_PASS = 0.85  # a: one remaining layer's pass, whatever its rows
 VERIFY_ROW = 0.15  # b: each row of that pass, per remaining layer
 # Before its first drafting round a session counts PRIOR_ROUNDS drafting
@@ -269,12 +271,15 @@ class DecodeSession:
     consumes the backlog in one batched adapter pass, which is the single
     saved adapter forward the carry optimization buys.
 
-    Each prompt row goes through each stack once.  The session opens with
-    ``prefill`` over the whole prompt, which fills the shallow and deep
-    caches and gives the target's token after the prompt.  The last prompt
-    row is round 1's first feature, already verified: round 1 verifies only
-    its draft rows.  The prompt rows wait in ``_backlog`` for the first
-    probe, so a request that never drafts never runs the adapter.
+    Each prompt row goes through the shallow and deep stacks once.  The
+    session opens with ``prefill`` over the whole prompt, which fills the
+    shallow and deep caches and gives the target's token after the prompt.
+    The last prompt row is round 1's first feature, already verified: round
+    1 verifies only its draft rows.  The adapter attends over a window of
+    ``WINDOW`` positions, so only the ``WINDOW - 1`` prompt rows before the
+    last one wait in ``_backlog`` for the first probe, and the adapter cache
+    starts at the first of them; older prompt rows never reach the adapter,
+    and a request that never drafts never runs it.
 
     ``run_round`` is a session's one round under the budget rule.  A session
     drafts from round 1 until the first drafting round after which, by
@@ -302,7 +307,9 @@ class DecodeSession:
         # position: the rest is cached and no round opens (a round would
         # raise CapacityError; ``generate`` reports truncation instead).
         features, logits = prefill(model, prompt[:max_len], self.caches)
-        rows = features.values[: self.committed]
+        # the prompt rows that the first probe's window reaches
+        rows = features.values[max(self.committed - WINDOW + 1, 0) : self.committed]
+        self.caches.adapter.start_at(self.committed - len(rows))
         self._backlog: list[np.ndarray] = [rows] if len(rows) else []
         self._opening: FeatureBlock | None = None
         # targets already known for the leading rows of the next unit

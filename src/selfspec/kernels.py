@@ -3,10 +3,11 @@
 Greedy losslessness is checked at zero tolerance.  It rests on two facts:
 
 1. Both decoders get their prompt rows from one identical, deterministic
-   call.  ``prompt_attention`` and the model's ``prefill`` run a prompt
-   from position 0 as plain BLAS GEMMs, whose bits may depend on the row
-   count; the greedy reference and a speculative session open with the same
-   call on the same rows, so their prompt K/V rows and first token agree.
+   call.  The model's ``prefill`` runs a prompt from position 0 through
+   ``prompt_attention``, plain BLAS GEMMs whose bits may depend on the row
+   count; that call is the kernel's only use.  The greedy reference and a
+   speculative session open with it on the same rows, so their prompt K/V
+   rows and first token agree.
 2. Every row after the prompt goes through the kernels below, which are
    *batch-shape stable*: the bits of an output row depend only on that
    row's inputs, never on how many rows were computed in the same call.
@@ -27,24 +28,26 @@ The stable kernels, concretely:
   separate products, in one dispatch.
 - Attention runs per block of query rows over a key span of whole 64-key
   chunks, from position 0 through the chunk that holds the block's last
-  row (the buffers are grown by whole chunks).  A row's scores are one GEMV
-  per head over the span's keys.  A GEMV over a row's own keys would not
-  do: BLAS handles matrix rows in unrolled groups plus a remainder, so a
-  key's arithmetic would depend on how many keys the call holds, and that
-  count differs between the rows of one call.  Over whole chunks there is
-  no remainder: a GEMV over n*64 keys gives each key the score that a
-  64-key GEMV gives it, bit for bit, so a key's score depends only on the
-  query and the key.
+  row (the buffers are grown by whole chunks).  A windowed call (the draft
+  adapter's) starts its span at the chunk that holds the block's oldest
+  visible key instead.  A row's scores are one GEMV per head over the
+  span's keys.  A GEMV over a row's own keys would not do: BLAS handles
+  matrix rows in unrolled groups plus a remainder, so a key's arithmetic
+  would depend on how many keys the call holds, and that count differs
+  between the rows of one call.  Over whole chunks there is no remainder:
+  a GEMV over n*64 keys gives each key the score that a 64-key GEMV gives
+  it, bit for bit, so a key's score depends only on the query and the key.
 - Keys a row may not see, including the padding past the cache length, get
   a score of -inf, so their softmax weights are exactly 0.  The value rows
-  there are finite (grown and rolled-back rows are zeroed).  A row's
-  context numerator is one GEMV of its weights against the span's value
-  rows.  A batched call's span can reach whole chunks past the row's own
+  there are finite (grown, skipped and rolled-back rows are zeroed).  A
+  row's context numerator is one GEMV of its weights against the span's
+  value rows.  A batched call's span can reach whole chunks past the row's own
   span, and trailing chunks of exact-zero weights leave that GEMV's result
-  unchanged, bit for bit.  The weight sum is not one sum over the span,
-  because numpy's pairwise summation groups terms by the length summed; it
-  is a fixed 64-term sum per chunk, the chunks folded in key order
-  (``np.add.accumulate``), so trailing chunks only add zeros at the end.
+  unchanged, bit for bit; under a window, so do leading ones.  The weight
+  sum is not one sum over the span, because numpy's pairwise summation
+  groups terms by the length summed; it is a fixed 64-term sum per chunk,
+  the chunks folded in key order (``np.add.accumulate``), so zero chunks
+  only add zeros.
 - The two GEMV facts above are properties of the BLAS build, not of numpy's
   contract; ``TestBatchInvariance`` pins them for numpy 2.4.6 with
   OpenBLAS 0.3.31.
@@ -206,13 +209,17 @@ class AttentionParams:
 
 
 @lru_cache(maxsize=16)
-def _causal_mask(rows: int) -> np.ndarray:
-    """Read-only ``(rows, rows)`` view: ``mask[p, j]`` is ``j > p``.
+def _causal_mask(rows: int, window: int | None = None) -> np.ndarray:
+    """Read-only ``(rows, rows)`` view: ``mask[p, j]`` is ``j > p``, and with a
+    ``window`` also ``j <= p - window`` (key ``j`` older than the window).
 
     Row ``p`` is the window of one 1-D ramp that turns true after its first
     ``p + 1`` entries, so the table costs about ``2 * rows`` bytes.
     """
-    ramp = np.arange(2 * rows - 1) >= rows
+    index = np.arange(2 * rows - 1)
+    ramp = index >= rows
+    if window is not None:
+        ramp |= index < rows - window
     return np.lib.stride_tricks.sliding_window_view(ramp, rows)[::-1]
 
 
@@ -260,6 +267,17 @@ class LayerKVCache:
         self.v[self.length : end] = v_rows
         self.length = end
 
+    def start_at(self, position: int) -> None:
+        """Open an empty cache at ``position``: the rows before it stay zero.
+
+        For a windowed reader (the draft adapter), which never reads them.
+        """
+        if self.length != 0 or not 0 <= position <= self.capacity:
+            raise CacheError(f"cannot start a cache of length {self.length} at {position}")
+        if position > self.k.shape[0]:
+            self._grow(position)
+        self.length = position
+
     def truncate(self, to_length: int) -> None:
         if not 0 <= to_length <= self.length:
             raise CacheError(f"cannot truncate cache of length {self.length} to {to_length}")
@@ -273,19 +291,28 @@ def causal_attention(
     cache: LayerKVCache,
     start_pos: int,
     rope_table: RopeTable,
+    window: int | None = None,
+    last_row: bool = False,
 ) -> np.ndarray:
     """Cache-appending causal multi-head attention.
 
     ``x`` holds already-normalized inputs for positions
     ``start_pos..start_pos+T-1``; the call appends T K/V rows and returns the
     attention output (before any residual).  Row ``t`` attends to positions
-    ``0..start_pos+t``.  Query rows go through one masked pass per block of
-    ``_ROW_BLOCK`` rows, with the same code for T=1 and T>1.  A block's keys
-    span whole 64-key chunks up to its last row; per row and head, the scores
-    are one GEMV over the span's keys and the context numerator one GEMV
-    over its values, and the weight sum folds fixed 64-term chunk sums in key
-    order.  So row ``t`` equals a one-row call at ``start_pos+t`` bit for
-    bit (module docstring).
+    ``0..start_pos+t``, or with a ``window`` to the last ``window`` of them,
+    ``start_pos+t-window+1..start_pos+t``.  With ``last_row`` only row T-1 is
+    queried and returned: the call still appends every row's K/V.
+
+    Query rows go through one masked pass per block of ``_ROW_BLOCK`` rows,
+    with the same code for T=1 and T>1.  A block's keys span whole 64-key
+    chunks up to its last row, from position 0, or under a window from the
+    chunk that holds its first row's oldest key; older keys are never read.
+    Per row and head, the scores are one GEMV over the span's keys and the
+    context numerator one GEMV over its values, and the weight sum folds
+    fixed 64-term chunk sums in key order.  Chunks of exact-zero weights
+    before or after a row's own chunks change none of these bits, so row
+    ``t`` equals a one-row call at ``start_pos+t``, and a ``last_row`` call
+    the full call's last row, bit for bit (module docstring).
     """
     if x.ndim != 2:
         raise ShapeError(f"attention input must be 2-D, got shape {x.shape}")
@@ -301,30 +328,37 @@ def causal_attention(
     qk = rope_table.apply_block(qkv[:, :2].reshape(n_rows, 2 * h, hd), start_pos)
     cache.extend(qk[:, h:], qkv[:, 2])
     (scale,) = _scalars(x.dtype, 1.0 / math.sqrt(hd))
-    q = qk[:, :h] * scale
+    first = n_rows - 1 if last_row and n_rows else 0  # the first query row
+    q = qk[first:, :h] * scale
+    q_pos = start_pos + first
 
-    mask = _causal_mask(cache.k.shape[0])
+    size = cache.k.shape[0]
+    mask = _causal_mask(size) if window is None else _causal_mask(size, window)
     blocks = []
-    for b0 in range(0, n_rows, _ROW_BLOCK):
-        b1 = min(b0 + _ROW_BLOCK, n_rows)
-        p0, p1 = start_pos + b0, start_pos + b1
-        n_chunks = -(-p1 // _KEY_CHUNK)
-        span = n_chunks * _KEY_CHUNK
+    for b0 in range(0, len(q), _ROW_BLOCK):
+        b1 = min(b0 + _ROW_BLOCK, len(q))
+        p0, p1 = q_pos + b0, q_pos + b1
+        k1 = -(-p1 // _KEY_CHUNK) * _KEY_CHUNK
+        # The span is keys k0..k1-1; keys before m0 are visible to every row of the block.
+        if window is None:
+            k0, m0 = 0, p0
+        else:
+            k0 = m0 = max(p0 - window + 1, 0) // _KEY_CHUNK * _KEY_CHUNK
         # w[t, h, 0, p]: one GEMV per (row, head) against the span's keys
-        w = np.matmul(cache.k_heads[:, :span], q[b0:b1, :, :, None])
-        w = w.reshape(b1 - b0, h, 1, span)
-        # keys before p0 are visible to every row of the block
-        np.copyto(w[..., p0:], -np.inf, where=mask[p0:p1, None, None, p0:span])
+        w = np.matmul(cache.k_heads[:, k0:k1], q[b0:b1, :, :, None])
+        w = w.reshape(b1 - b0, h, 1, k1 - k0)
+        np.copyto(w[..., m0 - k0 :], -np.inf, where=mask[p0:p1, None, None, m0:k1])
         w -= np.maximum.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
+        n_chunks = (k1 - k0) // _KEY_CHUNK
         den = np.add.reduce(w.reshape(b1 - b0, h, n_chunks, _KEY_CHUNK), axis=-1)
         if n_chunks > 1:  # fixed 64-term sums, folded in key order
             den = np.add.accumulate(den, axis=2)
         # one GEMV per (row, head) of the weights against the span's values
-        blocks.append(np.matmul(w, cache.v_heads[:, :span]) / den[:, :, -1:, None])
+        blocks.append(np.matmul(w, cache.v_heads[:, k0:k1]) / den[:, :, -1:, None])
     # one block is the whole context; q[:0] gives a zero-row call its empty one
     ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0, :, None], *blocks])
-    return _row_gemv(ctx.reshape(n_rows, d), params.wo)
+    return _row_gemv(ctx.reshape(len(q), d), params.wo)
 
 
 def prompt_attention(
@@ -337,8 +371,8 @@ def prompt_attention(
     The projections are one GEMM per weight plane; per head, the scores and
     contexts are GEMMs over blocks of ``_ROW_BLOCK`` query rows against the
     keys up to the block's last row, masked by ``_causal_mask``.  The bits
-    depend on T, so this kernel serves only the prompt rows that every
-    decoder computes in the same call (module docstring, fact 1).
+    depend on T, so this kernel serves only ``prefill``, the prompt pass that
+    every decoder runs in the same call (module docstring, fact 1).
     """
     if x.ndim != 2:
         raise ShapeError(f"attention input must be 2-D, got shape {x.shape}")

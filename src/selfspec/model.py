@@ -187,7 +187,11 @@ class KVCacheSet:
     ``[exit_layer, n_layers)`` and ``adapter`` is the draft adapter's single
     attention cache.  During drafting the shallow cache runs ahead of the
     deep cache by at most the draft window; ``rollback`` truncates all three
-    back to a committed prefix.
+    back to a committed prefix.  The adapter cache lags the others by the
+    feature rows a session has not yet probed (its backlog), and a session
+    starts it at the first prompt row within the adapter's attention window
+    (``LayerKVCache.start_at``): the rows before that stay zero and are
+    never read.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32):

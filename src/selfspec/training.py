@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import AdapterWeights
+from .adapter import WINDOW, AdapterWeights
 from .errors import ConfigError, ShapeError
 from .kernels import RopeTable, matmul, softmax
 from .model import RMS_EPS, KVCacheSet, TargetWeights, forward_remaining, forward_shallow
@@ -113,19 +113,21 @@ def adapter_student_forward(
 ) -> tuple[np.ndarray, tuple]:
     """Full-sequence student logits via the taped forward (no caches).
 
-    Mathematically identical to the cached inference path.  Returns the
-    logits and the tape of intermediates that ``adapter_backward`` reuses.
+    Mathematically identical to the cached inference path: row ``t`` attends
+    to the band of keys ``t-WINDOW+1..t``, so a sequence of at most
+    ``WINDOW`` positions is plainly causal.  Returns the logits and the tape
+    of intermediates that ``adapter_backward`` reuses.
     """
     x = features
     t_len, d = x.shape
     h, hd = adapter.attn.n_heads, adapter.attn.head_dim
-    causal = np.tril(np.ones((t_len, t_len), dtype=bool))
+    band = np.tri(t_len, dtype=bool) & ~np.tri(t_len, k=-WINDOW, dtype=bool)
     xn, r1 = _rms_forward(x, adapter.input_norm)
     qr = rope.apply_block(matmul(xn, adapter.attn.wq).reshape(t_len, h, hd), 0)
     kr = rope.apply_block(matmul(xn, adapter.attn.wk).reshape(t_len, h, hd), 0)
     v = matmul(xn, adapter.attn.wv).reshape(t_len, h, hd)
     scores = np.einsum("thd,uhd->htu", qr, kr) / np.sqrt(hd)
-    scores = np.where(causal[None], scores, -np.inf)
+    scores = np.where(band[None], scores, -np.inf)
     probs = softmax(scores, axis=-1)  # (H, T, T)
     ao = np.einsum("htu,uhd->thd", probs, v).reshape(t_len, d)
     z = x + matmul(ao, adapter.attn.wo)
@@ -142,7 +144,9 @@ def adapter_backward(
     """Loss and analytic adapter gradients for one sequence batch.
 
     Runs the taped forward and backpropagates through the output norm, the
-    causal attention with rotary embedding, and the input norm.  Only
+    banded causal attention with rotary embedding, and the input norm; the
+    keys outside a row's band have zero weight on the tape, so they get no
+    gradient from that row.  Only
     adapter tensors receive gradients, keyed like ``AdapterWeights.tensors()``.
     """
     x = batch.early_features

@@ -26,8 +26,11 @@ def rotate(vecs, position, rope_table):
     return out
 
 
-def dense_attention(params, x, rope_table, start_pos=0):
-    """Full-matrix causal attention over the whole input, no cache."""
+def dense_attention(params, x, rope_table, start_pos=0, window=None):
+    """Full-matrix causal attention over the whole input, no cache.
+
+    With a ``window``, row ``t`` sees only keys ``t-window+1..t``.
+    """
     t_len, d = x.shape
     h, hd = params.n_heads, params.head_dim
     q = (x @ params.wq).reshape(t_len, h, hd)
@@ -37,6 +40,8 @@ def dense_attention(params, x, rope_table, start_pos=0):
     k = np.stack([rotate(k[t], start_pos + t, rope_table) for t in range(t_len)])
     scores = np.einsum("thd,uhd->htu", q, k) / np.sqrt(hd)
     mask = np.tril(np.ones((t_len, t_len), dtype=bool))
+    if window is not None:
+        mask &= np.triu(np.ones((t_len, t_len), dtype=bool), k=1 - window)
     scores = np.where(mask[None], scores, -np.inf)
     scores = scores - scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
@@ -87,7 +92,7 @@ def random_gradcheck_instance(seed, d=8, vocab=11, t_len=3, heads=2):
         output_norm=rng.normal(1.0, 0.1, d),
     )
     lm_head = rng.normal(0.0, 0.5, (d, vocab))
-    rope = RopeTable(d // heads, 10000.0, 16, np.float64)
+    rope = RopeTable(d // heads, 10000.0, max(16, t_len), np.float64)
     batch = DistillBatch(
         early_features=rng.normal(0.0, 1.0, (t_len, d)),
         teacher_probs=rng.dirichlet(np.ones(vocab), size=t_len),

@@ -12,6 +12,7 @@ from selfspec import (
     init_adapter,
     vanilla_greedy_decode,
 )
+from selfspec.adapter import WINDOW
 from selfspec.errors import CacheError, ConfigError
 from selfspec.kernels import softmax
 from selfspec.model import FeatureBlock, forward_shallow
@@ -42,17 +43,37 @@ class TestAdapterForward:
         assert token == vanilla_greedy_decode(model, [5], 1)[0]
 
     def test_incremental_equals_batch(self, small_model, small_adapter):
+        # 96 rows: from row 64 on, each row's window leaves out the oldest keys
         caches_a = KVCacheSet(small_model.config)
         caches_b = KVCacheSet(small_model.config)
-        features = forward_shallow(small_model, [3, 9, 2, 8, 1, 4, 4, 0], caches_a)
+        features = forward_shallow(small_model, [3, 9, 2, 8, 1, 4, 4, 0] * 12, caches_a)
         batch = adapter_forward(small_adapter, features, caches_a.adapter, small_model.rope)
         rows = []
-        for i in range(8):
+        for i in range(96):
             block = FeatureBlock(start=i, values=features.values[i : i + 1])
             rows.append(adapter_forward(small_adapter, block, caches_b.adapter, small_model.rope))
         steps = np.concatenate(rows)
         assert np.max(np.abs(batch - steps)) <= 1e-4
         assert np.array_equal(batch, steps)
+
+    def test_rows_older_than_the_window_are_not_read(self, small_model, small_adapter):
+        # The probe at position 95 sees positions 32..95: a change to the
+        # feature at 31 leaves its logits alone, a change at 32 does not.
+        features = forward_shallow(small_model, [3, 9, 2, 8, 1, 4, 4, 0] * 12,
+                                   KVCacheSet(small_model.config)).values
+
+        def probe(values):
+            caches = KVCacheSet(small_model.config)
+            older = FeatureBlock(start=0, values=values[:-1])
+            adapter_forward(small_adapter, older, caches.adapter, small_model.rope)
+            newest = FeatureBlock(start=95, values=values[-1:])
+            return draft_logits(small_model, small_adapter, newest, caches)[0]
+
+        base = probe(features)
+        for position, read in ((95 - WINDOW, False), (95 - WINDOW + 1, True)):
+            perturbed = features.copy()
+            perturbed[position] += np.float32(1.0)
+            assert np.array_equal(probe(perturbed), base) != read
 
     def test_single_feature_single_row(self, small_model, small_adapter):
         caches = KVCacheSet(small_model.config)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import selfspec.adapter
 import selfspec.engine
 import selfspec.model
 from selfspec import (
@@ -18,6 +19,7 @@ from selfspec import (
     passthrough_adapter,
     vanilla_greedy_decode,
 )
+from selfspec.adapter import WINDOW
 from selfspec.engine import DecodeSession, run_corpus
 from selfspec.errors import CapacityError, ConfigError, LosslessnessError
 from selfspec.seeding import generator
@@ -519,6 +521,34 @@ class TestPromptPass:
                 assert ours.length == theirs.length == length
                 assert ours.k[:length].tobytes() == theirs.k[:length].tobytes()
                 assert ours.v[:length].tobytes() == theirs.v[:length].tobytes()
+
+
+class TestBoundedProbe:
+    """A probe attends from its last row over the last ``WINDOW`` positions."""
+
+    def test_first_probe_on_a_long_prompt_projects_the_window(self, desk_low, monkeypatch):
+        model, adapter = desk_low
+        calls = []
+        attention = selfspec.adapter.causal_attention
+
+        def recorded(params, x, cache, start, *args, **kwargs):
+            out = attention(params, x, cache, start, *args, **kwargs)
+            calls.append((len(x), start, len(out)))
+            return out
+
+        monkeypatch.setattr(selfspec.adapter, "causal_attention", recorded)
+        prompt = [int(t) for t in generator(448, "prompt").integers(256, size=448)]
+        session = DecodeSession(model, adapter, prompt)
+        # the adapter cache starts at the oldest prompt row the first probe sees
+        assert session.caches.adapter_len == 448 - WINDOW
+        assert sum(len(rows) for rows in session._backlog) == WINDOW - 1
+        session.draft_window(DraftPolicy(eta=1.0, gamma_max=1))
+        assert calls == [(WINDOW, 448 - WINDOW, 1)]
+        calls.clear()
+        result = generate(model, adapter, DraftPolicy(eta=0.0, gamma_max=6), prompt, 16)
+        assert result.tokens == vanilla_greedy_decode(model, prompt, 16)
+        assert calls[0] == (WINDOW, 448 - WINDOW, 1) and len(calls) > 1
+        assert all(rows <= 2 and out == 1 for rows, _, out in calls[1:])
 
 
 class TestHeadRows:

@@ -248,6 +248,20 @@ class TestCausalAttention:
         oracle = dense_attention(params, x, table)
         assert np.max(np.abs(ours - oracle)) <= 1e-4
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+    @pytest.mark.parametrize("length", [63, 64, 65, 130])
+    def test_window_matches_banded_dense_oracle(self, dtype, tol, length):
+        # Row t sees keys t-63..t; past 64 rows the band drops the oldest keys.
+        table = RopeTable(8, 10000.0, 192, dtype=dtype)
+        mats = (RNG.standard_normal((32, 32)).astype(dtype) * dtype(0.3) for _ in range(4))
+        params = AttentionParams(*mats, n_heads=4, head_dim=8)
+        x = RNG.standard_normal((length, 32)).astype(dtype)
+        ours = causal_attention(params, x, LayerKVCache(192, 4, 8, dtype=dtype), 0, table, window=64)
+        assert np.max(np.abs(ours - dense_attention(params, x, table, window=64))) <= tol
+        causal = dense_attention(params, x, table)
+        assert np.max(np.abs(ours[:64] - causal[:64])) <= tol
+        assert (length > 64) == bool(np.max(np.abs(ours - causal)) > 1e-3)
+
     def test_cache_length_mismatch(self):
         params = _random_params()
         table = RopeTable(8, 10000.0, 16)
@@ -294,6 +308,19 @@ class TestPromptAttention:
 
 
 class TestCacheAndFfn:
+    def test_start_at_opens_an_empty_cache_past_zero_rows(self):
+        cache = LayerKVCache(200, 2, 4)
+        cache.start_at(130)
+        assert cache.length == 130 and cache.k.shape[0] >= 130
+        assert not cache.k.any() and not cache.v.any()
+        row = np.ones((1, 2, 4), dtype=np.float32)
+        cache.extend(row, row)
+        assert cache.length == 131 and cache.k[130].all() and not cache.k[:130].any()
+        with pytest.raises(CacheError):
+            cache.start_at(5)  # not empty
+        with pytest.raises(CacheError):
+            LayerKVCache(8, 2, 4).start_at(9)
+
     def test_truncate_bounds(self):
         cache = LayerKVCache(8, 2, 4)
         cache.extend(np.zeros((3, 2, 4), dtype=np.float32), np.zeros((3, 2, 4), dtype=np.float32))
@@ -428,6 +455,9 @@ class TestWeightPlanes:
         assert np.array_equal(mask, np.triu(np.ones((128, 128), dtype=bool), k=1))
         with pytest.raises(ValueError):
             mask[0, 0] = True
+        band, i = _causal_mask(128, 64), np.arange(128)
+        assert not band.flags.writeable
+        assert np.array_equal(band, (i > i[:, None]) | (i <= i[:, None] - 64))
 
 
 class TestBatchInvariance:
@@ -544,16 +574,43 @@ class TestBatchInvariance:
         # 33 and 45 rows span two query-row blocks and several key chunks
         self._check_after_prefix(dtype, start, (33, 45))
 
-    def _check_after_prefix(self, dtype, start, row_counts):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("start", [60, 125, 318])
+    def test_windowed_attention_after_cached_prefix(self, dtype, start):
+        # A row sees the last 64 positions.  From 125 and 318 the windows of
+        # one call's rows begin in different 64-key chunks, so a row's span
+        # in the batched call holds a leading chunk that it does not see.
+        self._check_after_prefix(dtype, start, (2, 7), window=64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [None, 64])
+    @pytest.mark.parametrize("start,rows", [(0, 1), (0, 70), (60, 7), (125, 7), (318, 40)])
+    def test_last_row_query_equals_full_call(self, dtype, window, start, rows):
+        rng, params, table = self._attention_setup(dtype)
+        x = rng.standard_normal((rows, self.D)).astype(dtype)
+        outputs, caches = [], []
+        for last_row in (False, True):
+            cache = LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype)
+            prefix = np.random.default_rng(start).standard_normal((start, self.HEADS, self.HEAD_DIM))
+            cache.extend(prefix.astype(dtype), prefix[::-1].astype(dtype))
+            outputs.append(causal_attention(params, x, cache, start, table, window, last_row))
+            caches.append(cache)
+        full, last = outputs
+        assert last.shape == (1, self.D)
+        assert np.array_equal(last[0], full[-1])
+        for name in ("k", "v"):  # every row's K/V is appended either way
+            assert np.array_equal(getattr(caches[0], name), getattr(caches[1], name))
+
+    def _check_after_prefix(self, dtype, start, row_counts, window=None):
         rng, params, table = self._attention_setup(dtype)
         cache = LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype)
         prefix = (start, self.HEADS, self.HEAD_DIM)
         cache.extend(rng.standard_normal(prefix).astype(dtype), rng.standard_normal(prefix).astype(dtype))
         for rows in row_counts:
             x = rng.standard_normal((rows, self.D)).astype(dtype)
-            batched = causal_attention(params, x, cache, start, table)
+            batched = causal_attention(params, x, cache, start, table, window)
             cache.truncate(start)
-            singles = [causal_attention(params, x[t : t + 1], cache, start + t, table)[0]
+            singles = [causal_attention(params, x[t : t + 1], cache, start + t, table, window)[0]
                        for t in range(rows)]
             cache.truncate(start)
             self._assert_rows_match(batched, lambda t: singles[t])

@@ -13,6 +13,7 @@ from selfspec import (
     distill_loss,
     train_adapter,
 )
+from selfspec.adapter import WINDOW
 from selfspec.errors import ConfigError, ShapeError
 from selfspec.kernels import RopeTable, matmul
 from selfspec.model import forward_shallow
@@ -62,6 +63,11 @@ class TestAdapterBackward:
         adapter, batch, lm_head, rope = random_instance(0)
         assert max_grad_error(adapter, batch, lm_head, rope) <= 1e-5
 
+    def test_gradcheck_past_the_window(self):
+        # 70 positions: the last rows' bands leave out the oldest keys
+        adapter, batch, lm_head, rope = random_instance(3, t_len=WINDOW + 6)
+        assert max_grad_error(adapter, batch, lm_head, rope) <= 1e-5
+
     def test_softce_identity_at_head(self):
         # With the clamp inactive, d loss / d logits is student - teacher.
         adapter, batch, lm_head, rope = random_instance(1)
@@ -89,21 +95,23 @@ class TestAdapterBackward:
 
     def test_tape_forward_matches_inference_path(self, small_model, small_adapter):
         # The differentiable forward and the cached inference forward are the
-        # same function up to float64 rounding.
+        # same function up to float64 rounding, within the attention window
+        # and past it (90 positions).
         model64 = small_model.astype(np.float64)
         adapter64 = small_adapter.astype(np.float64)
-        caches = KVCacheSet(model64.config, dtype=np.float64)
-        features = forward_shallow(model64, [4, 9, 9, 1, 3], caches)
-        refined = adapter_forward(adapter64, features, caches.adapter, model64.rope)
-        inference_logits = matmul(refined, model64.lm_head)
         rope64 = RopeTable(
             model64.config.head_dim, model64.config.rope_theta,
             model64.config.max_seq_len, np.float64,
         )
-        tape_logits, _ = adapter_student_forward(
-            adapter64, features.values, model64.lm_head, rope64
-        )
-        assert np.max(np.abs(inference_logits - tape_logits)) <= 1e-10
+        for tokens in ([4, 9, 9, 1, 3], [4, 9, 9, 1, 3, 7] * 15):
+            caches = KVCacheSet(model64.config, dtype=np.float64)
+            features = forward_shallow(model64, tokens, caches)
+            refined = adapter_forward(adapter64, features, caches.adapter, model64.rope)
+            inference_logits = matmul(refined, model64.lm_head)
+            tape_logits, _ = adapter_student_forward(
+                adapter64, features.values, model64.lm_head, rope64
+            )
+            assert np.max(np.abs(inference_logits - tape_logits)) <= 1e-10
 
 
 class TestAdamW:
