@@ -20,7 +20,7 @@ from .adapter import AdapterWeights, init_adapter
 from .engine import DraftPolicy, run_corpus
 from .errors import LosslessnessError, SelfspecError
 from .metrics import BenchReport, to_csv
-from .model import DESK_CONFIG, ModelConfig, TargetWeights, gen_model
+from .model import DESK_CONFIG, ModelConfig, TargetWeights, context_room, gen_model
 from .simulator import calibrate_latency, sweep
 from .training import TrainConfig, train_adapter
 
@@ -135,7 +135,7 @@ def _decoding_inputs(args) -> tuple[TargetWeights, AdapterWeights, list[list[int
         raise UsageError(f"--n-tokens must be >= 1, got {args.n_tokens}")
     model = _load_model(args)
     adapter = _load_adapter(args, model)
-    limit = model.config.max_seq_len - args.n_tokens
+    limit = context_room(model.config, args.n_tokens)  # the longest prompt that fits
     if limit < 1:
         raise UsageError(f"--n-tokens {args.n_tokens} leaves no room for prompts")
     prompts = [seq[:limit] for seq in _load_corpus(args)]

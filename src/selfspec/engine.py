@@ -2,7 +2,8 @@
 
 Each round drafts tokens from the shallow layers + adapter until the draft
 confidence drops to the threshold (that low-confidence draft is kept, per
-the double-early-exit rule), the step budget runs out, or the cache fills.
+the double-early-exit rule) or the step budget runs out; ``generate`` checks
+the context bound (``model.context_room``) once, before any pass.
 A round with ``d`` drafts produces a unit of ``d+1`` features, the newest
 committed token's and each draft's; one batched pass of the remaining layers
 verifies every draft and supplies the target's token at the first mismatch,
@@ -49,6 +50,7 @@ from .model import (
     ModelConfig,
     TargetWeights,
     check_prompt,
+    context_room,
     forward_remaining,
     forward_shallow,
     greedy_step,
@@ -81,7 +83,6 @@ class DraftPolicy:
 class StopReason(enum.Enum):
     THRESHOLD = "threshold"
     MAX_STEPS = "max_steps"
-    CAPACITY = "capacity"
 
 
 @dataclass
@@ -294,30 +295,19 @@ class DecodeSession:
 
     def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
         check_prompt(prompt, model.config)
-        max_len = model.config.max_seq_len
-        if len(prompt) > max_len + 1:
-            raise CapacityError(
-                f"prompt of {len(prompt)} tokens exceeds max_seq_len + 1 = {max_len + 1}"
-            )
         self.model = model
         self.adapter = adapter
         self.caches = KVCacheSet(model.config, dtype=model.dtype)
         self.tokens = list(prompt)
-        # A prompt of max_seq_len + 1 tokens leaves its newest token no
-        # position: the rest is cached and no round opens (a round would
-        # raise CapacityError; ``generate`` reports truncation instead).
-        features, logits = prefill(model, prompt[:max_len], self.caches)
+        features, logits = prefill(model, prompt, self.caches)
         # the prompt rows that the first probe's window reaches
         rows = features.values[max(self.committed - WINDOW + 1, 0) : self.committed]
         self.caches.adapter.start_at(self.committed - len(rows))
         self._backlog: list[np.ndarray] = [rows] if len(rows) else []
-        self._opening: FeatureBlock | None = None
+        self._opening: FeatureBlock | None = FeatureBlock(self.committed, features.values[-1:])
         # targets already known for the leading rows of the next unit
-        self._targets: list[int] = []
+        self._targets = [argmax_token(logits)]
         self._drafting = _Drafting(model.config)
-        if len(prompt) <= max_len:
-            self._opening = FeatureBlock(start=self.committed, values=features.values[-1:])
-            self._targets = [argmax_token(logits)]
 
     @property
     def committed(self) -> int:
@@ -337,7 +327,7 @@ class DecodeSession:
         round; it ends drafting for good and drops the backlog, as no probe follows.
         A round that stops on the threshold defers while no first draft was accepted.
         """
-        if self._opening is None and (_budget(policy, max_drafts) == 0 or self._drafting.ended):
+        if self._opening is None and (self._budget(policy, max_drafts) == 0 or self._drafting.ended):
             self._drafting.ended, self._backlog = True, []
             self.tokens.append(greedy_step(self.model, self.tokens[-1], self.caches))
             return RoundTrace(0, 0, 1, [], StopReason.MAX_STEPS, deferred=False)
@@ -347,15 +337,12 @@ class DecodeSession:
                           window.stop_reason, window.deferred)
 
     def draft_window(self, policy: DraftPolicy, max_drafts: int | None = None) -> DraftWindow:
-        """Draft until threshold / step budget / capacity; return the unit.
+        """Draft until the threshold or the step budget (``_budget``); return the unit.
 
-        The step budget is ``gamma_max``, lowered to ``max_drafts`` (>= 0)
-        when given, e.g. so that a round never drafts tokens the caller
-        cannot keep.  A round that stops on the threshold leaves out its
-        final draft's feature when the session defers it.
+        A round that stops on the threshold leaves out its final draft's
+        feature when the session defers it.
         """
-        max_len = self.model.config.max_seq_len
-        gamma = _budget(policy, max_drafts)
+        gamma = self._budget(policy, max_drafts)
         rows: list[np.ndarray] = []
         drafts: list[int] = []
         confidences: list[float] = []
@@ -367,9 +354,6 @@ class DecodeSession:
             rows.append(block.values[0])
             if len(drafts) == gamma:
                 reason = StopReason.MAX_STEPS
-                break
-            if self.caches.shallow_len >= max_len:
-                reason = StopReason.CAPACITY
                 break
             _, confidence, token = self._probe(block)
             drafts.append(token)
@@ -418,11 +402,13 @@ class DecodeSession:
         self.tokens.extend(emitted)
         return accepted, emitted
 
-
-def _budget(policy: DraftPolicy, max_drafts: int | None) -> int:
-    if max_drafts is not None and max_drafts < 0:
-        raise ConfigError(f"max_drafts must be >= 0, got {max_drafts}")
-    return policy.gamma_max if max_drafts is None else min(policy.gamma_max, max_drafts)
+    def _budget(self, policy: DraftPolicy, max_drafts: int | None) -> int:
+        """``gamma_max``, lowered to ``max_drafts`` (>= 0) when given, so that a round
+        never drafts tokens the caller cannot keep, and to the positions the context has left."""
+        if max_drafts is not None and max_drafts < 0:
+            raise ConfigError(f"max_drafts must be >= 0, got {max_drafts}")
+        budget = min(policy.gamma_max, context_room(self.model.config, len(self.tokens)) - 1)
+        return budget if max_drafts is None else min(budget, max_drafts)
 
 
 def _extend_back(pending: list[np.ndarray], block: FeatureBlock) -> FeatureBlock:
@@ -451,22 +437,27 @@ def generate(
     """Speculatively decode ``n_tokens`` greedy tokens after ``prompt``.
 
     Output tokens are exactly those of the vanilla greedy reference for any
-    adapter and policy; a result that had to stop at the context limit is
-    flagged ``truncated`` instead of raising.  A round drafts at most
-    ``n_tokens - len(out) - 1`` tokens, so every token it emits is kept: a
-    one-token request drafts nothing and takes its token from the prefill.
+    adapter and policy.  Before any pass it bounds the request to the ``n``
+    tokens that fit (``model.context_room``), flagged ``truncated`` when fewer
+    than asked; with none it runs no pass, and with a negative room it raises
+    ``CapacityError``.  A round drafts at most ``n - len(out) - 1`` tokens, so
+    every token it emits is kept: a one-token request drafts nothing and takes
+    its token from the prefill.
     """
+    check_prompt(prompt, model.config)
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
-    session = DecodeSession(model, adapter, prompt)
+    room = context_room(model.config, len(prompt))
+    if room < 0:
+        raise CapacityError(f"prompt of {len(prompt)} tokens exceeds max_seq_len + 1")
+    n = min(n_tokens, room)
     rounds: list[RoundTrace] = []
     out: list[int] = []
-    while len(out) < n_tokens:
-        if len(session.tokens) > model.config.max_seq_len:
-            return GenerationResult(tokens=out, rounds=rounds, truncated=True)
-        rounds.append(session.run_round(policy, n_tokens - len(out) - 1))
+    session = DecodeSession(model, adapter, prompt) if n else None
+    while len(out) < n:
+        rounds.append(session.run_round(policy, n - len(out) - 1))
         out.extend(session.tokens[-rounds[-1].emitted :])
-    return GenerationResult(tokens=out, rounds=rounds)
+    return GenerationResult(tokens=out, rounds=rounds, truncated=n < n_tokens)
 
 
 @dataclass

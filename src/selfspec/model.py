@@ -375,21 +375,25 @@ def check_prompt(prompt: list[int], config: ModelConfig) -> None:
         raise ConfigError("prompt token id outside vocabulary")
 
 
+def context_room(config: ModelConfig, length: int) -> int:
+    """The tokens that still fit after ``length``: the newest token is never
+    fed back, so a request fits when ``len(prompt) + n_tokens <= max_seq_len + 1``."""
+    return config.max_seq_len + 1 - length
+
+
 def vanilla_greedy_decode(
     weights: TargetWeights, prompt: list[int], n_tokens: int
 ) -> list[int]:
     """One-token-per-forward greedy decoding: the losslessness oracle.
 
     The prompt goes through ``prefill``, every later token through the
-    batch-invariant one-row steps.  The newest token is never fed back, so
-    ``len(prompt) + n_tokens - 1`` positions are cached: the request fits
-    when that is at most ``max_seq_len``, the same bound up to which
-    ``generate`` emits tokens.
+    batch-invariant one-row steps.  A request past ``context_room`` raises
+    ``CapacityError`` before any pass; ``generate`` emits up to the same bound.
     """
     check_prompt(prompt, weights.config)
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
-    if len(prompt) + n_tokens > weights.config.max_seq_len + 1:
+    if n_tokens > context_room(weights.config, len(prompt)):
         raise CapacityError(
             f"prompt ({len(prompt)}) + n_tokens ({n_tokens}) exceeds max_seq_len + 1 = "
             f"{weights.config.max_seq_len + 1}"

@@ -35,6 +35,7 @@ from .model import (
     FeatureBlock,
     KVCacheSet,
     TargetWeights,
+    context_room,
     forward_remaining,
     forward_shallow,
     prefill,
@@ -90,6 +91,8 @@ def calibrate_latency(
     At each of ``PROBE_LENGTHS`` it times one shallow row, one adapter
     probe, and verifications of 1 and ``gamma + 1`` rows; then it times
     whole engine rounds, counting each one's passes with ``round_passes``.
+    Each round drafts at most an equal share of the context's room, so the
+    warm-up round and the ``reps`` timed ones fit the context together.
     The costs are the least-squares solution in ``LatencyModel.cost`` order,
     with negative components clamped to zero.  ``gamma`` must be at least 1.
     """
@@ -134,12 +137,13 @@ def calibrate_latency(
     # also times the greedy steps that the runs it predicts are made of.
     prompt = tokens[: max(4, PROBE_LENGTHS[0])]
     policy = DraftPolicy(eta=0.0, gamma_max=gamma)
+    max_drafts = context_room(cfg, len(prompt)) // (reps + 1) - 1
     # The untimed warm-up round also carries the prompt through the
     # adapter, so every timed round is a steady-state one.
     session = DecodeSession(model, adapter, prompt)
-    session.run_round(policy)
+    session.run_round(policy, max_drafts)
     for _ in range(reps):
-        seconds, trace = measure_walltime(session.run_round, policy)
+        seconds, trace = measure_walltime(session.run_round, policy, max_drafts)
         rows.append(round_passes(trace.drafted, trace.deferred, trace.accepted_drafts == trace.drafted))
         times.append(seconds)
 

@@ -325,6 +325,22 @@ class TestVerifyLossless:
         ])
         assert code == 0
 
+    def test_prompts_sized_by_the_context_bound(self, tmp_path, artifacts, capsys):
+        # prompt + n_tokens <= max_seq_len + 1: 32 new tokens leave a 32-position
+        # context room for 1-token prompts, and 33 leave none
+        _, adapter, corpus = artifacts
+        model = tmp_path / "short.kngr"
+        assert main(["gen-model", "--out", str(model), *MODEL_FLAGS, "--exit-layer", "2",
+                     "--max-seq-len", "32"]) == 0
+        for n_tokens, expected in (("32", 0), ("33", 2)):
+            code = main([
+                "verify-lossless", "--model", str(model), "--adapter", str(adapter),
+                "--corpus", str(corpus), "--n-tokens", n_tokens, "--etas", "0,0.6",
+                "--gammas", "0,6",
+            ])
+            assert code == expected
+        assert "--n-tokens 33 leaves no room for prompts" in capsys.readouterr().err
+
     def test_missing_model_exit_2(self, tmp_path, artifacts):
         _, adapter, corpus = artifacts
         code = main([

@@ -51,6 +51,17 @@ def desk_low(dialed_desk_model):
     return model, init_adapter(model, 2)
 
 
+def longer_context(model):
+    """The same weights with twice the context."""
+    return TargetWeights(
+        config=dataclasses.replace(model.config, max_seq_len=2 * model.config.max_seq_len),
+        token_embedding=model.token_embedding,
+        layers=model.layers,
+        final_norm=model.final_norm,
+        lm_head=model.lm_head,
+    )
+
+
 def randomized_adapter(model, seed, spread=0.15):
     adapter = init_adapter(model, seed)
     rng = generator(seed, "adapter-noise")
@@ -344,12 +355,13 @@ class TestGenerate:
         assert emitted == vanilla_greedy_decode(small_model, prefix, 1)
 
     def test_capacity_truncation_flagged(self, small_cfg, small_model, small_adapter):
-        room = small_cfg.max_seq_len - 4
+        room = small_cfg.max_seq_len + 1 - 4
         result = generate(
             small_model, small_adapter, DraftPolicy(eta=0.0, gamma_max=2), [1] * 4, room + 10
         )
         assert result.truncated
-        assert len(result.tokens) <= room + 10
+        assert len(result.tokens) == room
+        assert result.tokens == vanilla_greedy_decode(longer_context(small_model), [1] * 4, room)
 
     def test_empty_prompt_rejected(self, small_model, small_adapter):
         with pytest.raises(ConfigError):
@@ -398,14 +410,7 @@ class TestCapacityContract:
         result = generate(small_model, small_adapter, self.POLICY, self.PROMPT, n)
         assert result.truncated
         # The same weights with a longer context give the greedy continuation.
-        longer = TargetWeights(
-            config=dataclasses.replace(cfg, max_seq_len=2 * cfg.max_seq_len),
-            token_embedding=small_model.token_embedding,
-            layers=small_model.layers,
-            final_norm=small_model.final_norm,
-            lm_head=small_model.lm_head,
-        )
-        reference = vanilla_greedy_decode(longer, self.PROMPT, n)
+        reference = vanilla_greedy_decode(longer_context(small_model), self.PROMPT, n)
         assert result.tokens == reference[: len(result.tokens)]
 
 
@@ -426,6 +431,58 @@ class TestCapacityContract:
             result = generate(small_model, small_adapter, self.POLICY, prompt, n)
             assert result.tokens == expected
             assert result.truncated == (n > len(expected))
+
+    @pytest.mark.parametrize("n,extra", [(0, -4), (0, 0), (0, 1), (1, 1), (3, 1)],
+                             ids=["none", "none-full", "none-past", "one-past", "three-past"])
+    def test_nothing_to_emit_runs_no_pass(self, small_model, small_adapter, monkeypatch,
+                                          n, extra):
+        # No tokens asked for, or a prompt of max_seq_len + 1 tokens: the
+        # context holds nothing more, so no session opens and nothing runs.
+        def no_prefill(*_args):
+            raise AssertionError("generate ran a prefill")
+
+        monkeypatch.setattr(selfspec.engine, "prefill", no_prefill)
+        prompt = [3] * (small_model.config.max_seq_len + extra)
+        result = generate(small_model, small_adapter, self.POLICY, prompt, n)
+        assert result.tokens == [] and result.rounds == []
+        assert result.truncated == (n > 0)
+
+    @pytest.mark.parametrize("length", [4, 60, 120, 126, 127])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_rounds_at_the_limit_stop_on_threshold_or_steps(self, small_model, planted,
+                                                            length, eta):
+        # Every request runs into the context; the one bound is checked
+        # before any pass, so each round stops on the policy alone.
+        assert set(StopReason) == {StopReason.THRESHOLD, StopReason.MAX_STEPS}
+        for model, adapter in ((small_model, randomized_adapter(small_model, 3)), planted):
+            prompt = [int(t) for t in generator(length, "limit-prompt").integers(64, size=length)]
+            room = model.config.max_seq_len + 1 - length
+            for n in (room, room + 1, room + 9):
+                result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=6), prompt, n)
+                assert result.tokens == vanilla_greedy_decode(model, prompt, room)
+                assert result.truncated == (n > room)
+                assert {r.stop_reason for r in result.rounds} <= {
+                    StopReason.THRESHOLD, StopReason.MAX_STEPS
+                }
+
+    @pytest.mark.parametrize("gamma", [20, 70])
+    def test_session_rounds_draft_within_the_context(self, planted, gamma):
+        # Without a caller's max_drafts a round drafts at most the positions
+        # the context has left, and stops on its step budget there.
+        model, adapter = planted
+        prompt = [7, 3, 1, 8, 2, 6, 4, 5]
+        session = DecodeSession(model, adapter, prompt)
+        policy = DraftPolicy(eta=0.0, gamma_max=gamma)
+        traces = []
+        while len(session.tokens) <= model.config.max_seq_len:
+            traces.append(session.run_round(policy))
+        assert len(session.tokens) == model.config.max_seq_len + 1
+        assert all(t.stop_reason is StopReason.MAX_STEPS for t in traces)
+        assert traces[-1].drafted < gamma
+        room = len(session.tokens) - len(prompt)
+        assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, room)
+        with pytest.raises(CapacityError):
+            session.run_round(policy)
 
 
 class TestPromptPass:

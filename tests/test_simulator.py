@@ -8,10 +8,13 @@ from selfspec import (
     DraftPolicy,
     LatencyModel,
     calibrate_latency,
+    desk_config,
     gen_model,
+    gen_passthrough_model,
     generate,
     init_adapter,
     measure_walltime,
+    passthrough_adapter,
     simulate_speedup,
     sweep,
 )
@@ -245,6 +248,24 @@ class TestCalibration:
         short = gen_model(dataclasses.replace(small_cfg, max_seq_len=56), seed=41)
         with pytest.raises(ConfigError, match="probe lengths exceed the model context"):
             calibrate_latency(short, init_adapter(short, seed=42), reps=1)
+
+    @pytest.mark.parametrize("gamma", [20, 40, 70])
+    def test_whole_rounds_fit_the_context(self, monkeypatch, gamma):
+        # Every passthrough draft is accepted, so unbounded rounds of gamma + 1
+        # tokens would outgrow a 128-position context by the third round.
+        model = gen_passthrough_model(desk_config(max_seq_len=128), 43)
+        run_round = selfspec.simulator.DecodeSession.run_round
+        lengths = []
+
+        def recorded(session, *args):
+            trace = run_round(session, *args)
+            lengths.append(len(session.tokens))
+            return trace
+
+        monkeypatch.setattr(selfspec.simulator.DecodeSession, "run_round", recorded)
+        lat = calibrate_latency(model, passthrough_adapter(model), reps=5, gamma=gamma)
+        assert lat.c_big > 0
+        assert len(lengths) == 6 and lengths[-1] <= model.config.max_seq_len + 1
 
     def test_singular_design_detected(self, monkeypatch, small_model, small_adapter):
         monkeypatch.setattr(
