@@ -18,9 +18,9 @@ from . import corpus as corpus_mod
 from . import serialize
 from .adapter import AdapterWeights, init_adapter
 from .engine import DraftPolicy, run_corpus
-from .errors import LosslessnessError, SelfspecError
+from .errors import ConfigError, LosslessnessError, SelfspecError
 from .metrics import BenchReport, to_csv
-from .model import DESK_CONFIG, ModelConfig, TargetWeights, context_room, gen_model
+from .model import DESK_CONFIG, ModelConfig, TargetWeights, check_prompt, context_room, gen_model
 from .simulator import calibrate_latency, sweep
 from .training import TrainConfig, train_adapter
 
@@ -140,8 +140,10 @@ def _decoding_inputs(args) -> tuple[TargetWeights, AdapterWeights, list[list[int
         raise UsageError(f"--n-tokens {args.n_tokens} leaves no room for prompts")
     prompts = [seq[:limit] for seq in _load_corpus(args)]
     for i, prompt in enumerate(prompts):
-        if any(not 0 <= t < model.config.vocab_size for t in prompt):
-            raise UsageError(f"corpus line {i + 1} has ids outside the model vocabulary")
+        try:
+            check_prompt(prompt, model.config)
+        except ConfigError as exc:
+            raise UsageError(f"corpus line {i + 1}: {exc}") from exc
     return model, adapter, prompts
 
 

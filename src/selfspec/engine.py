@@ -3,7 +3,7 @@
 Each round drafts tokens from the shallow layers + adapter until the draft
 confidence drops to the threshold (that low-confidence draft is kept, per
 the double-early-exit rule) or the step budget runs out; ``generate`` checks
-the context bound (``model.context_room``) once, before any pass.
+the context bound (``model.context_room``) once and tells the session its length.
 A round with ``d`` drafts produces a unit of ``d+1`` features, the newest
 committed token's and each draft's; one batched pass of the remaining layers
 verifies every draft and supplies the target's token at the first mismatch,
@@ -49,7 +49,7 @@ from .model import (
     KVCacheSet,
     ModelConfig,
     TargetWeights,
-    check_prompt,
+    check_request,
     context_room,
     forward_remaining,
     forward_shallow,
@@ -291,13 +291,23 @@ class DecodeSession:
     computes that feature, and the bonus token from it, only after full
     acceptance; a deferred round 1 whose single draft is rejected runs no
     verification pass, as the prefill verified its only other row.
+
+    A session emits ``n_tokens`` tokens, by default all that fit
+    (``model.context_room``): its caches are sized for them, no round drafts
+    past them, and a request that does not fit raises before any pass.
     """
 
-    def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int]):
-        check_prompt(prompt, model.config)
+    def __init__(self, model: TargetWeights, adapter: AdapterWeights, prompt: list[int],
+                 n_tokens: int | None = None):
+        if n_tokens is None:
+            n_tokens = max(context_room(model.config, len(prompt)), 1)
+        check_request(prompt, n_tokens, model.config)
+        if n_tokens < 1:
+            raise ConfigError(f"a session emits at least one token, got n_tokens={n_tokens}")
         self.model = model
         self.adapter = adapter
-        self.caches = KVCacheSet(model.config, dtype=model.dtype)
+        self._end = len(prompt) + n_tokens  # len(self.tokens) once the request is done
+        self.caches = KVCacheSet(model.config, model.dtype, self._end - 1)
         self.tokens = list(prompt)
         features, logits = prefill(model, prompt, self.caches)
         # the prompt rows that the first probe's window reaches
@@ -318,7 +328,7 @@ class DecodeSession:
         feature, self._backlog = _extend_back(self._backlog, feature), []
         return draft_logits(self.model, self.adapter, feature, self.caches)
 
-    def run_round(self, policy: DraftPolicy, max_drafts: int | None = None) -> RoundTrace:
+    def run_round(self, policy: DraftPolicy) -> RoundTrace:
         """One round of ``generate``: a drafting and verification round, or a greedy step.
 
         The draft budget is ``draft_window``'s, and zero once the session has
@@ -326,23 +336,25 @@ class DecodeSession:
         token comes from the prefill), is a greedy step traced as a zero-draft
         round; it ends drafting for good and drops the backlog, as no probe follows.
         A round that stops on the threshold defers while no first draft was accepted.
+        A round after the request's last token raises ``CapacityError`` and
+        changes nothing.
         """
-        if self._opening is None and (self._budget(policy, max_drafts) == 0 or self._drafting.ended):
+        if self._opening is None and (self._budget(policy) == 0 or self._drafting.ended):
             self._drafting.ended, self._backlog = True, []
             self.tokens.append(greedy_step(self.model, self.tokens[-1], self.caches))
             return RoundTrace(0, 0, 1, [], StopReason.MAX_STEPS, deferred=False)
-        window = self.draft_window(policy, max_drafts)
+        window = self.draft_window(policy)
         accepted, emitted = self.verify_window(window)
         return RoundTrace(len(window.drafts), accepted, len(emitted), window.confidences,
                           window.stop_reason, window.deferred)
 
-    def draft_window(self, policy: DraftPolicy, max_drafts: int | None = None) -> DraftWindow:
+    def draft_window(self, policy: DraftPolicy) -> DraftWindow:
         """Draft until the threshold or the step budget (``_budget``); return the unit.
 
         A round that stops on the threshold leaves out its final draft's
         feature when the session defers it.
         """
-        gamma = self._budget(policy, max_drafts)
+        gamma = self._budget(policy)
         rows: list[np.ndarray] = []
         drafts: list[int] = []
         confidences: list[float] = []
@@ -402,13 +414,13 @@ class DecodeSession:
         self.tokens.extend(emitted)
         return accepted, emitted
 
-    def _budget(self, policy: DraftPolicy, max_drafts: int | None) -> int:
-        """``gamma_max``, lowered to ``max_drafts`` (>= 0) when given, so that a round
-        never drafts tokens the caller cannot keep, and to the positions the context has left."""
-        if max_drafts is not None and max_drafts < 0:
-            raise ConfigError(f"max_drafts must be >= 0, got {max_drafts}")
-        budget = min(policy.gamma_max, context_room(self.model.config, len(self.tokens)) - 1)
-        return budget if max_drafts is None else min(budget, max_drafts)
+    def _budget(self, policy: DraftPolicy) -> int:
+        """``gamma_max``, lowered so that a round emits no token past the request's;
+        ``CapacityError`` once its last token is out."""
+        left = self._end - len(self.tokens)
+        if left < 1:
+            raise CapacityError("the session has emitted every token of its request")
+        return min(policy.gamma_max, left - 1)
 
 
 def _extend_back(pending: list[np.ndarray], block: FeatureBlock) -> FeatureBlock:
@@ -440,24 +452,21 @@ def generate(
     adapter and policy.  Before any pass it bounds the request to the ``n``
     tokens that fit (``model.context_room``), flagged ``truncated`` when fewer
     than asked; with none it runs no pass, and with a negative room it raises
-    ``CapacityError``.  A round drafts at most ``n - len(out) - 1`` tokens, so
-    every token it emits is kept: a one-token request drafts nothing and takes
-    its token from the prefill.
+    ``CapacityError``.  Its session is told ``n``, so every token a round
+    emits is kept: a one-token request drafts nothing and takes its token
+    from the prefill.
     """
-    check_prompt(prompt, model.config)
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
-    room = context_room(model.config, len(prompt))
-    if room < 0:
-        raise CapacityError(f"prompt of {len(prompt)} tokens exceeds max_seq_len + 1")
-    n = min(n_tokens, room)
+    n = min(n_tokens, context_room(model.config, len(prompt)))
+    if n < 1:  # no session checks the request
+        check_request(prompt, 0, model.config)
+        return GenerationResult(tokens=[], rounds=[], truncated=n < n_tokens)
+    session = DecodeSession(model, adapter, prompt, n)
     rounds: list[RoundTrace] = []
-    out: list[int] = []
-    session = DecodeSession(model, adapter, prompt) if n else None
-    while len(out) < n:
-        rounds.append(session.run_round(policy, n - len(out) - 1))
-        out.extend(session.tokens[-rounds[-1].emitted :])
-    return GenerationResult(tokens=out, rounds=rounds, truncated=n < n_tokens)
+    while len(session.tokens) < len(prompt) + n:
+        rounds.append(session.run_round(policy))
+    return GenerationResult(session.tokens[len(prompt) :], rounds, truncated=n < n_tokens)
 
 
 @dataclass

@@ -28,7 +28,7 @@ The stable kernels, concretely:
   separate products, in one dispatch.
 - Attention runs per block of query rows over a key span of whole 64-key
   chunks, from position 0 through the chunk that holds the block's last
-  row (the buffers are grown by whole chunks).  A windowed call (the draft
+  row (the buffers hold whole chunks).  A windowed call (the draft
   adapter's) starts its span at the chunk that holds the block's oldest
   visible key instead.  A row's scores are one GEMV per head over the
   span's keys.  A GEMV over a row's own keys would not do: BLAS handles
@@ -39,7 +39,7 @@ The stable kernels, concretely:
   it, bit for bit, so a key's score depends only on the query and the key.
 - Keys a row may not see, including the padding past the cache length, get
   a score of -inf, so their softmax weights are exactly 0.  The value rows
-  there are finite (grown, skipped and rolled-back rows are zeroed).  A
+  there are finite (unfilled, skipped and rolled-back rows are zeroed).  A
   row's context numerator is one GEMV of its weights against the span's
   value rows.  A batched call's span can reach whole chunks past the row's own
   span, and trailing chunks of exact-zero weights leave that GEMV's result
@@ -224,45 +224,30 @@ def _causal_mask(rows: int, window: int | None = None) -> np.ndarray:
 
 
 class LayerKVCache:
-    """Per-layer key/value store, grown by chunk, with O(1) truncate.
+    """Per-layer key/value store of ``capacity`` rows, with O(1) truncate.
 
-    The buffers start empty and grow in whole key chunks, at least doubling
-    each time, up to ``capacity`` rows padded to a whole chunk; ``length``
-    marks how many positions are filled.  Growing copies the filled rows and
-    zeroes the rest.  Truncation moves the length marker back, which is
-    exactly the rollback semantics verification needs, and zeroes the
-    dropped value rows, so the rows that attention reads past ``length``
-    always hold finite values.  ``k_heads`` and ``v_heads`` are
-    ``(heads, rows, head_dim)`` views of the buffers, rebuilt at each
-    growth: attention's operand for one GEMV per head over a key span.
+    The buffers are allocated once, zeroed, at ``capacity`` rows padded to
+    whole key chunks; ``length`` marks how many positions are filled.
+    Truncation moves the length marker back, which is exactly the rollback
+    semantics verification needs, and zeroes the dropped value rows, so the
+    rows that attention reads past ``length`` always hold finite values.
+    ``k_heads`` and ``v_heads`` are ``(heads, rows, head_dim)`` views of the
+    buffers: attention's operand for one GEMV per head over a key span.
     """
 
     def __init__(self, capacity: int, n_heads: int, head_dim: int, dtype=np.float32):
         self.capacity = capacity
-        self._max_chunks = -(-capacity // _KEY_CHUNK)
         self.length = 0
-        self.k = self.v = np.zeros((0, n_heads, head_dim), dtype=dtype)
-        self._grow(0)
-
-    def _grow(self, end: int) -> None:
-        """Reallocate to hold ``end`` rows: at least double, at most the capacity."""
-        held = self.k.shape[0] // _KEY_CHUNK
-        chunks = min(max(-(-end // _KEY_CHUNK), 2 * held), self._max_chunks)
-        k = np.zeros((chunks * _KEY_CHUNK, *self.k.shape[1:]), dtype=self.k.dtype)
-        v = np.zeros_like(k)
-        k[: self.length] = self.k[: self.length]
-        v[: self.length] = self.v[: self.length]
-        self.k, self.v = k, v
-        self.k_heads = k.transpose(1, 0, 2)
-        self.v_heads = v.transpose(1, 0, 2)
+        rows = -(-capacity // _KEY_CHUNK) * _KEY_CHUNK
+        self.k = np.zeros((rows, n_heads, head_dim), dtype=dtype)
+        self.v = np.zeros_like(self.k)
+        self.k_heads = self.k.transpose(1, 0, 2)
+        self.v_heads = self.v.transpose(1, 0, 2)
 
     def extend(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        t = k_rows.shape[0]
-        end = self.length + t
+        end = self.length + k_rows.shape[0]
         if end > self.capacity:
             raise CapacityError(f"KV cache full at {self.capacity} positions")
-        if end > self.k.shape[0]:
-            self._grow(end)
         self.k[self.length : end] = k_rows
         self.v[self.length : end] = v_rows
         self.length = end
@@ -274,8 +259,6 @@ class LayerKVCache:
         """
         if self.length != 0 or not 0 <= position <= self.capacity:
             raise CacheError(f"cannot start a cache of length {self.length} at {position}")
-        if position > self.k.shape[0]:
-            self._grow(position)
         self.length = position
 
     def truncate(self, to_length: int) -> None:

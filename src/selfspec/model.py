@@ -175,10 +175,6 @@ class FeatureBlock:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def positions(self) -> range:
-        return range(self.start, self.start + len(self))
-
 
 class KVCacheSet:
     """The three coordinated caches of one decoding session.
@@ -191,12 +187,14 @@ class KVCacheSet:
     feature rows a session has not yet probed (its backlog), and a session
     starts it at the first prompt row within the adapter's attention window
     (``LayerKVCache.start_at``): the rows before that stay zero and are
-    never read.
+    never read.  Each cache is allocated once, for ``capacity`` positions:
+    a request's length, or by default the whole context.
     """
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
+    def __init__(self, config: ModelConfig, dtype=np.float32, capacity: int | None = None):
         self.config = config
-        make = lambda: LayerKVCache(config.max_seq_len, config.n_heads, config.head_dim, dtype)
+        capacity = config.max_seq_len if capacity is None else capacity
+        make = lambda: LayerKVCache(capacity, config.n_heads, config.head_dim, dtype)
         self.shallow = [make() for _ in range(config.exit_layer)]
         self.deep = [make() for _ in range(config.n_layers - config.exit_layer)]
         self.adapter = make()
@@ -209,10 +207,6 @@ class KVCacheSet:
     @property
     def deep_len(self) -> int:
         return self.deep[0].length
-
-    @property
-    def adapter_len(self) -> int:
-        return self.adapter.length
 
     def rollback(self, to_length: int) -> None:
         """Truncate every cache to ``to_length`` committed positions."""
@@ -381,26 +375,33 @@ def context_room(config: ModelConfig, length: int) -> int:
     return config.max_seq_len + 1 - length
 
 
+def check_request(prompt: list[int], n_tokens: int, config: ModelConfig) -> None:
+    """``check_prompt``, then ``ConfigError`` for a negative ``n_tokens`` and
+    ``CapacityError`` for more than ``context_room`` tokens."""
+    check_prompt(prompt, config)
+    if n_tokens < 0:
+        raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
+    if n_tokens > context_room(config, len(prompt)):
+        raise CapacityError(
+            f"prompt ({len(prompt)}) + n_tokens ({n_tokens}) exceeds max_seq_len + 1 = "
+            f"{config.max_seq_len + 1}"
+        )
+
+
 def vanilla_greedy_decode(
     weights: TargetWeights, prompt: list[int], n_tokens: int
 ) -> list[int]:
     """One-token-per-forward greedy decoding: the losslessness oracle.
 
     The prompt goes through ``prefill``, every later token through the
-    batch-invariant one-row steps.  A request past ``context_room`` raises
-    ``CapacityError`` before any pass; ``generate`` emits up to the same bound.
+    batch-invariant one-row steps, over caches sized by the request.  A
+    request past ``context_room`` raises ``CapacityError`` before any pass;
+    ``generate`` emits up to the same bound.
     """
-    check_prompt(prompt, weights.config)
-    if n_tokens < 0:
-        raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
-    if n_tokens > context_room(weights.config, len(prompt)):
-        raise CapacityError(
-            f"prompt ({len(prompt)}) + n_tokens ({n_tokens}) exceeds max_seq_len + 1 = "
-            f"{weights.config.max_seq_len + 1}"
-        )
+    check_request(prompt, n_tokens, weights.config)
     if n_tokens == 0:
         return []
-    caches = KVCacheSet(weights.config, dtype=weights.dtype)
+    caches = KVCacheSet(weights.config, weights.dtype, len(prompt) + n_tokens - 1)
     _, logits = prefill(weights, prompt, caches)
     out = [argmax_token(logits)]
     for _ in range(n_tokens - 1):

@@ -91,10 +91,11 @@ def calibrate_latency(
     At each of ``PROBE_LENGTHS`` it times one shallow row, one adapter
     probe, and verifications of 1 and ``gamma + 1`` rows; then it times
     whole engine rounds, counting each one's passes with ``round_passes``.
-    Each round drafts at most an equal share of the context's room, so the
+    Their policy caps each at an equal share of the context's room, so the
     warm-up round and the ``reps`` timed ones fit the context together.
     The costs are the least-squares solution in ``LatencyModel.cost`` order,
-    with negative components clamped to zero.  ``gamma`` must be at least 1.
+    with negative components clamped to zero.  ``gamma`` must be at least 1,
+    and the passes must fit the context: both are checked before any pass.
     """
     if gamma < 1:
         raise ConfigError(f"calibration needs gamma >= 1, got {gamma}")
@@ -103,6 +104,10 @@ def calibrate_latency(
     horizon = max(PROBE_LENGTHS) + gamma + 4
     if horizon >= cfg.max_seq_len:
         raise ConfigError("probe lengths exceed the model context")
+    prompt_len = max(4, PROBE_LENGTHS[0])
+    room = context_room(cfg, prompt_len)
+    if room < reps + 1:
+        raise ConfigError(f"{reps + 1} whole rounds exceed the model context of {cfg.max_seq_len}")
     tokens = [int(t) for t in rng.integers(cfg.vocab_size, size=horizon)]
 
     rows, times = [], []
@@ -135,15 +140,13 @@ def calibrate_latency(
     # Whole rounds pin down the per-round overhead.  They are ``generate``'s
     # rounds (``DecodeSession.run_round``), so a session whose drafts lose
     # also times the greedy steps that the runs it predicts are made of.
-    prompt = tokens[: max(4, PROBE_LENGTHS[0])]
-    policy = DraftPolicy(eta=0.0, gamma_max=gamma)
-    max_drafts = context_room(cfg, len(prompt)) // (reps + 1) - 1
+    policy = DraftPolicy(eta=0.0, gamma_max=min(gamma, room // (reps + 1) - 1))
     # The untimed warm-up round also carries the prompt through the
     # adapter, so every timed round is a steady-state one.
-    session = DecodeSession(model, adapter, prompt)
-    session.run_round(policy, max_drafts)
+    session = DecodeSession(model, adapter, tokens[:prompt_len])
+    session.run_round(policy)
     for _ in range(reps):
-        seconds, trace = measure_walltime(session.run_round, policy, max_drafts)
+        seconds, trace = measure_walltime(session.run_round, policy)
         rows.append(round_passes(trace.drafted, trace.deferred, trace.accepted_drafts == trace.drafted))
         times.append(seconds)
 

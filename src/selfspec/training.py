@@ -227,7 +227,7 @@ def build_distill_batches(
     model64 = model if model.dtype == np.float64 else model.astype(np.float64)
     batches = []
     for seq in corpus:
-        caches = KVCacheSet(model64.config, dtype=np.float64)
+        caches = KVCacheSet(model64.config, np.float64, len(seq))
         features = forward_shallow(model64, seq, caches)
         logits = forward_remaining(model64, features, caches)
         batches.append(

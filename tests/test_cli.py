@@ -341,6 +341,17 @@ class TestVerifyLossless:
             assert code == expected
         assert "--n-tokens 33 leaves no room for prompts" in capsys.readouterr().err
 
+    def test_corpus_line_outside_the_vocabulary_exit_2(self, tmp_path, artifacts, capsys):
+        model, adapter, _ = artifacts
+        corpus = tmp_path / "wide.txt"
+        corpus.write_text("1 2 3\n4 64 5\n")  # the fixture model's vocabulary is 64
+        code = main([
+            "verify-lossless", "--model", str(model), "--adapter", str(adapter),
+            "--corpus", str(corpus), "--n-tokens", "4",
+        ])
+        assert code == 2
+        assert "corpus line 2: prompt token id outside vocabulary" in capsys.readouterr().err
+
     def test_missing_model_exit_2(self, tmp_path, artifacts):
         _, adapter, corpus = artifacts
         code = main([

@@ -96,19 +96,40 @@ class TestDraftWindow:
         assert len(window.features) == 1
         assert window.stop_reason is StopReason.MAX_STEPS
 
-    @pytest.mark.parametrize("max_drafts", [-1, -7])
-    def test_negative_max_drafts_rejected(self, small_model, small_adapter, max_drafts):
-        session = DecodeSession(small_model, small_adapter, [3, 1, 4])
-        with pytest.raises(ConfigError, match="max_drafts must be >= 0"):
-            session.draft_window(DraftPolicy(eta=0.0, gamma_max=6), max_drafts)
-        # the rejected call leaves the session as it was
-        window = session.draft_window(DraftPolicy(eta=0.0, gamma_max=6), 0)
-        assert window.drafts == [] and window.features.start == 2
-        # so is a round that would otherwise be a greedy step
-        session.verify_window(window)
-        with pytest.raises(ConfigError, match="max_drafts must be >= 0"):
-            session.run_round(DraftPolicy(eta=0.0, gamma_max=0), max_drafts)
-        assert len(session.tokens) == 4 and not session._drafting.ended
+    @pytest.mark.parametrize("k", [1, 9])
+    @pytest.mark.parametrize("gamma", [0, 6])
+    def test_round_past_the_request_raises_and_changes_nothing(self, planted, gamma, k):
+        # Every planted draft is accepted, so only the request's length stops
+        # a round: with one token per round, round k + 1 is past it.
+        model, adapter = planted
+        prompt, policy = [7, 3, 1], DraftPolicy(eta=0.0, gamma_max=gamma)
+        session = DecodeSession(model, adapter, prompt, k)
+        rounds = 0
+        while len(session.tokens) < len(prompt) + k:
+            left = len(prompt) + k - len(session.tokens)
+            assert session.run_round(policy).drafted < left
+            rounds += 1
+        assert rounds == (k if gamma == 0 else 1 + (k > 7))
+        assert session.tokens[len(prompt) :] == vanilla_greedy_decode(model, prompt, k)
+        caches = [*session.caches.shallow, *session.caches.deep, session.caches.adapter]
+        before = [(c.length, c.k.tobytes(), c.v.tobytes()) for c in caches]
+        for attempt in (session.run_round, session.draft_window):
+            with pytest.raises(CapacityError, match="every token of its request"):
+                attempt(policy)
+        assert len(session.tokens) == len(prompt) + k
+        assert [(c.length, c.k.tobytes(), c.v.tobytes()) for c in caches] == before
+
+    @pytest.mark.parametrize("n_tokens,error", [(127, CapacityError), (0, ConfigError)])
+    def test_request_outside_the_room_rejected_before_prefill(
+        self, small_model, small_adapter, monkeypatch, n_tokens, error
+    ):
+        # a 3-token prompt leaves room for 126 tokens in the 128-position context
+        def no_prefill(*_args):
+            raise AssertionError("the session ran a prefill")
+
+        monkeypatch.setattr(selfspec.engine, "prefill", no_prefill)
+        with pytest.raises(error):
+            DecodeSession(small_model, small_adapter, [3, 1, 4], n_tokens)
 
     def test_eta_one_keeps_the_low_confidence_draft(self, small_model, small_adapter):
         # The stop rule is inclusive: the draft whose confidence triggered
@@ -208,7 +229,7 @@ class TestVerifyWindow:
             assert session.caches.shallow_len == committed
             assert session.caches.deep_len == committed
             backlog = sum(len(rows) for rows in session._backlog)
-            assert session.caches.adapter_len == committed - backlog
+            assert session.caches.adapter.length == committed - backlog
 
     def test_shallow_deep_slack_bounded(self, small_model, small_adapter):
         # Mid-round, the shallow cache runs ahead of the deep cache by the
@@ -364,8 +385,11 @@ class TestGenerate:
         assert result.tokens == vanilla_greedy_decode(longer_context(small_model), [1] * 4, room)
 
     def test_empty_prompt_rejected(self, small_model, small_adapter):
+        for n_tokens in (0, 4):
+            with pytest.raises(ConfigError):
+                generate(small_model, small_adapter, DraftPolicy(), [], n_tokens)
         with pytest.raises(ConfigError):
-            generate(small_model, small_adapter, DraftPolicy(), [], 4)
+            DecodeSession(small_model, small_adapter, [])
 
     @pytest.mark.parametrize("n", [-1, -3])
     def test_negative_n_tokens_rejected(self, small_model, small_adapter, n):
@@ -376,16 +400,56 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(small_model, small_adapter, DraftPolicy(), [10**6], 4)
 
+    @pytest.mark.parametrize("n_tokens", [0, 1, 9, 500])
+    def test_one_prompt_scan_per_request(self, small_model, small_adapter, monkeypatch,
+                                         n_tokens):
+        scans = []
+        check_prompt = selfspec.model.check_prompt
+
+        def counted(*args):
+            scans.append(None)
+            return check_prompt(*args)
+
+        monkeypatch.setattr(selfspec.model, "check_prompt", counted)
+        generate(small_model, small_adapter, DraftPolicy(), [3, 1, 4], n_tokens)
+        assert len(scans) == 1
+
+    def test_caches_allocated_once_for_the_request(self, small_model, small_adapter, monkeypatch):
+        # 10 + 70 - 1 = 79 positions: 128 rows, where growing buffers would
+        # have been reallocated as the request crossed its first 64-key chunk
+        made, cache_set = [], selfspec.model.KVCacheSet
+
+        def recorded(*args):
+            caches = cache_set(*args)
+            layers = [*caches.shallow, *caches.deep, caches.adapter]
+            made.append([(cache, cache.k, cache.v) for cache in layers])
+            return caches
+
+        monkeypatch.setattr(selfspec.engine, "KVCacheSet", recorded)
+        monkeypatch.setattr(selfspec.model, "KVCacheSet", recorded)
+        prompt, n = [int(t) for t in range(3, 13)], 70
+        result = generate(small_model, small_adapter, DraftPolicy(eta=0.2), prompt, n)
+        assert result.tokens == vanilla_greedy_decode(small_model, prompt, n)
+        assert len(made) == 2  # one cache set per request
+        for layers in made:
+            for cache, k, v in layers:
+                assert cache.k is k and cache.v is v
+                assert k.shape[0] == v.shape[0] == -(-(len(prompt) + n - 1) // 64) * 64 == 128
+            assert max(cache.length for cache, _, _ in layers) > 64
+
     @pytest.mark.parametrize("prompt", [[-1, 5], [256, 5]], ids=["negative", "vocab_size"])
-    @pytest.mark.parametrize("decoder", ["vanilla", "speculative"])
+    @pytest.mark.parametrize("decoder", ["vanilla", "speculative", "session"])
     def test_both_decoders_reject_ids_outside_vocabulary(self, decoder, prompt):
         # -1 would otherwise index the embedding's last row; 256 is one past it.
         model = gen_model(desk_config(), 1)
-        with pytest.raises(ConfigError, match="outside vocabulary"):
-            if decoder == "vanilla":
-                vanilla_greedy_decode(model, prompt, 3)
-            else:
-                generate(model, passthrough_adapter(model), DraftPolicy(), prompt, 3)
+        for n_tokens in (0, 3):
+            with pytest.raises(ConfigError, match="outside vocabulary"):
+                if decoder == "vanilla":
+                    vanilla_greedy_decode(model, prompt, n_tokens)
+                elif decoder == "session":
+                    DecodeSession(model, passthrough_adapter(model), prompt, n_tokens)
+                else:
+                    generate(model, passthrough_adapter(model), DraftPolicy(), prompt, n_tokens)
 
 
 class TestCapacityContract:
@@ -467,8 +531,8 @@ class TestCapacityContract:
 
     @pytest.mark.parametrize("gamma", [20, 70])
     def test_session_rounds_draft_within_the_context(self, planted, gamma):
-        # Without a caller's max_drafts a round drafts at most the positions
-        # the context has left, and stops on its step budget there.
+        # A session told no length emits all that fit: a round drafts at most
+        # the positions the context has left, and stops on its step budget there.
         model, adapter = planted
         prompt = [7, 3, 1, 8, 2, 6, 4, 5]
         session = DecodeSession(model, adapter, prompt)
@@ -597,7 +661,7 @@ class TestBoundedProbe:
         prompt = [int(t) for t in generator(448, "prompt").integers(256, size=448)]
         session = DecodeSession(model, adapter, prompt)
         # the adapter cache starts at the oldest prompt row the first probe sees
-        assert session.caches.adapter_len == 448 - WINDOW
+        assert session.caches.adapter.length == 448 - WINDOW
         assert sum(len(rows) for rows in session._backlog) == WINDOW - 1
         session.draft_window(DraftPolicy(eta=1.0, gamma_max=1))
         assert calls == [(WINDOW, 448 - WINDOW, 1)]
@@ -784,7 +848,7 @@ class TestDeferredBonus:
                 states.append((
                     emitted,
                     logits[-1][-1].tobytes(),  # the bonus token's logits
-                    (caches.shallow_len, caches.deep_len, caches.adapter_len),
+                    (caches.shallow_len, caches.deep_len, caches.adapter.length),
                     np.concatenate(session._backlog).tobytes(),
                     [(c.k[: c.length].tobytes(), c.v[: c.length].tobytes())
                      for c in (*caches.shallow, *caches.deep, caches.adapter)],
@@ -888,7 +952,7 @@ class TestDraftingDecision:
             trace = session.run_round(DraftPolicy(eta=0.6, gamma_max=6))
             backlog = sum(len(rows) for rows in session._backlog)
             rounds.append((trace.drafted, session._drafting.ended, backlog,
-                           session.caches.adapter_len))
+                           session.caches.adapter.length))
         return rounds
 
     def test_losing_session_stops_drafting_for_good(self, desk_low, planted, monkeypatch):
@@ -912,10 +976,12 @@ class TestDraftingDecision:
     def test_greedy_step_equals_the_zero_draft_round(self, desk_low, monkeypatch,
                                                      gamma, n_tokens, cause):
         # One session takes the greedy step in each round with nothing to
-        # draft; its twin runs that round as ``draft_window(policy, 0)`` and
-        # ``verify_window``.  Tokens, traces and K/V bytes stay equal.
+        # draft; its twin runs that round as ``draft_window`` under a
+        # ``gamma_max=0`` policy and ``verify_window``.  Tokens, traces and
+        # K/V bytes stay equal.
         model, adapter = desk_low
         policy, prompt = DraftPolicy(eta=0.6, gamma_max=gamma), [9, 8, 7, 6, 5, 4]
+        zero_drafts = DraftPolicy(eta=0.6, gamma_max=0)
         steps = []
         greedy_step = selfspec.engine.greedy_step
 
@@ -924,20 +990,20 @@ class TestDraftingDecision:
             return greedy_step(*args)
 
         monkeypatch.setattr(selfspec.engine, "greedy_step", step)
-        fast, slow = (DecodeSession(model, adapter, prompt) for _ in range(2))
+        fast, slow = (DecodeSession(model, adapter, prompt, n_tokens) for _ in range(2))
         causes, out = [], 0
         while out < n_tokens:
             budget = min(gamma, n_tokens - out - 1)
             if fast._opening is None and (fast._drafting.ended or budget == 0):
                 causes.append("ended" if fast._drafting.ended else
                               "gamma-zero" if gamma == 0 else "last-token")
-                window = slow.draft_window(policy, 0)
+                window = slow.draft_window(zero_drafts)
                 accepted, emitted = slow.verify_window(window)
                 expected = RoundTrace(len(window.drafts), accepted, len(emitted),
                                       window.confidences, window.stop_reason, window.deferred)
             else:
-                expected = slow.run_round(policy, n_tokens - out - 1)
-            assert fast.run_round(policy, n_tokens - out - 1) == expected
+                expected = slow.run_round(policy)
+            assert fast.run_round(policy) == expected
             assert fast.tokens == slow.tokens
             for stack in ("shallow", "deep"):
                 for ours, theirs in zip(getattr(fast.caches, stack), getattr(slow.caches, stack)):

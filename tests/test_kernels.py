@@ -349,6 +349,8 @@ class TestCacheAndFfn:
 
 
 class TestCacheGrowth:
+    """The buffers never grow: they are allocated once, at the padded capacity."""
+
     @staticmethod
     def _rows(n, seed=0, heads=2, hd=4):
         rng = np.random.default_rng(seed)
@@ -356,27 +358,24 @@ class TestCacheGrowth:
                 rng.standard_normal((n, heads, hd)).astype(np.float32))
 
     def test_fresh_cache_holds_no_rows(self):
-        cache = LayerKVCache(512, 2, 4)
-        assert cache.length == 0
-        assert cache.k.shape == cache.v.shape == (0, 2, 4)
-        assert cache.k_heads.shape == cache.v_heads.shape == (2, 0, 4)
+        for capacity, rows in ((1, 64), (64, 64), (65, 128), (300, 320)):
+            cache = LayerKVCache(capacity, 2, 4)
+            assert cache.length == 0
+            assert cache.k.shape == cache.v.shape == (rows, 2, 4)
+            assert not cache.k.any() and not cache.v.any()
+            assert cache.k_heads.shape == cache.v_heads.shape == (2, rows, 4)
 
-    def test_growth_doubles_and_stops_at_padded_capacity(self):
+    def test_buffers_allocated_once_at_padded_capacity(self):
         cache = LayerKVCache(300, 2, 4)  # padded to 320 rows, five chunks
-        held = []
-        for _ in range(300):
-            cache.extend(*self._rows(1))
-            if not held or held[-1] != cache.k.shape[0]:
-                held.append(cache.k.shape[0])
-        assert held == [64, 128, 256, 320]
-        assert cache.k_heads.shape == (2, 320, 4)
-        assert np.shares_memory(cache.k_heads, cache.k)
-        assert np.shares_memory(cache.v_heads, cache.v)
-        # a block larger than double the buffer gets the chunks it needs
-        cache = LayerKVCache(300, 2, 4)
-        cache.extend(*self._rows(1))
-        cache.extend(*self._rows(199))
-        assert cache.k.shape[0] == 256
+        k, v = cache.k, cache.v
+        for n in (1, 199, 100):
+            cache.extend(*self._rows(n))
+        cache.truncate(7)
+        cache.extend(*self._rows(293))
+        assert cache.length == 300
+        assert cache.k is k and cache.v is v and k.shape[0] == 320
+        assert np.shares_memory(cache.k_heads, k)
+        assert np.shares_memory(cache.v_heads, v)
 
     def test_filled_rows_survive_growth(self):
         cache = LayerKVCache(512, 2, 4)
@@ -391,8 +390,7 @@ class TestCacheGrowth:
         cache.extend(*self._rows(50, seed=2))
         cache.truncate(10)
         assert not cache.v[10:].any()
-        cache.extend(*self._rows(60, seed=3))  # 70 rows: grows to two chunks
-        assert cache.k.shape[0] == 128
+        cache.extend(*self._rows(60, seed=3))  # 70 rows, into the second chunk
         assert not cache.v[70:].any()
         cache.truncate(33)
         assert not cache.v[33:].any()
@@ -617,17 +615,15 @@ class TestBatchInvariance:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_causal_attention_growing_in_the_call(self, dtype):
-        # From 60 on a one-chunk buffer, the 7-row call grows the cache
-        # itself; the one-row calls grow it at their fifth row.
+        # From 60 cached rows the 7-row call crosses the first 64-key chunk:
+        # its last rows span two chunks, the first ones one.
         rng, params, table = self._attention_setup(dtype)
         prefix = rng.standard_normal((60, self.D)).astype(dtype)
         x = rng.standard_normal((7, self.D)).astype(dtype)
         caches = [LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype) for _ in range(2)]
         for cache in caches:
             causal_attention(params, prefix, cache, 0, table)
-            assert cache.k.shape[0] == 64
         batched = causal_attention(params, x, caches[0], 60, table)
-        assert caches[0].k.shape[0] == 128
         singles = [causal_attention(params, x[t : t + 1], caches[1], 60 + t, table)[0]
                    for t in range(7)]
         self._assert_rows_match(batched, lambda t: singles[t])

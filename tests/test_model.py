@@ -96,7 +96,7 @@ class TestSplitExecution:
         forward_shallow(small_model, [1, 2, 3], caches)
         assert caches.shallow_len == 3
         assert caches.deep_len == 0
-        assert caches.adapter_len == 0
+        assert caches.adapter.length == 0
 
     def test_remaining_requires_contiguous_features(self, small_model):
         caches = KVCacheSet(small_model.config)
@@ -144,7 +144,7 @@ class TestPrefill:
         caches = KVCacheSet(model.config, dtype=dtype)
         features, logits = prefill(model, tokens, caches)
         assert caches.shallow_len == caches.deep_len == length
-        assert caches.adapter_len == 0
+        assert caches.adapter.length == 0
         assert features.start == 0 and len(features) == length
         split_caches = KVCacheSet(model.config, dtype=dtype)
         split_features = forward_shallow(model, tokens, split_caches)
@@ -233,11 +233,11 @@ class TestRollback:
         committed = len(session.tokens) - 1
         assert (accepted, committed) == (0, 3)
         caches = session.caches
-        assert caches.shallow_len == caches.deep_len == caches.adapter_len == committed
+        assert caches.shallow_len == caches.deep_len == caches.adapter.length == committed
         every = (*caches.shallow, *caches.deep, caches.adapter)
         before = [(c.k.copy(), c.v.copy()) for c in every]
         caches.rollback(committed)
-        assert caches.shallow_len == caches.deep_len == caches.adapter_len == committed
+        assert caches.shallow_len == caches.deep_len == caches.adapter.length == committed
         for c, (k, v) in zip(every, before):
             assert np.array_equal(c.k, k) and np.array_equal(c.v, v)
 

@@ -267,6 +267,18 @@ class TestCalibration:
         assert lat.c_big > 0
         assert len(lengths) == 6 and lengths[-1] <= model.config.max_seq_len + 1
 
+    def test_whole_rounds_past_the_context_rejected_before_any_pass(self, monkeypatch):
+        # An 8-token prompt leaves 53 positions of a 60-position context: 53
+        # whole rounds fit, 54 do not.
+        model = gen_passthrough_model(desk_config(max_seq_len=60), 43)
+
+        def no_pass(*_args):
+            raise AssertionError("calibration ran a pass before checking the context")
+
+        monkeypatch.setattr(selfspec.simulator, "prefill", no_pass)
+        with pytest.raises(ConfigError, match="54 whole rounds exceed the model context of 60"):
+            calibrate_latency(model, passthrough_adapter(model), reps=53)
+
     def test_singular_design_detected(self, monkeypatch, small_model, small_adapter):
         monkeypatch.setattr(
             np.linalg, "matrix_rank", lambda *_args, **_kw: 3
