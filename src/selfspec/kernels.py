@@ -30,13 +30,16 @@ The stable kernels, concretely:
   chunks, from position 0 through the chunk that holds the block's last
   row (the buffers hold whole chunks).  A windowed call (the draft
   adapter's) starts its span at the chunk that holds the block's oldest
-  visible key instead.  A row's scores are one GEMV per head over the
-  span's keys.  A GEMV over a row's own keys would not do: BLAS handles
-  matrix rows in unrolled groups plus a remainder, so a key's arithmetic
-  would depend on how many keys the call holds, and that count differs
-  between the rows of one call.  Over whole chunks there is no remainder:
-  a GEMV over n*64 keys gives each key the score that a 64-key GEMV gives
-  it, bit for bit, so a key's score depends only on the query and the key.
+  visible key instead.  The cache holds each head's keys as the columns of
+  a ``(head_dim, rows)`` matrix, so a row's scores are one GEMV per head
+  of the query against the span's key columns, which BLAS vectorises
+  across the keys: each key's score is a fixed-order sum over ``head_dim``.
+  A GEMV over a row's own keys would not do: BLAS handles the keys in
+  vector-wide groups plus a remainder, so a key's arithmetic would depend
+  on how many keys the call holds, and that count differs between the rows
+  of one call.  Over whole chunks there is no remainder: a GEMV over n*64
+  key columns gives each key the score that a 64-key GEMV gives it, bit
+  for bit, so a key's score depends only on the query and the key.
 - Keys a row may not see, including the padding past the cache length, get
   a score of -inf, so their softmax weights are exactly 0.  The value rows
   there are finite (unfilled, skipped and rolled-back rows are zeroed).  A
@@ -231,25 +234,41 @@ class LayerKVCache:
     Truncation moves the length marker back, which is exactly the rollback
     semantics verification needs, and zeroes the dropped value rows, so the
     rows that attention reads past ``length`` always hold finite values.
-    ``k_heads`` and ``v_heads`` are ``(heads, rows, head_dim)`` views of the
-    buffers: attention's operand for one GEMV per head over a key span.
+    Each head's keys are columns and its values rows: ``keys`` is
+    ``(heads, head_dim, rows)`` and ``values`` is ``(heads, rows, head_dim)``,
+    so a key span ``keys[:, :, k0:k1]`` and a value span ``values[:, k0:k1]``
+    are attention's GEMV operands as they lie.  ``stack`` makes caches that
+    are views of one key array and one value array.
     """
 
-    def __init__(self, capacity: int, n_heads: int, head_dim: int, dtype=np.float32):
+    def __init__(self, capacity: int, n_heads: int, head_dim: int, dtype=np.float32,
+                 buffers: tuple[np.ndarray, np.ndarray] | None = None):
         self.capacity = capacity
         self.length = 0
-        rows = -(-capacity // _KEY_CHUNK) * _KEY_CHUNK
-        self.k = np.zeros((rows, n_heads, head_dim), dtype=dtype)
-        self.v = np.zeros_like(self.k)
-        self.k_heads = self.k.transpose(1, 0, 2)
-        self.v_heads = self.v.transpose(1, 0, 2)
+        if buffers is None:  # a standalone cache is the one cache of a stack of one
+            (own,) = self.stack(1, capacity, n_heads, head_dim, dtype)
+            buffers = own.keys, own.values
+        self.keys, self.values = buffers
+        # (rows, heads, head_dim) views for ``extend``: cheaper per call than transposing rows
+        self._key_rows = self.keys.transpose(2, 0, 1)
+        self._value_rows = self.values.transpose(1, 0, 2)
+
+    @classmethod
+    def stack(cls, count: int, capacity: int, n_heads: int, head_dim: int,
+              dtype=np.float32) -> list[LayerKVCache]:
+        """``count`` caches whose buffers are views of one key and one value array."""
+        rows = -(-capacity // _KEY_CHUNK) * _KEY_CHUNK  # whole key chunks
+        keys = np.zeros((count, n_heads, head_dim, rows), dtype=dtype)
+        values = np.zeros((count, n_heads, rows, head_dim), dtype=dtype)
+        return [cls(capacity, n_heads, head_dim, dtype, pair) for pair in zip(keys, values)]
 
     def extend(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+        """Append ``(T, heads, head_dim)`` key and value rows."""
         end = self.length + k_rows.shape[0]
         if end > self.capacity:
             raise CapacityError(f"KV cache full at {self.capacity} positions")
-        self.k[self.length : end] = k_rows
-        self.v[self.length : end] = v_rows
+        self._key_rows[self.length : end] = k_rows
+        self._value_rows[self.length : end] = v_rows
         self.length = end
 
     def start_at(self, position: int) -> None:
@@ -264,7 +283,7 @@ class LayerKVCache:
     def truncate(self, to_length: int) -> None:
         if not 0 <= to_length <= self.length:
             raise CacheError(f"cannot truncate cache of length {self.length} to {to_length}")
-        self.v[to_length : self.length] = 0
+        self.values[:, to_length : self.length] = 0
         self.length = to_length
 
 
@@ -290,9 +309,9 @@ def causal_attention(
     with the same code for T=1 and T>1.  A block's keys span whole 64-key
     chunks up to its last row, from position 0, or under a window from the
     chunk that holds its first row's oldest key; older keys are never read.
-    Per row and head, the scores are one GEMV over the span's keys and the
-    context numerator one GEMV over its values, and the weight sum folds
-    fixed 64-term chunk sums in key order.  Chunks of exact-zero weights
+    Per row and head, the scores are one GEMV over the span's key columns
+    and the context numerator one GEMV over its value rows, and the weight
+    sum folds fixed 64-term chunk sums in key order.  Chunks of exact-zero weights
     before or after a row's own chunks change none of these bits, so row
     ``t`` equals a one-row call at ``start_pos+t``, and a ``last_row`` call
     the full call's last row, bit for bit (module docstring).
@@ -315,7 +334,7 @@ def causal_attention(
     q = qk[first:, :h] * scale
     q_pos = start_pos + first
 
-    size = cache.k.shape[0]
+    size = cache.values.shape[1]
     mask = _causal_mask(size) if window is None else _causal_mask(size, window)
     blocks = []
     for b0 in range(0, len(q), _ROW_BLOCK):
@@ -327,9 +346,8 @@ def causal_attention(
             k0, m0 = 0, p0
         else:
             k0 = m0 = max(p0 - window + 1, 0) // _KEY_CHUNK * _KEY_CHUNK
-        # w[t, h, 0, p]: one GEMV per (row, head) against the span's keys
-        w = np.matmul(cache.k_heads[:, k0:k1], q[b0:b1, :, :, None])
-        w = w.reshape(b1 - b0, h, 1, k1 - k0)
+        # w[t, h, 0, p]: one GEMV per (row, head) against the span's key columns
+        w = np.matmul(q[b0:b1, :, None, :], cache.keys[:, :, k0:k1])
         np.copyto(w[..., m0 - k0 :], -np.inf, where=mask[p0:p1, None, None, m0:k1])
         w -= np.maximum.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
@@ -338,7 +356,7 @@ def causal_attention(
         if n_chunks > 1:  # fixed 64-term sums, folded in key order
             den = np.add.accumulate(den, axis=2)
         # one GEMV per (row, head) of the weights against the span's values
-        blocks.append(np.matmul(w, cache.v_heads[:, k0:k1]) / den[:, :, -1:, None])
+        blocks.append(np.matmul(w, cache.values[:, k0:k1]) / den[:, :, -1:, None])
     # one block is the whole context; q[:0] gives a zero-row call its empty one
     ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0, :, None], *blocks])
     return _row_gemv(ctx.reshape(len(q), d), params.wo)
@@ -353,7 +371,8 @@ def prompt_attention(
     output, like ``causal_attention`` at ``start_pos=0``, within rounding.
     The projections are one GEMM per weight plane; per head, the scores and
     contexts are GEMMs over blocks of ``_ROW_BLOCK`` query rows against the
-    keys up to the block's last row, masked by ``_causal_mask``.  The bits
+    cache's key columns and value rows up to the block's last row, masked
+    by ``_causal_mask``.  The bits
     depend on T, so this kernel serves only ``prefill``, the prompt pass that
     every decoder runs in the same call (module docstring, fact 1).
     """
@@ -371,19 +390,17 @@ def prompt_attention(
     cache.extend(qk[:, h:], qkv[:, 2])
     (scale,) = _scalars(x.dtype, 1.0 / math.sqrt(hd))
     q = (qk[:, :h] * scale).transpose(1, 0, 2)  # (heads, T, head_dim)
-    keys = cache.k[:n_rows].transpose(1, 2, 0)  # (heads, head_dim, T)
-    values = cache.v[:n_rows].transpose(1, 0, 2)  # (heads, T, head_dim)
 
-    mask = _causal_mask(cache.k.shape[0])
+    mask = _causal_mask(cache.values.shape[1])
     ctx = np.empty((n_rows, h, hd), dtype=x.dtype)
     for b0 in range(0, n_rows, _ROW_BLOCK):
         b1 = min(b0 + _ROW_BLOCK, n_rows)
-        w = np.matmul(q[:, b0:b1], keys[:, :, :b1])  # (heads, rows, keys)
+        w = np.matmul(q[:, b0:b1], cache.keys[:, :, :b1])  # (heads, rows, keys)
         np.copyto(w[..., b0:], -np.inf, where=mask[b0:b1, b0:b1])  # keys before b0 are seen
         w -= np.maximum.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
         den = np.add.reduce(w, axis=-1)
-        ctx[b0:b1] = (np.matmul(w, values[:, :b1]) / den[..., None]).transpose(1, 0, 2)
+        ctx[b0:b1] = (np.matmul(w, cache.values[:, :b1]) / den[..., None]).transpose(1, 0, 2)
     return ctx.reshape(n_rows, d) @ params.wo
 
 

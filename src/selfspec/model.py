@@ -187,18 +187,21 @@ class KVCacheSet:
     feature rows a session has not yet probed (its backlog), and a session
     starts it at the first prompt row within the adapter's attention window
     (``LayerKVCache.start_at``): the rows before that stay zero and are
-    never read.  Each cache is allocated once, for ``capacity`` positions:
+    never read.  The caches are allocated once, as views of one key and
+    one value array (``LayerKVCache.stack``), for ``capacity`` positions:
     a request's length, or by default the whole context.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, capacity: int | None = None):
         self.config = config
         capacity = config.max_seq_len if capacity is None else capacity
-        make = lambda: LayerKVCache(capacity, config.n_heads, config.head_dim, dtype)
-        self.shallow = [make() for _ in range(config.exit_layer)]
-        self.deep = [make() for _ in range(config.n_layers - config.exit_layer)]
-        self.adapter = make()
-        self._all = (*self.shallow, *self.deep, self.adapter)
+        caches = LayerKVCache.stack(
+            config.n_layers + 1, capacity, config.n_heads, config.head_dim, dtype
+        )
+        self.shallow = caches[: config.exit_layer]
+        self.deep = caches[config.exit_layer : -1]
+        self.adapter = caches[-1]
+        self._all = tuple(caches)
 
     @property
     def shallow_len(self) -> int:

@@ -112,12 +112,12 @@ class TestDraftWindow:
         assert rounds == (k if gamma == 0 else 1 + (k > 7))
         assert session.tokens[len(prompt) :] == vanilla_greedy_decode(model, prompt, k)
         caches = [*session.caches.shallow, *session.caches.deep, session.caches.adapter]
-        before = [(c.length, c.k.tobytes(), c.v.tobytes()) for c in caches]
+        before = [(c.length, c.keys.tobytes(), c.values.tobytes()) for c in caches]
         for attempt in (session.run_round, session.draft_window):
             with pytest.raises(CapacityError, match="every token of its request"):
                 attempt(policy)
         assert len(session.tokens) == len(prompt) + k
-        assert [(c.length, c.k.tobytes(), c.v.tobytes()) for c in caches] == before
+        assert [(c.length, c.keys.tobytes(), c.values.tobytes()) for c in caches] == before
 
     @pytest.mark.parametrize("n_tokens,error", [(127, CapacityError), (0, ConfigError)])
     def test_request_outside_the_room_rejected_before_prefill(
@@ -422,7 +422,7 @@ class TestGenerate:
         def recorded(*args):
             caches = cache_set(*args)
             layers = [*caches.shallow, *caches.deep, caches.adapter]
-            made.append([(cache, cache.k, cache.v) for cache in layers])
+            made.append([(cache, cache.keys, cache.values) for cache in layers])
             return caches
 
         monkeypatch.setattr(selfspec.engine, "KVCacheSet", recorded)
@@ -433,8 +433,10 @@ class TestGenerate:
         assert len(made) == 2  # one cache set per request
         for layers in made:
             for cache, k, v in layers:
-                assert cache.k is k and cache.v is v
-                assert k.shape[0] == v.shape[0] == -(-(len(prompt) + n - 1) // 64) * 64 == 128
+                assert cache.keys is k and cache.values is v
+                assert np.shares_memory(k, layers[0][1].base)
+                assert np.shares_memory(v, layers[0][2].base)
+                assert k.shape[2] == v.shape[1] == -(-(len(prompt) + n - 1) // 64) * 64 == 128
             assert max(cache.length for cache, _, _ in layers) > 64
 
     @pytest.mark.parametrize("prompt", [[-1, 5], [256, 5]], ids=["negative", "vocab_size"])
@@ -640,8 +642,8 @@ class TestPromptPass:
         for stack in ("shallow", "deep"):
             for ours, theirs in zip(getattr(spec_caches, stack), getattr(greedy_caches, stack)):
                 assert ours.length == theirs.length == length
-                assert ours.k[:length].tobytes() == theirs.k[:length].tobytes()
-                assert ours.v[:length].tobytes() == theirs.v[:length].tobytes()
+                assert ours.keys[:, :, :length].tobytes() == theirs.keys[:, :, :length].tobytes()
+                assert ours.values[:, :length].tobytes() == theirs.values[:, :length].tobytes()
 
 
 class TestBoundedProbe:
@@ -850,7 +852,7 @@ class TestDeferredBonus:
                     logits[-1][-1].tobytes(),  # the bonus token's logits
                     (caches.shallow_len, caches.deep_len, caches.adapter.length),
                     np.concatenate(session._backlog).tobytes(),
-                    [(c.k[: c.length].tobytes(), c.v[: c.length].tobytes())
+                    [(c.keys[:, :, : c.length].tobytes(), c.values[:, : c.length].tobytes())
                      for c in (*caches.shallow, *caches.deep, caches.adapter)],
                 ))
             assert max(len(state[0]) for state in states) > 2
@@ -1009,8 +1011,8 @@ class TestDraftingDecision:
                 for ours, theirs in zip(getattr(fast.caches, stack), getattr(slow.caches, stack)):
                     n = ours.length
                     assert n == theirs.length == len(fast.tokens) - 1
-                    assert ours.k[:n].tobytes() == theirs.k[:n].tobytes()
-                    assert ours.v[:n].tobytes() == theirs.v[:n].tobytes()
+                    assert ours.keys[:, :, :n].tobytes() == theirs.keys[:, :, :n].tobytes()
+                    assert ours.values[:, :n].tobytes() == theirs.values[:, :n].tobytes()
             out += expected.emitted
         assert cause in causes and len(steps) == len(causes)
         assert fast.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, n_tokens)

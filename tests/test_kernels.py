@@ -294,8 +294,8 @@ class TestPromptAttention:
         assert ours.dtype == dtype and c_prompt.length == length
         assert np.max(np.abs(ours - stable)) <= tol
         assert np.max(np.abs(ours - dense_attention(params, x, table))) <= tol
-        for cache in ("k", "v"):
-            rows = getattr(c_prompt, cache)[:length] - getattr(c_step, cache)[:length]
+        for rows in (c_prompt.keys[:, :, :length] - c_step.keys[:, :, :length],
+                     c_prompt.values[:, :length] - c_step.values[:, :length]):
             assert np.max(np.abs(rows)) <= tol
 
     def test_needs_an_empty_cache(self):
@@ -311,11 +311,12 @@ class TestCacheAndFfn:
     def test_start_at_opens_an_empty_cache_past_zero_rows(self):
         cache = LayerKVCache(200, 2, 4)
         cache.start_at(130)
-        assert cache.length == 130 and cache.k.shape[0] >= 130
-        assert not cache.k.any() and not cache.v.any()
+        assert cache.length == 130 and cache.values.shape[1] >= 130
+        assert not cache.keys.any() and not cache.values.any()
         row = np.ones((1, 2, 4), dtype=np.float32)
         cache.extend(row, row)
-        assert cache.length == 131 and cache.k[130].all() and not cache.k[:130].any()
+        assert cache.length == 131 and cache.keys[:, :, 130].all()
+        assert not cache.keys[:, :, :130].any()
         with pytest.raises(CacheError):
             cache.start_at(5)  # not empty
         with pytest.raises(CacheError):
@@ -361,46 +362,58 @@ class TestCacheGrowth:
         for capacity, rows in ((1, 64), (64, 64), (65, 128), (300, 320)):
             cache = LayerKVCache(capacity, 2, 4)
             assert cache.length == 0
-            assert cache.k.shape == cache.v.shape == (rows, 2, 4)
-            assert not cache.k.any() and not cache.v.any()
-            assert cache.k_heads.shape == cache.v_heads.shape == (2, rows, 4)
+            assert cache.keys.shape == (2, 4, rows) and cache.values.shape == (2, rows, 4)
+            assert not cache.keys.any() and not cache.values.any()
 
     def test_buffers_allocated_once_at_padded_capacity(self):
         cache = LayerKVCache(300, 2, 4)  # padded to 320 rows, five chunks
-        k, v = cache.k, cache.v
+        keys, values = cache.keys, cache.values
         for n in (1, 199, 100):
             cache.extend(*self._rows(n))
         cache.truncate(7)
         cache.extend(*self._rows(293))
         assert cache.length == 300
-        assert cache.k is k and cache.v is v and k.shape[0] == 320
-        assert np.shares_memory(cache.k_heads, k)
-        assert np.shares_memory(cache.v_heads, v)
+        assert cache.keys is keys and cache.values is values
+        assert keys.shape[2] == values.shape[1] == 320
+
+    def test_stacked_caches_are_views_of_one_buffer(self):
+        caches = LayerKVCache.stack(3, 300, 2, 4)
+        keys, values = caches[0].keys.base, caches[0].values.base
+        assert keys.shape == (3, 2, 4, 320) and values.shape == (3, 2, 320, 4)
+        assert not keys.any() and not values.any()
+        for i, cache in enumerate(caches):
+            assert cache.capacity == 300 and cache.length == 0
+            assert cache.keys.flags["C_CONTIGUOUS"] and cache.values.flags["C_CONTIGUOUS"]
+            assert np.shares_memory(cache.keys, keys[i]) and np.shares_memory(cache.values, values[i])
+        caches[1].extend(*self._rows(70))
+        caches[1].truncate(20)
+        assert not np.delete(keys, 1, axis=0).any() and not np.delete(values, 1, axis=0).any()
+        assert keys[1, :, :, :70].all() and not values[1, :, 20:].any()
 
     def test_filled_rows_survive_growth(self):
         cache = LayerKVCache(512, 2, 4)
         k, v = self._rows(300, seed=1)
         for a, b in ((0, 5), (5, 64), (64, 65), (65, 200), (200, 300)):
             cache.extend(k[a:b], v[a:b])
-            assert np.array_equal(cache.k[:b], k[:b])
-            assert np.array_equal(cache.v[:b], v[:b])
+            assert np.array_equal(cache.keys[:, :, :b], k[:b].transpose(1, 2, 0))
+            assert np.array_equal(cache.values[:, :b], v[:b].transpose(1, 0, 2))
 
     def test_value_rows_past_length_are_zero(self):
         cache = LayerKVCache(512, 2, 4)
         cache.extend(*self._rows(50, seed=2))
         cache.truncate(10)
-        assert not cache.v[10:].any()
+        assert not cache.values[:, 10:].any()
         cache.extend(*self._rows(60, seed=3))  # 70 rows, into the second chunk
-        assert not cache.v[70:].any()
+        assert not cache.values[:, 70:].any()
         cache.truncate(33)
-        assert not cache.v[33:].any()
+        assert not cache.values[:, 33:].any()
 
     def test_capacity_error_unchanged(self):
         cache = LayerKVCache(100, 2, 4)
         with pytest.raises(CapacityError, match="KV cache full at 100 positions"):
             cache.extend(*self._rows(101))
         cache.extend(*self._rows(100))
-        assert cache.k.shape[0] == 128
+        assert cache.values.shape[1] == 128
         with pytest.raises(CapacityError, match="KV cache full at 100 positions"):
             cache.extend(*self._rows(1))
         assert cache.length == 100
@@ -542,24 +555,39 @@ class TestBatchInvariance:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_whole_span_gemvs(self, dtype):
-        # The BLAS facts attention rests on: a GEMV over n*64 keys scores each
-        # key as a 64-key GEMV does, and trailing chunks of zero weights leave
-        # a value GEMV unchanged.
+        # The BLAS facts attention rests on, on the cache's own buffers: a
+        # block of query rows against n*64 key columns (n = 1..8) gives each
+        # key the score that a 64-key call gives it, whatever the row count
+        # and wherever the span starts, and trailing chunks of zero weights
+        # leave a value GEMV unchanged.
         rng = np.random.default_rng(6)
-        keys = rng.standard_normal((512, self.HEADS, self.HEAD_DIM)).astype(dtype)
-        values = rng.standard_normal(keys.shape).astype(dtype)
-        k_heads, v_heads = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
-        q = rng.standard_normal((self.HEADS, self.HEAD_DIM, 1)).astype(dtype)
+        cache = LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype)
+        prefix = (512, self.HEADS, self.HEAD_DIM)
+        cache.extend(rng.standard_normal(prefix).astype(dtype), rng.standard_normal(prefix).astype(dtype))
+        for rows in (1, 2, 7, 32):
+            q = rng.standard_normal((rows, self.HEADS, 1, self.HEAD_DIM)).astype(dtype)
+            for k0 in (0, 64, 256):
+                chunks = [np.matmul(q, cache.keys[:, :, c : c + 64]) for c in range(k0, 512, 64)]
+                for k1 in range(k0 + 64, 513, 64):
+                    scores = np.matmul(q, cache.keys[:, :, k0:k1])
+                    assert scores.shape == (rows, self.HEADS, 1, k1 - k0)
+                    assert np.array_equal(scores, np.concatenate(chunks[: (k1 - k0) // 64], axis=3))
         weights = rng.random((self.HEADS, 1, 512)).astype(dtype)
-        chunks = [np.matmul(k_heads[:, c : c + 64], q) for c in range(0, 512, 64)]
         for span in range(64, 513, 64):
-            scores = np.matmul(k_heads[:, :span], q)
-            assert np.array_equal(scores, np.concatenate(chunks[: span // 64], axis=1))
             padded = np.zeros_like(weights)
             padded[..., :span] = weights[..., :span]
-            own = np.matmul(weights[..., :span], v_heads[:, :span])
+            own = np.matmul(weights[..., :span], cache.values[:, :span])
             for wider in range(span, 513, 64):
-                assert np.array_equal(np.matmul(padded[..., :wider], v_heads[:, :wider]), own)
+                assert np.array_equal(np.matmul(padded[..., :wider], cache.values[:, :wider]), own)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [None, 64])
+    @pytest.mark.parametrize("rows", [2, 7, 32])
+    @pytest.mark.parametrize("to_the_end", [False, True])
+    def test_causal_attention_across_chunks_and_to_the_end(self, dtype, window, rows, to_the_end):
+        # From 60 the call crosses the first 64-key chunk; from 512 - rows its
+        # last row is the last position of the 512-row buffer.
+        self._check_after_prefix(dtype, 512 - rows if to_the_end else 60, (rows,), window)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("start", STARTS)
@@ -596,7 +624,7 @@ class TestBatchInvariance:
         full, last = outputs
         assert last.shape == (1, self.D)
         assert np.array_equal(last[0], full[-1])
-        for name in ("k", "v"):  # every row's K/V is appended either way
+        for name in ("keys", "values"):  # every row's K/V is appended either way
             assert np.array_equal(getattr(caches[0], name), getattr(caches[1], name))
 
     def _check_after_prefix(self, dtype, start, row_counts, window=None):
@@ -645,16 +673,19 @@ class TestBatchInvariance:
         self._assert_rows_match(batched, lambda t: singles[t])
 
     def test_head_major_views_follow_growth_and_truncate(self):
+        # Read back as rows, the head-major buffers hold the rows appended
+        # so far, and zero values past the length.
         rng = np.random.default_rng(8)
         cache = LayerKVCache(300, self.HEADS, self.HEAD_DIM)
-        shape = (self.HEADS, self.HEAD_DIM)
+        written = np.zeros((2, 300, self.HEADS, self.HEAD_DIM), dtype=np.float32)
         for op, n in (("extend", 5), ("extend", 70), ("truncate", 40), ("extend", 100),
                       ("truncate", 0), ("extend", 300)):
             if op == "extend":
-                new = (n - cache.length, *shape)
-                cache.extend(*(rng.standard_normal(new).astype(np.float32) for _ in range(2)))
+                written[:, cache.length : n] = rng.standard_normal(written[:, cache.length : n].shape)
+                cache.extend(*written[:, cache.length : n])
             else:
                 cache.truncate(n)
-            for heads, buffer in ((cache.k_heads, cache.k), (cache.v_heads, cache.v)):
-                assert np.shares_memory(heads, buffer)
-                assert np.array_equal(heads, buffer.transpose(1, 0, 2))
+            keys, values = cache.keys.transpose(2, 0, 1), cache.values.transpose(1, 0, 2)
+            assert np.array_equal(keys[:n], written[0, :n])
+            assert np.array_equal(values[:n], written[1, :n])
+            assert not values[n:].any()

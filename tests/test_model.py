@@ -163,7 +163,7 @@ class TestPrefill:
         for _ in range(2):
             caches = KVCacheSet(desk_model.config)
             features, logits = prefill(desk_model, tokens, caches)
-            kv = [(c.k[: c.length].tobytes(), c.v[: c.length].tobytes())
+            kv = [(c.keys[:, :, : c.length].tobytes(), c.values[:, : c.length].tobytes())
                   for c in (*caches.shallow, *caches.deep)]
             runs.append((features.values.tobytes(), logits.tobytes(), kv))
         assert runs[0] == runs[1]
@@ -235,11 +235,11 @@ class TestRollback:
         caches = session.caches
         assert caches.shallow_len == caches.deep_len == caches.adapter.length == committed
         every = (*caches.shallow, *caches.deep, caches.adapter)
-        before = [(c.k.copy(), c.v.copy()) for c in every]
+        before = [(c.keys.copy(), c.values.copy()) for c in every]
         caches.rollback(committed)
         assert caches.shallow_len == caches.deep_len == caches.adapter.length == committed
         for c, (k, v) in zip(every, before):
-            assert np.array_equal(c.k, k) and np.array_equal(c.v, v)
+            assert np.array_equal(c.keys, k) and np.array_equal(c.values, v)
 
     def test_rollback_beyond_length_rejected(self, small_model):
         caches = KVCacheSet(small_model.config)

@@ -216,15 +216,19 @@ class TestCalibration:
         generate(small_model, small_adapter, policy, prompt, n_tokens)  # warmup
 
         def relative_error():
-            lat = calibrate_latency(small_model, small_adapter, reps=9)
-            measured, result = measure_walltime(
-                generate, small_model, small_adapter, policy, prompt, n_tokens, repetitions=7
-            )
-            # the charge ``simulate_speedup`` sums for each request
-            predicted = lat.request_cost(result)
-            return abs(predicted - measured) / measured
+            # Calibrations and timed held-out runs alternate, so each pair sees
+            # the host at the same moment; the median pair's ratio is the error.
+            ratios = []
+            for _ in range(5):
+                lat = calibrate_latency(small_model, small_adapter, reps=9)
+                measured, result = measure_walltime(
+                    generate, small_model, small_adapter, policy, prompt, n_tokens, repetitions=3
+                )
+                # the charge ``simulate_speedup`` sums for each request
+                ratios.append(lat.request_cost(result) / measured)
+            return abs(float(np.median(ratios)) - 1.0)
 
-        # Timer noise on a busy box can spoil one calibration; allow a retry.
+        # A burst of host load can spoil most pairs of one loop; allow a retry.
         if relative_error() > 0.25:
             assert relative_error() <= 0.25
 
