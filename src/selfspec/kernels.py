@@ -44,14 +44,12 @@ The stable kernels, concretely:
   a score of -inf, so their softmax weights are exactly 0.  The value rows
   there are finite (unfilled, skipped and rolled-back rows are zeroed).  A
   row's context numerator is one GEMV of its weights against the span's
-  value rows.  A batched call's span can reach whole chunks past the row's own
-  span, and trailing chunks of exact-zero weights leave that GEMV's result
-  unchanged, bit for bit; under a window, so do leading ones.  The weight
-  sum is not one sum over the span, because numpy's pairwise summation
-  groups terms by the length summed; it is a fixed 64-term sum per chunk,
-  the chunks folded in key order (``np.add.accumulate``), so zero chunks
-  only add zeros.
-- The two GEMV facts above are properties of the BLAS build, not of numpy's
+  value rows, and its weight sum one BLAS dot of the weights with a vector
+  of ones (numpy runs a ``(1, n)`` by ``(n,)`` product as a dot).  A
+  batched call's span can reach whole chunks past the row's own span, and
+  trailing chunks of exact-zero weights leave the GEMV's and the dot's
+  results unchanged, bit for bit; under a window, so do leading ones.
+- These GEMV and dot facts are properties of the BLAS build, not of numpy's
   contract; ``TestBatchInvariance`` pins them for numpy 2.4.6 with
   OpenBLAS 0.3.31.
 - rmsnorm's mean square is one BLAS dot per row, and the max over keys is
@@ -71,7 +69,7 @@ import numpy as np
 from .errors import CacheError, CapacityError, ConfigError, ShapeError
 
 
-_KEY_CHUNK = 64  # attention spans and weight sums come in whole chunks; so do cache buffers
+_KEY_CHUNK = 64  # attention spans come in whole chunks; so do cache buffers
 _ROW_BLOCK = 32  # query rows per masked attention pass; bounds the score buffer
 
 
@@ -212,6 +210,14 @@ class AttentionParams:
 
 
 @lru_cache(maxsize=16)
+def _ones(dtype: np.dtype, size: int) -> np.ndarray:
+    """Read-only vector of ``size`` ones: attention sums its weights as products with it."""
+    ones = np.ones(size, dtype=dtype)
+    ones.flags.writeable = False
+    return ones
+
+
+@lru_cache(maxsize=16)
 def _causal_mask(rows: int, window: int | None = None) -> np.ndarray:
     """Read-only ``(rows, rows)`` view: ``mask[p, j]`` is ``j > p``, and with a
     ``window`` also ``j <= p - window`` (key ``j`` older than the window).
@@ -309,12 +315,12 @@ def causal_attention(
     with the same code for T=1 and T>1.  A block's keys span whole 64-key
     chunks up to its last row, from position 0, or under a window from the
     chunk that holds its first row's oldest key; older keys are never read.
-    Per row and head, the scores are one GEMV over the span's key columns
-    and the context numerator one GEMV over its value rows, and the weight
-    sum folds fixed 64-term chunk sums in key order.  Chunks of exact-zero weights
-    before or after a row's own chunks change none of these bits, so row
-    ``t`` equals a one-row call at ``start_pos+t``, and a ``last_row`` call
-    the full call's last row, bit for bit (module docstring).
+    Per row and head, the scores are one GEMV over the span's key columns,
+    the context numerator one GEMV over its value rows and the weight sum
+    one dot with ones.  Chunks of exact-zero weights before or after a
+    row's own chunks change none of these bits, so row ``t`` equals a
+    one-row call at ``start_pos+t``, and a ``last_row`` call the full
+    call's last row, bit for bit (module docstring).
     """
     if x.ndim != 2:
         raise ShapeError(f"attention input must be 2-D, got shape {x.shape}")
@@ -336,6 +342,7 @@ def causal_attention(
 
     size = cache.values.shape[1]
     mask = _causal_mask(size) if window is None else _causal_mask(size, window)
+    ones = _ones(x.dtype, size)
     blocks = []
     for b0 in range(0, len(q), _ROW_BLOCK):
         b1 = min(b0 + _ROW_BLOCK, len(q))
@@ -351,28 +358,28 @@ def causal_attention(
         np.copyto(w[..., m0 - k0 :], -np.inf, where=mask[p0:p1, None, None, m0:k1])
         w -= np.maximum.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
-        n_chunks = (k1 - k0) // _KEY_CHUNK
-        den = np.add.reduce(w.reshape(b1 - b0, h, n_chunks, _KEY_CHUNK), axis=-1)
-        if n_chunks > 1:  # fixed 64-term sums, folded in key order
-            den = np.add.accumulate(den, axis=2)
+        den = np.matmul(w, ones[: k1 - k0])  # one dot per (row, head) with the span's ones
         # one GEMV per (row, head) of the weights against the span's values
-        blocks.append(np.matmul(w, cache.values[:, k0:k1]) / den[:, :, -1:, None])
+        blocks.append(np.matmul(w, cache.values[:, k0:k1]) / den[..., None])
     # one block is the whole context; q[:0] gives a zero-row call its empty one
     ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0, :, None], *blocks])
     return _row_gemv(ctx.reshape(len(q), d), params.wo)
 
 
 def prompt_attention(
-    params: AttentionParams, x: np.ndarray, cache: LayerKVCache, rope_table: RopeTable
+    params: AttentionParams, x: np.ndarray, cache: LayerKVCache, rope_table: RopeTable,
+    last_row: bool = False,
 ) -> np.ndarray:
     """Causal multi-head attention over a prompt from position 0, as BLAS GEMMs.
 
     Fills the empty ``cache`` with the T rows' K/V and returns the attention
     output, like ``causal_attention`` at ``start_pos=0``, within rounding.
+    With ``last_row`` only row T-1 is queried and returned: the call still
+    caches every row's K/V, bit for bit as a full call does.
     The projections are one GEMM per weight plane; per head, the scores and
     contexts are GEMMs over blocks of ``_ROW_BLOCK`` query rows against the
     cache's key columns and value rows up to the block's last row, masked
-    by ``_causal_mask``.  The bits
+    by ``_causal_mask``, and the weight sums one GEMV against ones.  The bits
     depend on T, so this kernel serves only ``prefill``, the prompt pass that
     every decoder runs in the same call (module docstring, fact 1).
     """
@@ -389,19 +396,22 @@ def prompt_attention(
     qk = rope_table.apply_block(qkv[:, :2].reshape(n_rows, 2 * h, hd), 0)
     cache.extend(qk[:, h:], qkv[:, 2])
     (scale,) = _scalars(x.dtype, 1.0 / math.sqrt(hd))
-    q = (qk[:, :h] * scale).transpose(1, 0, 2)  # (heads, T, head_dim)
+    first = n_rows - 1 if last_row and n_rows else 0  # the first query row
+    q = (qk[first:, :h] * scale).transpose(1, 0, 2)  # (heads, rows, head_dim)
 
-    mask = _causal_mask(cache.values.shape[1])
-    ctx = np.empty((n_rows, h, hd), dtype=x.dtype)
-    for b0 in range(0, n_rows, _ROW_BLOCK):
-        b1 = min(b0 + _ROW_BLOCK, n_rows)
-        w = np.matmul(q[:, b0:b1], cache.keys[:, :, :b1])  # (heads, rows, keys)
-        np.copyto(w[..., b0:], -np.inf, where=mask[b0:b1, b0:b1])  # keys before b0 are seen
+    size = cache.values.shape[1]
+    mask, ones = _causal_mask(size), _ones(x.dtype, size)
+    ctx = np.empty((n_rows - first, h, hd), dtype=x.dtype)
+    for b0 in range(0, len(ctx), _ROW_BLOCK):
+        b1 = min(b0 + _ROW_BLOCK, len(ctx))
+        p0, p1 = first + b0, first + b1  # the block's positions
+        w = np.matmul(q[:, b0:b1], cache.keys[:, :, :p1])  # (heads, rows, keys)
+        np.copyto(w[..., p0:], -np.inf, where=mask[p0:p1, p0:p1])  # keys before p0 are seen
         w -= np.maximum.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
-        den = np.add.reduce(w, axis=-1)
-        ctx[b0:b1] = (np.matmul(w, cache.values[:, :b1]) / den[..., None]).transpose(1, 0, 2)
-    return ctx.reshape(n_rows, d) @ params.wo
+        den = np.matmul(w, ones[:p1])
+        ctx[b0:b1] = (np.matmul(w, cache.values[:, :p1]) / den[..., None]).transpose(1, 0, 2)
+    return ctx.reshape(len(ctx), d) @ params.wo
 
 
 def gated_ffn(

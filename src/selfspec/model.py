@@ -325,8 +325,9 @@ def greedy_step(weights: TargetWeights, token: int, caches: KVCacheSet) -> int:
     return argmax_token(full_forward(weights, [token], caches)[-1])
 
 
-def _prompt_block(x, layer: LayerWeights, cache: LayerKVCache, rope: RopeTable):
-    h = x + prompt_attention(layer.attn, rmsnorm(x, layer.attn_norm, RMS_EPS), cache, rope)
+def _prompt_block(x, layer: LayerWeights, cache: LayerKVCache, rope: RopeTable, last_row: bool):
+    attn = prompt_attention(layer.attn, rmsnorm(x, layer.attn_norm, RMS_EPS), cache, rope, last_row)
+    h = (x[-1:] if last_row else x) + attn
     normed = rmsnorm(h, layer.ffn_norm, RMS_EPS)
     return h + (silu(normed @ layer.gate) * (normed @ layer.up)) @ layer.down
 
@@ -338,11 +339,14 @@ def prefill(
 
     Fills the empty shallow and deep caches with the prompt's K/V rows and
     returns the early features of every prompt row and the logits of the
-    last one (the target's token after the prompt).  The products are plain
-    BLAS GEMMs, whose bits depend on the prompt length, so agreement with
-    ``full_forward`` is within rounding.  Greedy equality needs only that
-    every decoder opens with this same call on the same rows (kernels
-    module docstring).
+    last one (the target's token after the prompt).  The final layer caches
+    every row's K/V but queries only the last row, and runs its ``wo``,
+    residual and FFN on that row alone.  The products are plain BLAS GEMMs,
+    whose bits depend on the prompt length, so agreement with
+    ``full_forward`` is within rounding; the last row's final-layer
+    products are GEMVs, not rows of GEMMs, which moves the logits' low bits.
+    Greedy equality needs only that every decoder opens with this same call
+    on the same rows (kernels module docstring).
     """
     tokens = np.asarray(prompt, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size == 0:
@@ -353,14 +357,13 @@ def prefill(
         )
     if caches.shallow_len or caches.deep_len:
         raise CacheError("prefill needs empty shallow and deep caches")
-    exit_layer = weights.config.exit_layer
+    cfg = weights.config
     h = weights.token_embedding[tokens]
-    for layer, cache in zip(weights.layers[:exit_layer], caches.shallow):
-        h = _prompt_block(h, layer, cache, weights.rope)
-    features = FeatureBlock(start=0, values=h)
-    for layer, cache in zip(weights.layers[exit_layer:], caches.deep):
-        h = _prompt_block(h, layer, cache, weights.rope)
-    logits = matmul(rmsnorm(h[-1:], weights.final_norm, RMS_EPS), weights.lm_head)[0]
+    for i, (layer, cache) in enumerate(zip(weights.layers, caches.shallow + caches.deep)):
+        if i == cfg.exit_layer:
+            features = FeatureBlock(start=0, values=h)
+        h = _prompt_block(h, layer, cache, weights.rope, last_row=i == cfg.n_layers - 1)
+    logits = matmul(rmsnorm(h, weights.final_norm, RMS_EPS), weights.lm_head)[0]
     return features, logits
 
 

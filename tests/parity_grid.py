@@ -10,7 +10,15 @@ parity break between the trees::
 A change that alters the traces on purpose (say, a new drafting decision)
 still keeps the tokens; ``--tokens`` prints only the ``generate`` lines,
 each with its case, ``tokens``, ``truncated`` and ``lossless``, for the
-same ``cmp``.
+same ``cmp``.  A change that moves only the low bits of logits (say, a
+reordered sum in attention) keeps the round structure too: ``--rounds``
+prints the ``--tokens`` lines with each round's ``drafted``,
+``accepted_drafts``, ``emitted``, ``stop_reason`` and ``deferred``, and no
+confidences::
+
+    python3 tests/parity_grid.py --rounds --src path/to/parent/src > parent.jsonl
+    python3 tests/parity_grid.py --rounds --src src > change.jsonl
+    cmp parent.jsonl change.jsonl
 
 The grid covers float32 and float64, the deep-residual dial alpha 1 and 0.1
 (deep ``wo`` and ``down`` scaled by alpha), model seeds 1 and 2, the init
@@ -224,15 +232,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, required=True,
                         help="the src directory of the tree to fingerprint")
-    parser.add_argument("--tokens", action="store_true",
-                        help="print only the generate lines, without their round traces")
+    only = parser.add_mutually_exclusive_group()
+    only.add_argument("--tokens", action="store_true",
+                      help="print only the generate lines, without their round traces")
+    only.add_argument("--rounds", action="store_true",
+                      help="print only the generate lines, with their rounds' confidences left out")
     args = parser.parse_args(argv)
     ss = _import(args.src.resolve())
     for line in grid(ss):
-        if args.tokens:
+        if args.tokens or args.rounds:
             if "eta" not in line:
                 continue
-            line.pop("rounds", None)
+            rounds = line.pop("rounds", None)
+            if args.rounds and rounds is not None:
+                line["rounds"] = [r[:3] + r[4:] for r in rounds]  # r[3]: the confidences
         print(json.dumps(line, sort_keys=True))
     return 0
 

@@ -298,6 +298,23 @@ class TestPromptAttention:
                      c_prompt.values[:, :length] - c_step.values[:, :length]):
             assert np.max(np.abs(rows)) <= tol
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-13)])
+    @pytest.mark.parametrize("length", [1, 2, 32, 33, 65])
+    def test_last_row_query(self, dtype, tol, length):
+        # The last row alone, as a GEMV where the full call runs a GEMM row:
+        # equal within rounding, and every row's K/V cached bit for bit.
+        table = RopeTable(8, 10000.0, 128, dtype=dtype)
+        mats = (RNG.standard_normal((32, 32)).astype(dtype) * dtype(0.3) for _ in range(4))
+        params = AttentionParams(*mats, n_heads=4, head_dim=8)
+        x = RNG.standard_normal((length, 32)).astype(dtype)
+        caches = [LayerKVCache(128, 4, 8, dtype=dtype) for _ in range(2)]
+        full = prompt_attention(params, x, caches[0], table)
+        last = prompt_attention(params, x, caches[1], table, last_row=True)
+        assert last.shape == (1, 32) and caches[1].length == length
+        assert np.max(np.abs(last[0] - full[-1])) <= tol
+        for name in ("keys", "values"):
+            assert np.array_equal(getattr(caches[0], name), getattr(caches[1], name))
+
     def test_needs_an_empty_cache(self):
         params = _random_params()
         table = RopeTable(8, 10000.0, 16)
@@ -579,6 +596,39 @@ class TestBatchInvariance:
             own = np.matmul(weights[..., :span], cache.values[:, :span])
             for wider in range(span, 513, 64):
                 assert np.array_equal(np.matmul(padded[..., :wider], cache.values[:, :wider]), own)
+
+    @staticmethod
+    def _padded_sum_mismatches(dtype, weight_sum):
+        # Attention sums a row's weights over a span of n*64 keys (n = 1..8)
+        # that may hold exact-zero chunks before the row's own chunks (a
+        # window's older keys) and after them (a batched call's later rows'
+        # keys).  Each (own, padded) pair of spans whose sums differ is a
+        # mismatch.
+        rng = np.random.default_rng(9)
+        weights = rng.random((7, 4, 1, 512)).astype(dtype)
+        chunks = range(0, 513, 64)
+        mismatches = []
+        for lo, hi in ((lo, hi) for lo in chunks for hi in chunks if lo < hi):
+            own = weight_sum(weights[..., lo:hi])
+            for k0, k1 in ((k0, k1) for k0 in chunks if k0 <= lo for k1 in chunks if k1 >= hi):
+                padded = np.zeros((*weights.shape[:-1], k1 - k0), dtype=dtype)
+                padded[..., lo - k0 : hi - k0] = weights[..., lo:hi]
+                if not np.array_equal(weight_sum(padded), own):
+                    mismatches.append((lo, hi, k0, k1))
+        return mismatches
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_sum_ignores_zero_chunks(self, dtype):
+        # The weight sum is one BLAS dot per (row, head) with a ones vector,
+        # as in causal_attention; zero chunks on either side change no bit.
+        ones = np.ones(512, dtype=dtype)
+        assert self._padded_sum_mismatches(dtype, lambda w: np.matmul(w, ones[: w.shape[-1]])) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_sum_check_catches_a_pairwise_sum(self, dtype):
+        # numpy's pairwise summation groups terms by the length summed, so one
+        # sum over the whole span is not invariant, and the check above sees it.
+        assert self._padded_sum_mismatches(dtype, lambda w: np.add.reduce(w, axis=-1))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window", [None, 64])

@@ -14,7 +14,8 @@ from selfspec import (
 )
 from selfspec.engine import DecodeSession
 from selfspec.errors import CacheError, CapacityError, ConfigError, ShapeError
-from selfspec.model import forward_remaining, forward_shallow, prefill
+from selfspec.kernels import matmul, rmsnorm
+from selfspec.model import RMS_EPS, _prompt_block, forward_remaining, forward_shallow, prefill
 from selfspec.seeding import generator
 
 from oracles import monolithic_forward, rms
@@ -156,6 +157,30 @@ class TestPrefill:
         for reference in (split, mono):
             assert np.max(np.abs(logits - reference)) <= tol
             assert np.argmax(logits) == np.argmax(reference)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, 2, 32, 33, 65, 400])
+    def test_final_layer_queries_only_the_last_row(self, desk_model, dtype, length):
+        # Against a pass that runs the final layer on every row (33 and 65
+        # leave a one-row last block there): features and every K/V row are
+        # bit-identical; the logits move in the low bits only, since the
+        # last row's products run as GEMVs instead of rows of GEMMs.
+        model = desk_model.astype(dtype)
+        tokens = [int(t) for t in generator(length, "prefill").integers(256, size=length)]
+        caches, ref_caches = KVCacheSet(model.config, dtype=dtype), KVCacheSet(model.config, dtype=dtype)
+        features, logits = prefill(model, tokens, caches)
+        h = model.token_embedding[tokens]
+        for i, (layer, cache) in enumerate(zip(model.layers, ref_caches.shallow + ref_caches.deep)):
+            if i == model.config.exit_layer:
+                ref_features = h
+            h = _prompt_block(h, layer, cache, model.rope, last_row=False)
+        ref_logits = matmul(rmsnorm(h[-1:], model.final_norm, RMS_EPS), model.lm_head)[0]
+        assert np.array_equal(features.values, ref_features)
+        for ours, ref in zip(caches.shallow + caches.deep, ref_caches.shallow + ref_caches.deep):
+            assert ours.length == ref.length == length
+            assert np.array_equal(ours.keys, ref.keys) and np.array_equal(ours.values, ref.values)
+        assert np.max(np.abs(logits - ref_logits)) <= self.TOLERANCE[dtype]
+        assert np.argmax(logits) == np.argmax(ref_logits)
 
     def test_repeatable_bit_for_bit(self, desk_model):
         tokens = list(range(3, 203))
