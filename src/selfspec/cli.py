@@ -163,7 +163,7 @@ def _sweep(args, policies: list[DraftPolicy]) -> list[BenchReport]:
     """Calibrate the latency model, then report each policy over the corpus."""
     model, adapter, prompts = _decoding_inputs(args)
     gamma = max(max(p.gamma_max for p in policies), 1)
-    lat = calibrate_latency(model, adapter, reps=3, seed=args.seed, gamma=gamma)
+    lat = calibrate_latency(model, adapter, seed=args.seed, gamma=gamma)
     return sweep(
         model, adapter, prompts, policies, lat, args.n_tokens, Path(args.corpus).stem
     )

@@ -510,28 +510,31 @@ def run_corpus(
 ) -> tuple[list[float], list[PolicyRun]]:
     """Decode every prompt under every policy and check it against greedy.
 
-    Each greedy reference is computed and timed once; then each policy, in
-    order, decodes every prompt.  The first output that differs from its
+    Each decoder first runs once untimed on the first prompt, so no timed
+    call pays for first use.  Then, prompt by prompt, the greedy reference
+    is computed and timed, and each policy in order decodes the prompt
+    right after it, so both sides of a prompt's speedup are timed on the
+    host as it is at that moment.  The first output that differs from its
     reference raises ``LosslessnessError`` naming the policy, the prompt,
     the first diverging position and its round.  Returns the reference
     walltimes and one ``PolicyRun`` per policy.
     """
     if not policies or not prompts:
         raise ConfigError("a corpus run needs at least one policy and one prompt")
-    vanilla_seconds, references = zip(
-        *(measure_walltime(vanilla_greedy_decode, model, prompt, n_tokens) for prompt in prompts)
-    )
-    runs = []
-    for policy in policies:
-        run = PolicyRun(policy, [], [])
-        for idx, (prompt, reference) in enumerate(zip(prompts, references)):
-            seconds, result = measure_walltime(generate, model, adapter, policy, prompt, n_tokens)
+    vanilla_greedy_decode(model, prompts[0], n_tokens)
+    generate(model, adapter, policies[0], prompts[0], n_tokens)
+    vanilla_seconds = []
+    runs = [PolicyRun(policy, [], []) for policy in policies]
+    for idx, prompt in enumerate(prompts):
+        seconds, reference = measure_walltime(vanilla_greedy_decode, model, prompt, n_tokens)
+        vanilla_seconds.append(seconds)
+        for run in runs:
+            seconds, result = measure_walltime(generate, model, adapter, run.policy, prompt, n_tokens)
             if result.tokens != reference:
-                raise LosslessnessError(_divergence_report(policy, idx, result, reference))
+                raise LosslessnessError(_divergence_report(run.policy, idx, result, reference))
             run.results.append(result)
             run.seconds.append(seconds)
-        runs.append(run)
-    return list(vanilla_seconds), runs
+    return vanilla_seconds, runs
 
 
 def measure_walltime(fn: Callable, *args, repetitions: int = 1, warmup: bool = False) -> tuple:

@@ -5,9 +5,14 @@ Greedy losslessness is checked at zero tolerance.  It rests on two facts:
 1. Both decoders get their prompt rows from one identical, deterministic
    call.  The model's ``prefill`` runs a prompt from position 0 through
    ``prompt_attention``, plain BLAS GEMMs whose bits may depend on the row
-   count; that call is the kernel's only use.  The greedy reference and a
+   count; ``prefill`` is the kernel's only caller, and the decoders and
+   the distillation teacher its only users.  The greedy reference and a
    speculative session open with it on the same rows, so their prompt K/V
-   rows and first token agree.
+   rows and first token agree.  Training needs no batch invariance:
+   nothing compares its results bit for bit with another computation, and
+   greedy equality holds for any adapter weights.  So the teacher (an
+   every-row ``prefill``) and the adapter's taped forward and backward run
+   on plain GEMMs, whose bits need only be deterministic.
 2. Every row after the prompt goes through the kernels below, which are
    *batch-shape stable*: the bits of an output row depend only on that
    row's inputs, never on how many rows were computed in the same call.
@@ -380,8 +385,9 @@ def prompt_attention(
     contexts are GEMMs over blocks of ``_ROW_BLOCK`` query rows against the
     cache's key columns and value rows up to the block's last row, masked
     by ``_causal_mask``, and the weight sums one GEMV against ones.  The bits
-    depend on T, so this kernel serves only ``prefill``, the prompt pass that
-    every decoder runs in the same call (module docstring, fact 1).
+    depend on T, so this kernel serves only ``prefill``: the prompt pass that
+    every decoder runs in the same call, and the distillation teacher's
+    pass (module docstring, fact 1).
     """
     if x.ndim != 2:
         raise ShapeError(f"attention input must be 2-D, got shape {x.shape}")

@@ -5,8 +5,8 @@ The model is a pre-norm decoder stack (rotary attention + gated FFN) split at
 early features, ``forward_remaining`` runs the rest plus final norm and LM
 head.  Their composition equals a monolithic forward.  ``prefill`` runs a
 prompt through both stacks at once with GEMM kernels; every decoder opens
-with it.  The greedy reference decoder below is the correctness oracle for
-speculative decoding.
+with it, and the distillation teacher runs it on every row.  The greedy
+reference decoder below is the correctness oracle for speculative decoding.
 """
 
 from __future__ import annotations
@@ -333,7 +333,8 @@ def _prompt_block(x, layer: LayerWeights, cache: LayerKVCache, rope: RopeTable, 
 
 
 def prefill(
-    weights: TargetWeights, prompt: list[int] | np.ndarray, caches: KVCacheSet
+    weights: TargetWeights, prompt: list[int] | np.ndarray, caches: KVCacheSet,
+    last_row: bool = True,
 ) -> tuple[FeatureBlock, np.ndarray]:
     """Run ``prompt`` from position 0 through both stacks with GEMM kernels.
 
@@ -347,6 +348,10 @@ def prefill(
     products are GEMVs, not rows of GEMMs, which moves the logits' low bits.
     Greedy equality needs only that every decoder opens with this same call
     on the same rows (kernels module docstring).
+
+    With ``last_row=False`` the final layer and the LM head run on every
+    row, as GEMMs, and the logits are ``(T, vocab)``: the distillation
+    teacher's pass.  Features and K/V rows are the same bits either way.
     """
     tokens = np.asarray(prompt, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size == 0:
@@ -362,9 +367,9 @@ def prefill(
     for i, (layer, cache) in enumerate(zip(weights.layers, caches.shallow + caches.deep)):
         if i == cfg.exit_layer:
             features = FeatureBlock(start=0, values=h)
-        h = _prompt_block(h, layer, cache, weights.rope, last_row=i == cfg.n_layers - 1)
-    logits = matmul(rmsnorm(h, weights.final_norm, RMS_EPS), weights.lm_head)[0]
-    return features, logits
+        h = _prompt_block(h, layer, cache, weights.rope, last_row and i == cfg.n_layers - 1)
+    normed = rmsnorm(h, weights.final_norm, RMS_EPS)
+    return features, matmul(normed, weights.lm_head)[0] if last_row else normed @ weights.lm_head
 
 
 def check_prompt(prompt: list[int], config: ModelConfig) -> None:

@@ -6,6 +6,13 @@ summed over positions and vocabulary.  Gradients are derived analytically
 for the adapter parameters only -- the backbone and LM head never receive
 gradients -- and are verified coordinate-by-coordinate against central
 finite differences in the test suite.  Training runs in float64.
+
+Every product here is a plain BLAS GEMM: the teacher is ``prefill`` with
+``last_row=False``, and the student's taped forward and backward use ``@``
+for the projections and one ``np.matmul`` over ``(heads, T, .)`` stacks
+for each attention contraction.  Batch invariance matters only where two
+decoders must agree bit for bit; a training run's sums may depend on the
+sequence length, as long as they are deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ import numpy as np
 
 from .adapter import WINDOW, AdapterWeights
 from .errors import ConfigError, ShapeError
-from .kernels import RopeTable, matmul, softmax
-from .model import RMS_EPS, KVCacheSet, TargetWeights, forward_remaining, forward_shallow
+from .kernels import RopeTable, _causal_mask, softmax
+from .model import RMS_EPS, KVCacheSet, TargetWeights, prefill
 from .seeding import generator
 
 LOG_CLAMP = 1e-12
@@ -114,25 +121,28 @@ def adapter_student_forward(
     """Full-sequence student logits via the taped forward (no caches).
 
     Mathematically identical to the cached inference path: row ``t`` attends
-    to the band of keys ``t-WINDOW+1..t``, so a sequence of at most
+    to the band of keys ``t-WINDOW+1..t``, masked by the same
+    ``_causal_mask`` table that drafting reads, so a sequence of at most
     ``WINDOW`` positions is plainly causal.  Returns the logits and the tape
-    of intermediates that ``adapter_backward`` reuses.
+    of intermediates that ``adapter_backward`` reuses; its queries, keys,
+    values and weights are head-major, ``(heads, T, .)``.
     """
     x = features
     t_len, d = x.shape
     h, hd = adapter.attn.n_heads, adapter.attn.head_dim
-    band = np.tri(t_len, dtype=bool) & ~np.tri(t_len, k=-WINDOW, dtype=bool)
+    hidden = _causal_mask(rope.max_len, WINDOW)[:t_len, :t_len]
     xn, r1 = _rms_forward(x, adapter.input_norm)
-    qr = rope.apply_block(matmul(xn, adapter.attn.wq).reshape(t_len, h, hd), 0)
-    kr = rope.apply_block(matmul(xn, adapter.attn.wk).reshape(t_len, h, hd), 0)
-    v = matmul(xn, adapter.attn.wv).reshape(t_len, h, hd)
-    scores = np.einsum("thd,uhd->htu", qr, kr) / np.sqrt(hd)
-    scores = np.where(band[None], scores, -np.inf)
+    q, k, v = (xn @ adapter.attn.wqkv).reshape(3, t_len, h, hd)
+    qr = rope.apply_block(q, 0).transpose(1, 0, 2)
+    kr = rope.apply_block(k, 0).transpose(1, 0, 2)
+    v = v.transpose(1, 0, 2)
+    scores = np.matmul(qr, kr.transpose(0, 2, 1)) / np.sqrt(hd)
+    np.copyto(scores, -np.inf, where=hidden)
     probs = softmax(scores, axis=-1)  # (H, T, T)
-    ao = np.einsum("htu,uhd->thd", probs, v).reshape(t_len, d)
-    z = x + matmul(ao, adapter.attn.wo)
+    ao = np.matmul(probs, v).transpose(1, 0, 2).reshape(t_len, d)
+    z = x + ao @ adapter.attn.wo
     y, r2 = _rms_forward(z, adapter.output_norm)
-    return matmul(y, lm_head), (xn, r1, qr, kr, v, probs, ao, z, r2)
+    return y @ lm_head, (xn, r1, qr, kr, v, probs, ao, z, r2)
 
 
 def adapter_backward(
@@ -164,24 +174,22 @@ def adapter_backward(
     dlogp = np.where(logp > np.log(LOG_CLAMP), -q_teacher, 0.0)
     p_student = np.exp(logp)
     dlogits = dlogp - p_student * np.sum(dlogp, axis=-1, keepdims=True)
-    dy = matmul(dlogits, lm_head.T)
+    dy = dlogits @ lm_head.T
     dz, d_output_norm = _rms_backward(dy, z, adapter.output_norm, r2)
-    dao = matmul(dz, adapter.attn.wo.T).reshape(t_len, h, hd)
-    dwo = matmul(ao.T, dz)
+    dao = (dz @ adapter.attn.wo.T).reshape(t_len, h, hd).transpose(1, 0, 2)
+    dwo = ao.T @ dz
 
-    dprobs = np.einsum("thd,uhd->htu", dao, v)
-    dv = np.einsum("htu,thd->uhd", probs, dao)
+    dprobs = np.matmul(dao, v.transpose(0, 2, 1))
+    dv = np.matmul(probs.transpose(0, 2, 1), dao)
     dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-    dqr = np.einsum("htu,uhd->thd", dscores, kr) * inv_sqrt
-    dkr = np.einsum("htu,thd->uhd", dscores, qr) * inv_sqrt
-    dq = rope.apply_inverse_block(dqr, 0).reshape(t_len, d)
-    dk = rope.apply_inverse_block(dkr, 0).reshape(t_len, d)
-    dv = dv.reshape(t_len, d)
+    dqr = np.matmul(dscores, kr) * inv_sqrt
+    dkr = np.matmul(dscores.transpose(0, 2, 1), qr) * inv_sqrt
+    dq = rope.apply_inverse_block(dqr.transpose(1, 0, 2), 0).reshape(t_len, d)
+    dk = rope.apply_inverse_block(dkr.transpose(1, 0, 2), 0).reshape(t_len, d)
+    dv = dv.transpose(1, 0, 2).reshape(t_len, d)
 
-    dwq = matmul(xn.T, dq)
-    dwk = matmul(xn.T, dk)
-    dwv = matmul(xn.T, dv)
-    dxn = matmul(dq, adapter.attn.wq.T) + matmul(dk, adapter.attn.wk.T) + matmul(dv, adapter.attn.wv.T)
+    dwq, dwk, dwv = xn.T @ dq, xn.T @ dk, xn.T @ dv
+    dxn = dq @ adapter.attn.wq.T + dk @ adapter.attn.wk.T + dv @ adapter.attn.wv.T
     _, d_input_norm = _rms_backward(dxn, x, adapter.input_norm, r1)
 
     grads = (d_input_norm, dwq, dwk, dwv, dwo, d_output_norm)  # in tensors() order
@@ -223,13 +231,16 @@ class AdamW:
 def build_distill_batches(
     model: TargetWeights, corpus: list[list[int]]
 ) -> list[DistillBatch]:
-    """Teacher pass: early features and full-model distributions per sequence."""
+    """Teacher pass: early features and full-model distributions per sequence.
+
+    Each sequence is one every-row ``prefill`` in float64, over caches sized
+    by the sequence.
+    """
     model64 = model if model.dtype == np.float64 else model.astype(np.float64)
     batches = []
     for seq in corpus:
         caches = KVCacheSet(model64.config, np.float64, len(seq))
-        features = forward_shallow(model64, seq, caches)
-        logits = forward_remaining(model64, features, caches)
+        features, logits = prefill(model64, seq, caches, last_row=False)
         batches.append(
             DistillBatch(
                 early_features=features.values,

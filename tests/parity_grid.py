@@ -38,11 +38,15 @@ first few drafts are rejected.  A ``generate`` line holds the tokens,
 tree's run shows greedy equality over the whole grid.  A ``logits`` line
 holds the sha256 of the full-prompt logits; a ``weights`` line the sha256
 of the bytes ``save_weights`` or ``save_adapter`` writes for a grid model
-or adapter.  The ``train`` line holds the sha256 of the saved adapter that
-a 2-epoch ``train_adapter`` run on a fixed small corpus returns, and its
-loss curve as ``float.hex``.  A ``corpus`` line holds the sha256 of a
-``gen_corpus`` output, over vocabularies, length ranges and seeds and the
-benchmark's prompt and training shapes.  An exception is recorded by class
+or adapter.  A ``train`` line holds the sha256 of the saved adapter that
+a ``train_adapter`` run on a fixed corpus returns, and its loss curve as
+``float.hex``: 2 epochs on 8 sequences of 6-12 tokens, and 1 epoch on 4
+sequences of 45-70 tokens, which cross the 32-row prompt block of the
+teacher's pass and the adapter's 64-position window.  A change that only
+reorders the trainer's float64 sums moves the curves' last bits and may
+leave the adapters' sha256 unchanged.  A ``corpus`` line holds the sha256
+of a ``gen_corpus`` output, over vocabularies, length ranges and seeds and
+the benchmark's prompt and training shapes.  An exception is recorded by class
 and message.
 
 The script uses only the public API that every tree of the package has, so
@@ -68,6 +72,9 @@ DESK_LOW_PROMPT_LENGTHS = (6, 7, 8, 9, 10, 11, 12)
 POLICIES = ((0.6, 6), (0.0, 3), (1.0, 0), (1.0, 6))
 N_TOKENS = (1, 2, 48)
 SEED_63 = (1 << 63) - 25
+# (n_seqs, len_range, corpus seed, epochs, batch) of each train line; the
+# second corpus's lengths are 64, 70, 65 and 45.
+TRAIN_CASES = ((8, (6, 12), 5, 2, 3), (4, (40, 70), 6, 1, 2))
 # (vocab, n_seqs, len_range, seed); the last six are the benchmark's short
 # and long prompt sets and its training corpus.  tests/test_corpus.py checks
 # every case against the per-token oracle.
@@ -153,13 +160,14 @@ def _weights_line(ss, weights) -> dict:
         return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
-def _train_line(ss) -> dict:
-    """A 2-epoch distillation of the init adapter on a fixed 8-sequence corpus."""
+def _train_line(ss, n_seqs: int, len_range: tuple[int, int], corpus_seed: int,
+                epochs: int, batch: int) -> dict:
+    """A distillation of the init adapter on a fixed corpus."""
     from selfspec.corpus import gen_corpus
 
     model = ss.gen_model(ss.desk_config(max_seq_len=MAX_SEQ_LEN), 1)
-    corpus = gen_corpus(model.config.vocab_size, 8, (6, 12), 5)
-    cfg = ss.TrainConfig(epochs=2, batch=3, seed=4)
+    corpus = gen_corpus(model.config.vocab_size, n_seqs, len_range, corpus_seed)
+    cfg = ss.TrainConfig(epochs=epochs, batch=batch, seed=4)
     try:
         trained, curve = ss.train_adapter(model, ss.init_adapter(model, 2), corpus, cfg)
     except Exception as exc:  # noqa: BLE001
@@ -221,7 +229,9 @@ def grid(ss):
                                 yield {**case, **_generate_line(
                                     ss, model, adapter, policy, prompt, n_tokens,
                                     greedy[length, n_tokens])}
-    yield {"train": True, **_train_line(ss)}
+    for n_seqs, len_range, corpus_seed, epochs, batch in TRAIN_CASES:
+        case = {"train": True, "n_seqs": n_seqs, "len_range": list(len_range), "epochs": epochs}
+        yield {**case, **_train_line(ss, n_seqs, len_range, corpus_seed, epochs, batch)}
     for vocab, n_seqs, len_range, seed in CORPUS_GRID:
         case = {"corpus": True, "vocab": vocab, "n_seqs": n_seqs,
                 "len_range": list(len_range), "seed": seed}

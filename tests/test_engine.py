@@ -1097,6 +1097,40 @@ class TestRunCorpus:
         assert "on prompt 1:" in message
         assert f"position 7 (round {round_idx})" in message
 
+    def test_each_reference_timed_just_before_its_prompts_runs(
+        self, small_model, small_adapter, monkeypatch
+    ):
+        # Each decoder runs once untimed, then every prompt's reference is
+        # timed right before that prompt's runs, one per policy in order.
+        calls, timing = [], []
+        walltime = selfspec.engine.measure_walltime
+        decoders = {"greedy": selfspec.engine.vanilla_greedy_decode,
+                    "spec": selfspec.engine.generate}
+
+        def timed(fn, *args, **kwargs):
+            timing.append(True)
+            try:
+                return walltime(fn, *args, **kwargs)
+            finally:
+                timing.pop()
+
+        def recorded(name):
+            def call(model, *args):
+                policy = args[1] if name == "spec" else None
+                calls.append((name, policy, self.PROMPTS.index(args[-2]), bool(timing)))
+                return decoders[name](model, *args)
+            return call
+
+        monkeypatch.setattr(selfspec.engine, "measure_walltime", timed)
+        monkeypatch.setattr(selfspec.engine, "vanilla_greedy_decode", recorded("greedy"))
+        monkeypatch.setattr(selfspec.engine, "generate", recorded("spec"))
+        run_corpus(small_model, small_adapter, self.POLICIES, self.PROMPTS, 12)
+        expected = [("greedy", None, 0, False), ("spec", self.POLICIES[0], 0, False)]
+        for idx in range(len(self.PROMPTS)):
+            expected.append(("greedy", None, idx, True))
+            expected.extend(("spec", policy, idx, True) for policy in self.POLICIES)
+        assert calls == expected
+
     def test_empty_grid_rejected(self, small_model, small_adapter):
         with pytest.raises(ConfigError):
             run_corpus(small_model, small_adapter, [], self.PROMPTS, 4)

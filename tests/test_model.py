@@ -182,6 +182,25 @@ class TestPrefill:
         assert np.max(np.abs(logits - ref_logits)) <= self.TOLERANCE[dtype]
         assert np.argmax(logits) == np.argmax(ref_logits)
 
+    @pytest.mark.parametrize("length", [1, 33, 65, 200])
+    def test_every_row_call_keeps_features_and_kv(self, desk_model, length):
+        # The distillation teacher's call: the final layer and the LM head
+        # run on every row, and nothing before them moves.
+        tokens = [int(t) for t in generator(length, "prefill").integers(256, size=length)]
+        caches, all_caches = KVCacheSet(desk_model.config), KVCacheSet(desk_model.config)
+        features, logits = prefill(desk_model, tokens, caches)
+        all_features, all_logits = prefill(desk_model, tokens, all_caches, last_row=False)
+        assert all_features.start == 0
+        assert np.array_equal(all_features.values, features.values)
+        for ours, ref in zip(all_caches.shallow + all_caches.deep, caches.shallow + caches.deep):
+            assert ours.length == ref.length == length
+            assert np.array_equal(ours.keys, ref.keys) and np.array_equal(ours.values, ref.values)
+        assert all_logits.dtype == np.float32
+        assert all_logits.shape == (length, desk_model.config.vocab_size)
+        assert np.max(np.abs(all_logits[-1] - logits)) <= 1e-5
+        mono = monolithic_forward(desk_model, tokens)
+        assert np.max(np.abs(all_logits - mono)) <= self.TOLERANCE[np.float32]
+
     def test_repeatable_bit_for_bit(self, desk_model):
         tokens = list(range(3, 203))
         runs = []

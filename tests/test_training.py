@@ -15,8 +15,8 @@ from selfspec import (
 )
 from selfspec.adapter import WINDOW
 from selfspec.errors import ConfigError, ShapeError
-from selfspec.kernels import RopeTable, matmul
-from selfspec.model import forward_shallow
+from selfspec.kernels import RopeTable, _causal_mask, matmul, softmax
+from selfspec.model import forward_remaining, forward_shallow
 from selfspec.seeding import generator
 from selfspec.training import adapter_student_forward, build_distill_batches
 
@@ -113,6 +113,19 @@ class TestAdapterBackward:
             )
             assert np.max(np.abs(inference_logits - tape_logits)) <= 1e-10
 
+    @pytest.mark.parametrize("t_len", [5, WINDOW, WINDOW + 6, 90])
+    def test_window_band_is_the_drafting_mask(self, t_len):
+        # The tape masks with the drafting mask's cached table; its visible
+        # keys are the band t-WINDOW+1..t, and the tape's weights vanish
+        # exactly outside it.
+        band = np.tri(t_len, dtype=bool) & ~np.tri(t_len, k=-WINDOW, dtype=bool)
+        adapter, batch, lm_head, rope = random_instance(4, t_len=t_len)
+        assert np.array_equal(~_causal_mask(rope.max_len, WINDOW)[:t_len, :t_len], band)
+        _, tape = adapter_student_forward(adapter, batch.early_features, lm_head, rope)
+        probs = tape[5]
+        assert probs.shape == (adapter.attn.n_heads, t_len, t_len)
+        assert np.all(probs[:, ~band] == 0.0) and np.all(probs[:, band] > 0.0)
+
 
 class TestAdamW:
     def test_zero_lr_zero_decay_is_identity(self):
@@ -175,6 +188,20 @@ class TestTrainAdapter:
         trained, _ = train_adapter(small_model, small_adapter, corpus, cfg)
         assert np.array_equal(trained.attn.wq, small_adapter.attn.wq)
         assert np.array_equal(trained.input_norm, small_adapter.input_norm)
+
+    @pytest.mark.parametrize("length", [5, 33, 70])
+    def test_teacher_matches_split_path(self, small_model, length):
+        # The teacher's every-row prefill against the split path, in float64,
+        # across the 32-row prompt block and the 64-position window.
+        model64 = small_model.astype(np.float64)
+        seq = [int(t) for t in generator(length, "teacher").integers(64, size=length)]
+        [batch] = build_distill_batches(small_model, [seq])
+        caches = KVCacheSet(model64.config, np.float64, length)
+        features = forward_shallow(model64, seq, caches)
+        probs = softmax(forward_remaining(model64, features, caches), axis=-1)
+        assert batch.early_features.dtype == batch.teacher_probs.dtype == np.float64
+        assert np.max(np.abs(batch.early_features - features.values)) <= 1e-12
+        assert np.max(np.abs(batch.teacher_probs - probs)) <= 1e-12
 
     def test_teacher_rows_normalized(self, small_model):
         batches = build_distill_batches(small_model, [[3, 1, 4, 1, 5]])
