@@ -67,6 +67,14 @@ def _load_corpus(args) -> list[list[int]]:
     return sequences
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse an output path whose directory is missing before any work is done."""
+    for dest, flag in (("out", "--out"), ("loss_out", "--loss-out")):
+        path = getattr(args, dest, None)
+        if path and not Path(path).parent.is_dir():
+            raise UsageError(f"{flag} {path}: directory {Path(path).parent} does not exist")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -272,6 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except LosslessnessError as exc:
         print(str(exc), file=sys.stderr)

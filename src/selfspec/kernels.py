@@ -21,16 +21,17 @@ Greedy losslessness is checked at zero tolerance.  It rests on two facts:
 
 The stable kernels, concretely:
 
-- A matrix product is a stack of one BLAS GEMV per row,
-  ``np.matmul(a[:, None, :], b)[:, 0]``.  Every row is its own call with
+- A matrix product is one BLAS GEMV per row, ``np.vecmat(a, b)``: numpy's
+  vector-matrix gufunc runs the GEMV that ``np.matmul(a[:, None, :], b)``
+  runs per row, with fewer wrapper layers.  Every row is its own call with
   the same shapes and strides, so it runs the same instructions whatever
-  the row count.  A one-row product is plain ``np.matmul(a, b)``, which
-  numpy runs as the same single GEMV with less dispatch.  Plain ``a @ b``
-  is not stable for two or more rows: BLAS switches from GEMV to a blocked
-  GEMM whose accumulation order differs.
-- The q, k and v projections are one ``np.matmul`` of the rows against the
+  the row count, one row included.  Plain ``a @ b`` is not stable for two
+  or more rows: BLAS switches from GEMV to a blocked GEMM whose
+  accumulation order differs, at row counts that depend on the shape.
+- The q, k and v projections are one ``np.vecmat`` of the rows against the
   stacked ``(3, d, d)`` weights: the same GEMV per row and plane as three
   separate products, in one dispatch.
+- Every per-row dot product is one BLAS dot, ``np.vecdot``.
 - Attention runs per block of query rows over a key span of whole 64-key
   chunks, from position 0 through the chunk that holds the block's last
   row (the buffers hold whole chunks).  A windowed call (the draft
@@ -50,15 +51,16 @@ The stable kernels, concretely:
   there are finite (unfilled, skipped and rolled-back rows are zeroed).  A
   row's context numerator is one GEMV of its weights against the span's
   value rows, and its weight sum one BLAS dot of the weights with a vector
-  of ones (numpy runs a ``(1, n)`` by ``(n,)`` product as a dot).  A
-  batched call's span can reach whole chunks past the row's own span, and
-  trailing chunks of exact-zero weights leave the GEMV's and the dot's
-  results unchanged, bit for bit; under a window, so do leading ones.
+  of ones.  A batched call's span can reach whole chunks past the row's own
+  span, and trailing chunks of exact-zero weights leave the GEMV's and the
+  dot's results unchanged, bit for bit; under a window, so do leading ones.
 - These GEMV and dot facts are properties of the BLAS build, not of numpy's
   contract; ``TestBatchInvariance`` pins them for numpy 2.4.6 with
-  OpenBLAS 0.3.31.
-- rmsnorm's mean square is one BLAS dot per row, and the max over keys is
-  exact in any order.
+  OpenBLAS 0.3.31, and that ``vecmat`` and ``vecdot`` give the bits of the
+  per-row ``np.matmul`` calls.
+- rmsnorm's mean square is one BLAS dot per row.  The max over keys is
+  exact in any order; ``np.fmax`` takes it, which skips NaN scores, but a
+  NaN score still makes its row NaN through ``exp`` and the weight sum.
 
 The acceptance suite relies on both facts.
 """
@@ -78,24 +80,13 @@ _KEY_CHUNK = 64  # attention spans come in whole chunks; so do cache buffers
 _ROW_BLOCK = 32  # query rows per masked attention pass; bounds the score buffer
 
 
-def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` as one GEMV per row of ``a`` (the module's matmul, unchecked).
-
-    A one-row product is plain ``np.matmul(a, b)``: numpy runs a (1, k) by
-    (k, n) product as the same single GEMV it runs per row of the stack.
-    """
-    if len(a) == 1:
-        return np.matmul(a, b)
-    return np.matmul(a[:, None, :], b)[:, 0]
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed, shape-independent accumulation order."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return _row_gemv(np.ascontiguousarray(a), np.ascontiguousarray(b))
+    return np.vecmat(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -126,8 +117,8 @@ def rmsnorm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     if x.shape[-1] != scale.shape[-1] or scale.ndim != 1:
         raise ShapeError(f"rmsnorm scale {scale.shape} does not match input {x.shape}")
     width, eps = _scalars(x.dtype, x.shape[-1], eps)
-    # one BLAS dot per row, like the GEMV rows of matmul
-    ms = np.matmul(x[..., None, :], x[..., :, None])[..., 0] / width
+    # one BLAS dot per row (np.vecdot), like the GEMV rows of matmul
+    ms = np.vecdot(x, x)[..., None] / width
     return scale * (x / np.sqrt(ms + eps))
 
 
@@ -337,7 +328,7 @@ def causal_attention(
         raise ShapeError(f"attention input width {d} != n_heads*head_dim {h * hd}")
 
     # one GEMV per row and weight plane; rope rotates the q and k heads together
-    qkv = np.matmul(x[:, None, None, :], params.wqkv).reshape(n_rows, 3, h, hd)
+    qkv = np.vecmat(x[:, None, :], params.wqkv).reshape(n_rows, 3, h, hd)
     qk = rope_table.apply_block(qkv[:, :2].reshape(n_rows, 2 * h, hd), start_pos)
     cache.extend(qk[:, h:], qkv[:, 2])
     (scale,) = _scalars(x.dtype, 1.0 / math.sqrt(hd))
@@ -358,17 +349,17 @@ def causal_attention(
             k0, m0 = 0, p0
         else:
             k0 = m0 = max(p0 - window + 1, 0) // _KEY_CHUNK * _KEY_CHUNK
-        # w[t, h, 0, p]: one GEMV per (row, head) against the span's key columns
-        w = np.matmul(q[b0:b1, :, None, :], cache.keys[:, :, k0:k1])
-        np.copyto(w[..., m0 - k0 :], -np.inf, where=mask[p0:p1, None, None, m0:k1])
-        w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+        # w[t, h, p]: one GEMV per (row, head) against the span's key columns
+        w = np.vecmat(q[b0:b1], cache.keys[:, :, k0:k1])
+        np.copyto(w[..., m0 - k0 :], -np.inf, where=mask[p0:p1, None, m0:k1])
+        w -= np.fmax.reduce(w, axis=-1, keepdims=True)  # a NaN score still NaNs its row
         np.exp(w, out=w)
-        den = np.matmul(w, ones[: k1 - k0])  # one dot per (row, head) with the span's ones
+        den = np.vecdot(w, ones[: k1 - k0])  # one dot per (row, head) with the span's ones
         # one GEMV per (row, head) of the weights against the span's values
-        blocks.append(np.matmul(w, cache.values[:, k0:k1]) / den[..., None])
+        blocks.append(np.vecmat(w, cache.values[:, k0:k1]) / den[..., None])
     # one block is the whole context; q[:0] gives a zero-row call its empty one
-    ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0, :, None], *blocks])
-    return _row_gemv(ctx.reshape(len(q), d), params.wo)
+    ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0], *blocks])
+    return np.vecmat(ctx.reshape(len(q), d), params.wo)
 
 
 def prompt_attention(
@@ -413,7 +404,7 @@ def prompt_attention(
         p0, p1 = first + b0, first + b1  # the block's positions
         w = np.matmul(q[:, b0:b1], cache.keys[:, :, :p1])  # (heads, rows, keys)
         np.copyto(w[..., p0:], -np.inf, where=mask[p0:p1, p0:p1])  # keys before p0 are seen
-        w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+        w -= np.fmax.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
         den = np.matmul(w, ones[:p1])
         ctx[b0:b1] = (np.matmul(w, cache.values[:, :p1]) / den[..., None]).transpose(1, 0, 2)
@@ -424,5 +415,5 @@ def gated_ffn(
     x: np.ndarray, gate: np.ndarray, up: np.ndarray, down: np.ndarray
 ) -> np.ndarray:
     """SwiGLU feed-forward: ``down(silu(x @ gate) * (x @ up))``."""
-    hidden = silu(_row_gemv(x, gate)) * _row_gemv(x, up)
-    return _row_gemv(hidden, down)
+    hidden = silu(np.vecmat(x, gate)) * np.vecmat(x, up)
+    return np.vecmat(hidden, down)

@@ -484,6 +484,35 @@ class TestPolicyGrid:
         assert code == 2
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("command,outputs,flag", [
+        ("gen-model", ["--out", "missing/x.kngr"], "--out"),
+        ("train", ["--out", "missing/a.knga"], "--out"),
+        ("train", ["--out", "a.knga", "--loss-out", "missing/curve.csv"], "--loss-out"),
+        ("bench", ["--out", "missing/report.json"], "--out"),
+        ("sweep", ["--out", "missing/sweep.csv"], "--out"),
+    ], ids=["gen-model", "train-out", "train-loss-out", "bench", "sweep"])
+    def test_missing_directory_exits_2_before_any_pass(
+        self, tmp_path, artifacts, monkeypatch, capsys, command, outputs, flag
+    ):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("ran a pass before checking the output paths")
+
+        monkeypatch.setattr(selfspec.cli, "train_adapter", no_pass)
+        monkeypatch.setattr(selfspec.cli, "calibrate_latency", no_pass)
+        model, adapter, corpus = artifacts
+        inputs = {
+            "gen-model": [],
+            "train": ["--model", str(model), "--corpus", str(corpus)],
+        }.get(command, ["--model", str(model), "--adapter", str(adapter), "--corpus", str(corpus)])
+        paths = [str(tmp_path / v) if i % 2 else v for i, v in enumerate(outputs)]
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, *inputs, *paths]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "missing" in err
+        assert sorted(tmp_path.rglob("*")) == before  # no file written
+
+
 class TestParser:
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2

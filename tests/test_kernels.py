@@ -262,6 +262,23 @@ class TestCausalAttention:
         assert np.max(np.abs(ours[:64] - causal[:64])) <= tol
         assert (length > 64) == bool(np.max(np.abs(ours - causal)) > 1e-3)
 
+    @pytest.mark.parametrize("window,nan_rows", [(None, 5), (64, 3)])
+    def test_nan_key_score_makes_its_row_nan(self, window, nan_rows):
+        # Key 3 of head 0 is NaN.  The rows at 64.. that see it come out
+        # all-NaN (the row max skips NaN, exp and the weight sum do not);
+        # under a 64-key window the rows from 67 no longer see it and stay
+        # finite, though it lies in their span, masked.
+        params = _random_params()
+        table = RopeTable(8, 10000.0, 128)
+        cache = LayerKVCache(128, 4, 8)
+        keys, values = (RNG.standard_normal((64, 4, 8)).astype(np.float32) for _ in range(2))
+        keys[3, 0, 0] = np.nan
+        cache.extend(keys, values)
+        out = causal_attention(params, RNG.standard_normal((5, 32)).astype(np.float32),
+                               cache, 64, table, window)
+        assert np.isnan(out[:nan_rows]).all()
+        assert np.isfinite(out[nan_rows:]).all()
+
     def test_cache_length_mismatch(self):
         params = _random_params()
         table = RopeTable(8, 10000.0, 16)
@@ -314,6 +331,18 @@ class TestPromptAttention:
         assert np.max(np.abs(last[0] - full[-1])) <= tol
         for name in ("keys", "values"):
             assert np.array_equal(getattr(caches[0], name), getattr(caches[1], name))
+
+    def test_nan_key_score_makes_its_row_nan(self):
+        # Row 5 of the prompt is NaN, so are its key and the scores of the
+        # rows 5.. that see it: they come out all-NaN.  (Its NaN value row
+        # reaches the earlier rows too, through zero weights, so they are
+        # not checked.)
+        params = _random_params()
+        x = RNG.standard_normal((40, 32)).astype(np.float32)
+        x[5] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = prompt_attention(params, x, LayerKVCache(64, 4, 8), RopeTable(8, 10000.0, 64))
+        assert np.isnan(out[5:]).all()
 
     def test_needs_an_empty_cache(self):
         params = _random_params()
@@ -498,7 +527,7 @@ class TestBatchInvariance:
 
     D, HEADS, HEAD_DIM, FFN, VOCAB = 64, 4, 16, 172, 256
     ROWS = range(1, 8)
-    # a one-row call takes its own branch; check it against long stacks too
+    # long stacks too, in case a call changes its per-row code with the stack length
     LONG_ROWS = (33, 420)
     # 125 and 318: the rows of one call reach into different numbers of 64-key chunks;
     # from 505 a 7-row call fills the 512-row buffer
@@ -570,32 +599,77 @@ class TestBatchInvariance:
             assert np.array_equal(rmsnorm(np.array(x[t : t + 1]), scale)[0], batched[t])
         assert np.array_equal(rmsnorm(x[-1:], scale)[0], batched[-1])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_whole_span_gemvs(self, dtype):
-        # The BLAS facts attention rests on, on the cache's own buffers: a
-        # block of query rows against n*64 key columns (n = 1..8) gives each
-        # key the score that a 64-key call gives it, whatever the row count
-        # and wherever the span starts, and trailing chunks of zero weights
-        # leave a value GEMV unchanged.
-        rng = np.random.default_rng(6)
+    def _filled_cache(self, rng, dtype):
         cache = LayerKVCache(512, self.HEADS, self.HEAD_DIM, dtype=dtype)
         prefix = (512, self.HEADS, self.HEAD_DIM)
         cache.extend(rng.standard_normal(prefix).astype(dtype), rng.standard_normal(prefix).astype(dtype))
+        return cache
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_span_gemvs(self, dtype):
+        # The BLAS facts attention rests on, with its calls on the cache's own
+        # strided spans: a block of query rows against n*64 key columns
+        # (n = 1..8) gives each key the score that a 64-key call gives it,
+        # whatever the row count and wherever the span starts, and trailing
+        # chunks of zero weights leave a value GEMV unchanged.
+        rng = np.random.default_rng(6)
+        cache = self._filled_cache(rng, dtype)
         for rows in (1, 2, 7, 32):
-            q = rng.standard_normal((rows, self.HEADS, 1, self.HEAD_DIM)).astype(dtype)
+            q = rng.standard_normal((rows, self.HEADS, self.HEAD_DIM)).astype(dtype)
             for k0 in (0, 64, 256):
-                chunks = [np.matmul(q, cache.keys[:, :, c : c + 64]) for c in range(k0, 512, 64)]
+                chunks = [np.vecmat(q, cache.keys[:, :, c : c + 64]) for c in range(k0, 512, 64)]
                 for k1 in range(k0 + 64, 513, 64):
-                    scores = np.matmul(q, cache.keys[:, :, k0:k1])
-                    assert scores.shape == (rows, self.HEADS, 1, k1 - k0)
-                    assert np.array_equal(scores, np.concatenate(chunks[: (k1 - k0) // 64], axis=3))
-        weights = rng.random((self.HEADS, 1, 512)).astype(dtype)
+                    scores = np.vecmat(q, cache.keys[:, :, k0:k1])
+                    assert scores.shape == (rows, self.HEADS, k1 - k0)
+                    assert np.array_equal(scores, np.concatenate(chunks[: (k1 - k0) // 64], axis=2))
+        weights = rng.random((self.HEADS, 512)).astype(dtype)
         for span in range(64, 513, 64):
             padded = np.zeros_like(weights)
             padded[..., :span] = weights[..., :span]
-            own = np.matmul(weights[..., :span], cache.values[:, :span])
+            own = np.vecmat(weights[..., :span], cache.values[:, :span])
             for wider in range(span, 513, 64):
-                assert np.array_equal(np.matmul(padded[..., :wider], cache.values[:, :wider]), own)
+                assert np.array_equal(np.vecmat(padded[..., :wider], cache.values[:, :wider]), own)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gufuncs_match_per_row_matmul(self, dtype):
+        # The kernels call vecmat and vecdot for the per-row GEMVs and dots
+        # that ``np.matmul`` over a size-1 row axis issues; both must give the
+        # same bits, so a numpy that reroutes the gufuncs fails here rather
+        # than as a parity break.  Operands: one and T rows, contiguous and
+        # column-offset views, the desk shapes and the cache's spans.
+        rng = np.random.default_rng(8)
+        D = self.D
+
+        def operands(rows, width):
+            wide = rng.standard_normal((rows, width + 3)).astype(dtype)
+            return np.ascontiguousarray(wide[:, 3:]), wide[:, 3:]
+
+        cache = self._filled_cache(rng, dtype)
+        ones = np.ones(512, dtype=dtype)
+        wqkv = rng.standard_normal((3, D, D)).astype(dtype)
+        for rows in (1, 2, 7, 32):
+            for k, n in ((D, D), (D, self.FFN), (self.FFN, D), (D, self.VOCAB)):
+                b = rng.standard_normal((k, n)).astype(dtype)
+                for a in operands(rows, k):
+                    gemv = np.vecmat(a, b)
+                    assert np.array_equal(gemv, np.matmul(a[:, None, :], b)[:, 0])
+                    if rows == 1:
+                        assert np.array_equal(gemv, np.matmul(a, b))
+                    dots = np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+                    assert np.array_equal(np.vecdot(a, a), dots)
+            for x in operands(rows, D):  # the q/k/v planes
+                planes = np.matmul(x[:, None, None, :], wqkv)[:, :, 0]
+                assert np.array_equal(np.vecmat(x[:, None, :], wqkv), planes)
+            q = rng.standard_normal((rows, self.HEADS, self.HEAD_DIM)).astype(dtype)
+            for k0, k1 in ((0, 64), (64, 320), (0, 512)):
+                keys, values = cache.keys[:, :, k0:k1], cache.values[:, k0:k1]
+                scores = np.matmul(q[:, :, None, :], keys)[:, :, 0]
+                assert np.array_equal(np.vecmat(q, keys), scores)
+                w = rng.random((rows, self.HEADS, k1 - k0)).astype(dtype)
+                sums = np.matmul(w[:, :, None, :], ones[: k1 - k0])[:, :, 0]
+                assert np.array_equal(np.vecdot(w, ones[: k1 - k0]), sums)
+                context = np.matmul(w[:, :, None, :], values)[:, :, 0]
+                assert np.array_equal(np.vecmat(w, values), context)
 
     @staticmethod
     def _padded_sum_mismatches(dtype, weight_sum):
@@ -605,7 +679,7 @@ class TestBatchInvariance:
         # keys).  Each (own, padded) pair of spans whose sums differ is a
         # mismatch.
         rng = np.random.default_rng(9)
-        weights = rng.random((7, 4, 1, 512)).astype(dtype)
+        weights = rng.random((7, 4, 512)).astype(dtype)
         chunks = range(0, 513, 64)
         mismatches = []
         for lo, hi in ((lo, hi) for lo in chunks for hi in chunks if lo < hi):
@@ -622,7 +696,7 @@ class TestBatchInvariance:
         # The weight sum is one BLAS dot per (row, head) with a ones vector,
         # as in causal_attention; zero chunks on either side change no bit.
         ones = np.ones(512, dtype=dtype)
-        assert self._padded_sum_mismatches(dtype, lambda w: np.matmul(w, ones[: w.shape[-1]])) == []
+        assert self._padded_sum_mismatches(dtype, lambda w: np.vecdot(w, ones[: w.shape[-1]])) == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_weight_sum_check_catches_a_pairwise_sum(self, dtype):
