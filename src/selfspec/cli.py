@@ -3,7 +3,8 @@
 Subcommands: ``gen-model``, ``gen-corpus``, ``train``, ``bench``,
 ``verify-lossless``, ``sweep``.  Exit codes are a stable contract:
 0 success, 1 losslessness/verification failure, 2 usage or config error.
-Every command is deterministic given its ``--seed`` (timing fields aside).
+Every command's output is a function of its files and flags, ``--seed``
+included where a command draws random numbers (timing fields aside).
 """
 
 from __future__ import annotations
@@ -248,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--adapter", required=True)
         p.add_argument("--corpus", required=True)
         p.add_argument("--n-tokens", dest="n_tokens", type=int, default=64)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--f64", action="store_true", help="run inference in float64")
 
     p = sub.add_parser("bench", help="vanilla vs speculative benchmark over a corpus")
     decoding_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seeds calibration's random tokens")
     p.add_argument("--eta", type=float, default=0.6)
     p.add_argument("--gamma", type=int, default=6)
     p.add_argument("--out", default=None)
@@ -266,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="eta/gamma policy sweep with the latency model")
     decoding_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seeds calibration's random tokens")
     p.add_argument("--etas", default="0,0.2,0.4,0.6,0.8,1.0")
     p.add_argument("--gammas", default="2,4,6")
     p.add_argument("--out", default=None)

@@ -89,17 +89,20 @@ class StopReason(enum.Enum):
 class RoundTrace:
     """Accounting for one draft/verify round.
 
-    ``emitted`` counts tokens kept; it always equals ``accepted_drafts + 1``.
     ``deferred`` says whether the round left its final draft's feature out
     of the verified unit.
     """
 
     drafted: int
     accepted_drafts: int
-    emitted: int
     confidences: list[float]
     stop_reason: StopReason
     deferred: bool
+
+    @property
+    def emitted(self) -> int:
+        """Tokens kept: the accepted drafts and the target's own token."""
+        return self.accepted_drafts + 1
 
 
 @dataclass
@@ -133,54 +136,40 @@ class DraftWindow:
 
 
 def round_passes(drafted: int, deferred: bool = False, fully_accepted: bool = False) -> tuple:
-    """A round's shallow rows, probes, verifications, verified rows and rounds (one).
+    """A round's verification passes, further verified positions, probes and rounds (one).
 
+    Every verified position went through the shallow layers once, so a pass
+    over ``T`` positions is one greedy step and ``T - 1`` further positions.
     An eager round verifies its ``drafted + 1`` features in one pass; a
     deferred one verifies ``drafted``, and runs its final draft's shallow row
     and a one-row bonus verification only when every draft is accepted.
     """
     bonus = deferred and fully_accepted
-    verified = drafted + (not deferred) + bonus
-    return drafted + (not deferred or bonus), drafted, 1 + bonus, verified, 1
+    return 1 + bonus, drafted - deferred, drafted, 1
 
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Per-pass costs, in any consistent time unit.
+    """Per-pass costs in ``round_passes`` order, in any consistent time unit.
 
-    ``c_big`` is a one-row verification; a T-row one costs ``c_big + (T - 1) * c_row``.
+    ``c_big`` is one position through the whole model, a greedy step;
+    ``c_row`` each further position a pass verifies, its shallow row and
+    its verification row; ``c_adapter`` a probe and ``c_overhead`` a round.
     """
 
     c_big: float
-    c_shallow: float = 0.0
+    c_row: float = 0.0
     c_adapter: float = 0.0
     c_overhead: float = 0.0
-    c_row: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.c_big <= 0 or min(self.costs) < 0:
-            raise ConfigError(f"need c_big > 0, other costs >= 0 and c_row <= c_big: {self}")
-
-    @property
-    def costs(self) -> tuple[float, ...]:
-        """Each pass's cost in ``round_passes`` order; a verification pass is ``c_big - c_row``."""
-        return self.c_shallow, self.c_adapter, self.c_big - self.c_row, self.c_row, self.c_overhead
-
-    def cost(self, passes) -> float:
-        """The cost of pass counts in ``round_passes`` order, summed left to right.
-
-        The drafting decision's ties between integer counts depend on that association.
-        """
-        return sum(n * c for n, c in zip(passes, self.costs))
-
-    @property
-    def step(self) -> float:
-        """One greedy step: a shallow row and a one-row verification."""
-        return self.cost((1, 0, 1, 1, 0))
+        if self.c_big <= 0 or min(self.c_row, self.c_adapter, self.c_overhead) < 0:
+            raise ConfigError(f"need c_big > 0 and other costs >= 0: {self}")
 
     def round_cost(self, drafted: int, deferred: bool = False, fully_accepted: bool = False) -> float:
-        """Cost of a round with ``drafted`` drafts (see ``round_passes``)."""
-        return self.cost(round_passes(drafted, deferred, fully_accepted))
+        """Cost of a round with ``drafted`` drafts: each ``round_passes`` count times its cost."""
+        costs = self.c_big, self.c_row, self.c_adapter, self.c_overhead
+        return sum(n * c for n, c in zip(round_passes(drafted, deferred, fully_accepted), costs))
 
     def request_cost(self, result: GenerationResult) -> float:
         """Cost of one ``generate`` request: the passes each of its rounds ran."""
@@ -190,7 +179,7 @@ class LatencyModel:
         )
 
 
-# The drafting decision's pass costs, in units of one decoder layer's
+# The drafting decision's pass costs, in twentieths of one decoder layer's
 # one-row pass, fitted on the desk model (seed 1, contexts 12 and 36;
 # ``timeit`` best of 7 x 300 calls on 2 shared x86-64 cores, numpy 2.4.6,
 # OpenBLAS 0.3.31).  Its two shallow layers took 118-210 us for one row, an
@@ -198,13 +187,14 @@ class LatencyModel:
 # 413-530 us at T=1 and 772-1106 us at T=7: a + b*T with b/a about 0.17, and
 # one layer's one-row pass about 69 us.  ``_decision_costs`` scales the per-layer
 # terms by ``exit_layer`` and ``n_layers`` into a ``LatencyModel``; other
-# depths are an extrapolation, measured at the desk depth only.
-SHALLOW_ROW = 0.9  # one row through one shallow layer
+# depths are an extrapolation, measured at the desk depth only.  Integer
+# costs sum exactly, so no decision hangs on the order of a float sum.
+SHALLOW_ROW = 18  # one row through one shallow layer
 # one adapter probe: norms, LM head and one attention row over the last
 # WINDOW keys, so its cost no longer grows with the context
-PROBE = 0.9
-VERIFY_PASS = 0.85  # a: one remaining layer's pass, whatever its rows
-VERIFY_ROW = 0.15  # b: each row of that pass, per remaining layer
+PROBE = 18
+VERIFY_PASS = 17  # a: one remaining layer's pass, whatever its rows
+VERIFY_ROW = 3  # b: each row of that pass, per remaining layer
 # Before its first drafting round a session counts PRIOR_ROUNDS drafting
 # rounds, PRIOR_HITS of them with their first draft accepted, so it starts
 # by drafting.
@@ -213,13 +203,11 @@ PRIOR_HITS = 3
 
 
 @functools.lru_cache
-def _decision_costs(config: ModelConfig) -> tuple[float, float]:
-    """A greedy step, and what a round's first draft adds to a round."""
+def _decision_costs(config: ModelConfig) -> LatencyModel:
+    """The decision's default ``LatencyModel``: the table above at ``config``'s depth."""
     deep = config.n_layers - config.exit_layer
-    row = deep * VERIFY_ROW
-    lat = LatencyModel(deep * VERIFY_PASS + row, config.exit_layer * SHALLOW_ROW, PROBE, c_row=row)
-    first_draft = [n - z for n, z in zip(round_passes(1), round_passes(0))]
-    return lat.step, lat.cost(first_draft)
+    row = config.exit_layer * SHALLOW_ROW + deep * VERIFY_ROW
+    return LatencyModel(row + deep * VERIFY_PASS, row, PROBE)
 
 
 class _Drafting:
@@ -227,20 +215,20 @@ class _Drafting:
 
     A round's first draft pays while it is expected to: accepted in
     ``hits`` of the session's ``rounds`` drafting rounds, it saves one
-    greedy step (a shallow row and a one-row verification) and costs its
-    probe, its shallow row and its verification row.  Round 1 drafts
+    greedy step (``c_big``) and costs its probe and one further verified
+    position (``c_adapter + c_row``); a tie does not pay.  Round 1 drafts
     whatever the prior says; the first drafting round after which a first
     draft no longer pays sets ``ended``, and no later round of the request
     drafts.  The drafts after the first run only above the policy's
     threshold, so the decision does not depend on the policy.  A
     threshold-stopped round defers its final draft's row until a first draft
     is accepted, so a session runs at most one deferred round's bonus pass:
-    a fully accepted round accepted its first draft.  The costs are the
-    fixed table above, so the decisions never read the clock.
+    a fully accepted round accepted its first draft.  The costs are
+    ``_decision_costs``' fixed table, so the decisions never read the clock.
     """
 
     def __init__(self, config: ModelConfig):
-        self.step, self.per_draft = _decision_costs(config)
+        self.lat = _decision_costs(config)
         self.rounds, self.hits = PRIOR_ROUNDS, PRIOR_HITS
         self.ended = False  # no round of the request drafts any more
 
@@ -252,7 +240,7 @@ class _Drafting:
     @property
     def pays(self) -> bool:
         """Whether a round's first draft is expected to save more than it costs."""
-        return self.hits * self.step > self.rounds * self.per_draft
+        return self.hits * self.lat.c_big > self.rounds * (self.lat.c_row + self.lat.c_adapter)
 
     def record(self, hit: bool) -> None:
         """Count a drafting round, a hit when its first draft was accepted."""
@@ -342,11 +330,11 @@ class DecodeSession:
         if self._opening is None and (self._budget(policy) == 0 or self._drafting.ended):
             self._drafting.ended, self._backlog = True, []
             self.tokens.append(greedy_step(self.model, self.tokens[-1], self.caches))
-            return RoundTrace(0, 0, 1, [], StopReason.MAX_STEPS, deferred=False)
+            return RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
         window = self.draft_window(policy)
-        accepted, emitted = self.verify_window(window)
-        return RoundTrace(len(window.drafts), accepted, len(emitted), window.confidences,
-                          window.stop_reason, window.deferred)
+        accepted, _ = self.verify_window(window)
+        return RoundTrace(len(window.drafts), accepted, window.confidences, window.stop_reason,
+                          window.deferred)
 
     def draft_window(self, policy: DraftPolicy) -> DraftWindow:
         """Draft until the threshold or the step budget (``_budget``); return the unit.

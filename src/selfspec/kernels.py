@@ -59,8 +59,9 @@ The stable kernels, concretely:
   OpenBLAS 0.3.31, and that ``vecmat`` and ``vecdot`` give the bits of the
   per-row ``np.matmul`` calls.
 - rmsnorm's mean square is one BLAS dot per row.  The max over keys is
-  exact in any order; ``np.fmax`` takes it, which skips NaN scores, but a
-  NaN score still makes its row NaN through ``exp`` and the weight sum.
+  exact in any order; ``np.fmax`` takes it from the dtype's lowest finite
+  value, which skips NaN scores, but a NaN score still makes its row NaN
+  through ``exp`` and the weight sum.
 
 The acceptance suite relies on both facts.
 """
@@ -110,6 +111,12 @@ def argmax_token(logits: np.ndarray) -> int:
 def _scalars(dtype: np.dtype, *values: float) -> tuple:
     """``values`` as scalars of ``dtype``, built once per key."""
     return tuple(dtype.type(v) for v in values)
+
+
+@lru_cache(maxsize=None)
+def _lowest(dtype: np.dtype):
+    """``dtype``'s lowest finite value: a row max from there never subtracts -inf from -inf."""
+    return np.finfo(dtype).min
 
 
 def rmsnorm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -352,7 +359,7 @@ def causal_attention(
         # w[t, h, p]: one GEMV per (row, head) against the span's key columns
         w = np.vecmat(q[b0:b1], cache.keys[:, :, k0:k1])
         np.copyto(w[..., m0 - k0 :], -np.inf, where=mask[p0:p1, None, m0:k1])
-        w -= np.fmax.reduce(w, axis=-1, keepdims=True)  # a NaN score still NaNs its row
+        w -= np.fmax.reduce(w, axis=-1, keepdims=True, initial=_lowest(x.dtype))
         np.exp(w, out=w)
         den = np.vecdot(w, ones[: k1 - k0])  # one dot per (row, head) with the span's ones
         # one GEMV per (row, head) of the weights against the span's values
@@ -404,7 +411,7 @@ def prompt_attention(
         p0, p1 = first + b0, first + b1  # the block's positions
         w = np.matmul(q[:, b0:b1], cache.keys[:, :, :p1])  # (heads, rows, keys)
         np.copyto(w[..., p0:], -np.inf, where=mask[p0:p1, p0:p1])  # keys before p0 are seen
-        w -= np.fmax.reduce(w, axis=-1, keepdims=True)
+        w -= np.fmax.reduce(w, axis=-1, keepdims=True, initial=_lowest(x.dtype))
         np.exp(w, out=w)
         den = np.matmul(w, ones[:p1])
         ctx[b0:b1] = (np.matmul(w, cache.values[:, :p1]) / den[..., None]).transpose(1, 0, 2)

@@ -1,12 +1,11 @@
 """Latency predictions from traces, calibration, and policy sweeps.
 
 ``engine.LatencyModel`` prices the passes each round ran (``round_passes``):
-a shallow row per feature, an adapter probe per draft, a verification of
-``c_big`` for one row plus ``c_row`` per further row (a deferred round's
-bonus pass is one row), and a per-round overhead.  Greedy decoding costs a
-shallow row and a one-row verification per token, the step the drafting
-decision weighs a draft against.  In the free-draft limit (every cost but
-``c_big`` zero) the predicted speedup equals the compression rate.
+a verification pass over ``T`` positions costs a greedy step ``c_big`` plus
+``c_row`` per further position (a deferred round's bonus pass is one
+position), a probe ``c_adapter`` and a round ``c_overhead``.  Greedy
+decoding costs ``c_big`` per token.  In the free-draft limit (every cost
+but ``c_big`` zero) the predicted speedup equals the compression rate.
 
 ``sweep`` decodes a corpus under each of a list of draft policies and makes
 one ``metrics.BenchReport`` per policy, with predicted speedup and trace
@@ -50,7 +49,7 @@ def simulate_speedup(results: list[GenerationResult], lat: LatencyModel, n_token
     emitted = sum(t.emitted for r in results for t in r.rounds)
     if emitted != n_tokens:
         raise MetricsDomainError(f"traces emit {emitted} tokens but n_tokens is {n_tokens}")
-    return n_tokens * lat.step / sum(lat.request_cost(r) for r in results)
+    return n_tokens * lat.c_big / sum(lat.request_cost(r) for r in results)
 
 
 def sweep(
@@ -86,16 +85,17 @@ def sweep(
 def calibrate_latency(
     model: TargetWeights, adapter: AdapterWeights, reps: int = 5, seed: int = 0, gamma: int = 6
 ) -> LatencyModel:
-    """Fit the five pass costs from timed passes and whole rounds.
+    """Fit the four pass costs from timed passes and whole rounds.
 
     At each of ``PROBE_LENGTHS`` it times one shallow row, one adapter
-    probe, and verifications of 1 and ``gamma + 1`` rows; then it times
-    whole engine rounds, counting each one's passes with ``round_passes``.
-    Their policy caps each at an equal share of the context's room, so the
-    warm-up round and the ``reps`` timed ones fit the context together.
-    The costs are the least-squares solution in ``LatencyModel.cost`` order,
-    with negative components clamped to zero.  ``gamma`` must be at least 1,
-    and the passes must fit the context: both are checked before any pass.
+    probe, and verifications of 1 and ``gamma + 1`` rows; a verification of
+    ``n`` rows plus ``n`` shallow rows is a pass over ``n`` positions.  Then
+    it times whole engine rounds, counting each one's passes with
+    ``round_passes``, each capped at an equal share of the context's room so
+    that the warm-up round and the ``reps`` timed ones fit together.  The
+    costs are the least-squares solution in ``round_passes`` order, with
+    negative components clamped to zero.  ``gamma`` must be at least 1, and
+    the passes must fit the context: both are checked before any pass.
     """
     if gamma < 1:
         raise ConfigError(f"calibration needs gamma >= 1, got {gamma}")
@@ -112,8 +112,8 @@ def calibrate_latency(
 
     rows, times = [], []
 
-    def timed(passes: tuple[int, ...], restore: list, fn, *args) -> None:
-        """Time ``fn(*args)``, rolling the ``restore`` caches back after each call."""
+    def timed(restore: list, fn, *args) -> float:
+        """Median seconds of ``fn(*args)``, rolling the ``restore`` caches back after each call."""
         lengths = [c.length for c in restore]
 
         def once():
@@ -121,21 +121,23 @@ def calibrate_latency(
             for c, n in zip(restore, lengths):
                 c.truncate(n)
 
-        rows.append(passes)
-        times.append(measure_walltime(once, repetitions=reps, warmup=True)[0])
+        return measure_walltime(once, repetitions=reps, warmup=True)[0]
 
     for ctx in PROBE_LENGTHS:
         caches = KVCacheSet(cfg, dtype=model.dtype)
         feats, _ = prefill(model, tokens[:ctx], caches)
         adapter_forward(adapter, feats, caches.adapter, model.rope)
-        timed((1, 0, 0, 0, 0), caches.shallow, forward_shallow, model, [tokens[ctx]], caches)
+        shallow = timed(caches.shallow, forward_shallow, model, [tokens[ctx]], caches)
         probe = forward_shallow(model, [tokens[ctx]], caches)
-        timed((0, 1, 0, 0, 0), [caches.adapter], draft_logits, model, adapter, probe, caches)
+        rows.append((0, 0, 1, 0))
+        times.append(timed([caches.adapter], draft_logits, model, adapter, probe, caches))
         unit = forward_shallow(model, tokens[ctx + 1 : ctx + 1 + gamma], caches)
         values = np.concatenate([probe.values, unit.values])
         for n_rows in (1, gamma + 1):
             block = FeatureBlock(start=ctx, values=values[:n_rows])
-            timed((0, 0, 1, n_rows, 0), caches.deep, forward_remaining, model, block, caches)
+            verify = timed(caches.deep, forward_remaining, model, block, caches)
+            rows.append((1, n_rows - 1, 0, 0))
+            times.append(verify + n_rows * shallow)
 
     # Whole rounds pin down the per-round overhead.  They are ``generate``'s
     # rounds (``DecodeSession.run_round``), so a session whose drafts lose
@@ -154,7 +156,7 @@ def calibrate_latency(
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise CalibrationError("calibration design matrix is singular")
     fitted, *_ = np.linalg.lstsq(design, np.array(times), rcond=None)
-    c_shallow, c_adapter, c_pass, c_row, c_overhead = np.maximum(fitted, 0.0).tolist()
-    if c_pass + c_row <= 0:
-        raise CalibrationError("calibration produced a non-positive verification cost")
-    return LatencyModel(c_pass + c_row, c_shallow, c_adapter, c_overhead, c_row)
+    c_big, c_row, c_adapter, c_overhead = np.maximum(fitted, 0.0).tolist()
+    if c_big <= 0:
+        raise CalibrationError("calibration produced a non-positive greedy step cost")
+    return LatencyModel(c_big, c_row, c_adapter, c_overhead)

@@ -526,3 +526,9 @@ class TestParser:
 
     def test_no_command_exit_2(self):
         assert main([]) == 2
+
+    def test_verify_lossless_takes_no_seed(self, artifacts):
+        # it draws no random numbers; only bench and sweep seed calibration
+        model, adapter, corpus = artifacts
+        assert main(["verify-lossless", "--model", str(model), "--adapter", str(adapter),
+                     "--corpus", str(corpus), "--n-tokens", "4", "--seed", "1"]) == 2

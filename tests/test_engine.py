@@ -798,7 +798,7 @@ class TestDeferredBonus:
         session = DecodeSession(model, adapter, MIXED_PROMPT)
         prefilled = list(session._targets)
         trace = session.run_round(DraftPolicy(eta=1.0, gamma_max=6))
-        assert trace == RoundTrace(1, 0, 1, trace.confidences, StopReason.THRESHOLD, deferred=True)
+        assert trace == RoundTrace(1, 0, trace.confidences, StopReason.THRESHOLD, deferred=True)
         assert calls == []
         assert session.tokens[len(MIXED_PROMPT):] == prefilled
         assert prefilled == vanilla_greedy_decode(model, MIXED_PROMPT, 1)
@@ -933,7 +933,7 @@ class TestDraftingDecision:
     @pytest.mark.parametrize("eta,gamma", [(0.6, 6), (1.0, 6), (0.0, 3)])
     def test_always_rejected_drafts_stop_drafting(self, desk_low, monkeypatch, eta, gamma):
         # Every draft is rejected, so every round emits the target's own
-        # token.  A first draft pays while accepted in over 3.6 / 7.8 of the
+        # token.  A first draft pays while accepted in over 72 / 156 of the
         # rounds; the prior (3 of 4) keeps that up for 2 rejected rounds.
         # The third ends drafting for the request, whatever the policy.
         model, adapter = desk_low
@@ -1001,8 +1001,9 @@ class TestDraftingDecision:
                               "gamma-zero" if gamma == 0 else "last-token")
                 window = slow.draft_window(zero_drafts)
                 accepted, emitted = slow.verify_window(window)
-                expected = RoundTrace(len(window.drafts), accepted, len(emitted),
-                                      window.confidences, window.stop_reason, window.deferred)
+                expected = RoundTrace(len(window.drafts), accepted, window.confidences,
+                                      window.stop_reason, window.deferred)
+                assert len(emitted) == expected.emitted
             else:
                 expected = slow.run_round(policy)
             assert fast.run_round(policy) == expected
@@ -1025,12 +1026,43 @@ class TestDraftingDecision:
                 flags.append(decision.ended)
             return flags
 
-        # on the desk model a first draft pays while hits * 7.8 > rounds * 3.6;
+        # on the desk model a first draft pays while hits * 156 > rounds * 72;
         # the prior counts 3 hits in 4 rounds
         assert ended_after([False] * 3) == [False, False, True]
         # 4 hits in 9 rounds lose; later hits, 5 in 10 and more, do not
         # resume drafting
         assert ended_after([True] + [False] * 4 + [True] * 2) == [False] * 4 + [True] * 3
+
+    @pytest.mark.parametrize("n_layers", [8, 4, 32])
+    def test_decisions_match_the_float_table(self, n_layers):
+        # The earlier table in fractions of a layer's one-row pass: a shallow
+        # row 0.9 per shallow layer, a probe 0.9, and per remaining layer a
+        # verification 0.85 plus 0.15 per row, summed as floats.  The integer
+        # table in twentieths decides alike at exit layer 2 of 4, 8 and 32.
+        deep = n_layers - 2
+        c_shallow, c_adapter, c_row = 2 * 0.9, 0.9, deep * 0.15
+        c_verify = deep * 0.85 + c_row  # a one-row verification
+        costs = (c_shallow, c_adapter, c_verify - c_row, c_row, 0.0)
+        step = sum(n * c for n, c in zip((1, 0, 1, 1, 0), costs))
+        per_draft = sum(n * c for n, c in zip((1, 1, 0, 1, 0), costs))
+        decision = selfspec.engine._Drafting(desk_config(n_layers=n_layers, exit_layer=2))
+        differ = []
+        for rounds in range(selfspec.engine.PRIOR_ROUNDS + 513):
+            for hits in range(rounds + 1):
+                decision.rounds, decision.hits = rounds, hits
+                if decision.pays != (hits * step > rounds * per_draft):
+                    differ.append((hits, rounds))
+        assert differ == []
+
+    def test_a_tie_does_not_draft(self):
+        # on the desk model 6 first-draft hits in 13 rounds save exactly what they cost
+        decision = selfspec.engine._Drafting(desk_config())
+        lat = decision.lat
+        assert 6 * lat.c_big == 13 * (lat.c_row + lat.c_adapter)
+        decision.rounds, decision.hits = 13, 6
+        assert not decision.pays
+        decision.rounds = 12
+        assert decision.pays
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("alpha", [1.0, 0.1])

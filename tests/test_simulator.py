@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import selfspec.engine
+import selfspec.model
 import selfspec.simulator
 from selfspec import (
     DraftPolicy,
@@ -28,7 +30,6 @@ def trace(drafted, emitted, stop_reason=StopReason.MAX_STEPS, deferred=False):
     return RoundTrace(
         drafted=drafted,
         accepted_drafts=emitted - 1,
-        emitted=emitted,
         confidences=[0.5] * drafted,
         stop_reason=stop_reason,
         deferred=deferred,
@@ -44,20 +45,18 @@ class TestLatencyModel:
     def test_validation(self):
         with pytest.raises(ConfigError):
             LatencyModel(c_big=0.0)
-        with pytest.raises(ConfigError):
-            LatencyModel(c_big=1.0, c_shallow=-0.1)
-        with pytest.raises(ConfigError):
-            LatencyModel(c_big=1.0, c_row=-0.5)
-        with pytest.raises(ConfigError):  # a row costs more than a one-row pass
-            LatencyModel(c_big=1.0, c_row=1.5)
+        for field in ("c_row", "c_adapter", "c_overhead"):
+            with pytest.raises(ConfigError):
+                LatencyModel(c_big=1.0, **{field: -0.1})
 
     def test_round_cost(self):
-        lat = LatencyModel(c_big=10.0, c_shallow=1.0, c_adapter=2.0, c_overhead=0.5)
-        assert lat.round_cost(3) == 3 * 3.0 + 1.0 + 10.0 + 0.5
-        # deferred: no final shallow pass when rejected; when fully accepted,
-        # that pass plus a second verification
-        assert lat.round_cost(3, deferred=True) == 3 * 3.0 + 10.0 + 0.5
-        assert lat.round_cost(3, True, True) == 3 * 3.0 + 1.0 + 20.0 + 0.5
+        lat = LatencyModel(c_big=11.0, c_row=1.0, c_adapter=2.0, c_overhead=0.5)
+        # one pass over the newest token's and three drafts' positions
+        assert lat.round_cost(3) == 11.0 + 3 * 1.0 + 3 * 2.0 + 0.5
+        # deferred: one position fewer when rejected; when fully accepted,
+        # that position's greedy step as a second pass
+        assert lat.round_cost(3, deferred=True) == 11.0 + 2 * 1.0 + 3 * 2.0 + 0.5
+        assert lat.round_cost(3, True, True) == 2 * 11.0 + 2 * 1.0 + 3 * 2.0 + 0.5
         assert lat.round_cost(3, False, True) == lat.round_cost(3)
 
     def test_verification_charges_each_row_past_the_first(self):
@@ -69,12 +68,102 @@ class TestLatencyModel:
         assert lat.round_cost(3, deferred=True) == 10.0 + 2 * 1.5
 
     def test_deferred_bonus_pass_is_one_row(self):
-        lat = LatencyModel(c_big=8.0, c_shallow=1.0, c_adapter=2.0, c_overhead=0.5, c_row=0.25)
+        lat = LatencyModel(c_big=9.0, c_row=1.25, c_adapter=2.0, c_overhead=0.5)
         rejected, accepted = lat.round_cost(6, True), lat.round_cost(6, True, True)
-        # full acceptance adds the final draft's shallow row and a one-row pass
-        assert accepted - rejected == 1.0 + 8.0
-        # six drafts, seven rows in all, over two verification passes
-        assert accepted == 7 * 1.0 + 6 * 2.0 + 2 * 8.0 + 5 * 0.25 + 0.5
+        # full acceptance adds the final draft's shallow row and a one-row
+        # pass: one greedy step
+        assert accepted - rejected == 9.0
+        # six drafts, seven positions in all, over two verification passes
+        assert accepted == 2 * 9.0 + 5 * 1.25 + 6 * 2.0 + 0.5
+
+
+def kind(t):
+    """A round's kind: (drafted, deferred, fully accepted)."""
+    return t.drafted > 0, t.deferred, t.accepted_drafts == t.drafted
+
+
+# a greedy step, and eager and deferred rounds, rejected or fully accepted
+ROUND_KINDS = {(False, False, True), (True, False, False), (True, False, True),
+               (True, True, False), (True, True, True)}
+
+
+def five_cost_charge(t, c_shallow, c_adapter, c_big, c_overhead, c_row):
+    """A round's charge under the earlier five-cost model, whose ``c_big`` was a
+    one-row verification and which charged a shallow row per verified row."""
+    bonus = t.deferred and t.accepted_drafts == t.drafted
+    passes = (t.drafted + (not t.deferred or bonus), t.drafted, 1 + bonus,
+              t.drafted + (not t.deferred) + bonus, 1)
+    costs = (c_shallow, c_adapter, c_big - c_row, c_row, c_overhead)
+    return sum(n * c for n, c in zip(passes, costs))
+
+
+class TestFourCosts:
+    """Four costs price every round as the five-cost model did."""
+
+    def test_equivalent_to_the_five_cost_charge(self):
+        rng = generator(0, "five-costs")
+        thr, seen = StopReason.THRESHOLD, set()
+        for _ in range(200):
+            c_big = float(rng.uniform(0.5, 2.0))
+            c_shallow, c_adapter, c_overhead = (float(c) for c in rng.uniform(0.0, 1.0, 3))
+            c_row = float(rng.uniform(0.0, c_big))
+            lat = LatencyModel(c_shallow + c_big, c_shallow + c_row, c_adapter, c_overhead)
+            requests, n_tokens = [], 0
+            for _ in range(int(rng.integers(1, 4))):
+                traces = [trace(0, 1)]  # a greedy step
+                for _ in range(int(rng.integers(1, 10))):
+                    drafted = int(rng.integers(1, 7))
+                    emitted = int(rng.integers(1, drafted + 2))  # drafted + 1: fully accepted
+                    traces.append(trace(drafted, emitted, thr, deferred=bool(rng.integers(2))))
+                requests.append(request(traces))
+                n_tokens += sum(t.emitted for t in traces)
+            seen |= {kind(t) for r in requests for t in r.rounds}
+            costs = (c_shallow, c_adapter, c_big, c_overhead, c_row)
+            charges = [sum(five_cost_charge(t, *costs) for t in r.rounds) for r in requests]
+            for r, charge in zip(requests, charges):
+                assert lat.request_cost(r) == pytest.approx(charge, rel=1e-12)
+            step = c_shallow + c_big
+            expected = n_tokens * step / sum(charges)
+            assert simulate_speedup(requests, lat, n_tokens) == pytest.approx(expected, rel=1e-12)
+        assert seen == ROUND_KINDS
+
+    @pytest.mark.parametrize("inputs", ["desk-init", "dial-passthrough"])
+    def test_every_verified_position_ran_the_shallow_layers_once(
+        self, monkeypatch, dialed_desk_model, inputs
+    ):
+        # After the prefill a request runs as many shallow rows as verified
+        # rows, so the shallow row's cost never needs a price of its own.
+        if inputs == "desk-init":
+            model = dialed_desk_model(1.0)
+            adapter = init_adapter(model, 2)
+        else:
+            model = dialed_desk_model(0.1)
+            adapter = passthrough_adapter(model)
+        rows = {"shallow": 0, "deep": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                rows[name] += len(args[1])
+                return fn(*args)
+            return wrapper
+
+        for module in (selfspec.engine, selfspec.model):  # greedy steps run the model's
+            monkeypatch.setattr(module, "forward_shallow",
+                                counted("shallow", module.forward_shallow))
+            monkeypatch.setattr(module, "forward_remaining",
+                                counted("deep", module.forward_remaining))
+        rng = generator(5, "premise-prompts")
+        kinds = set()
+        for _ in range(8):
+            length = int(rng.integers(4, 12))
+            prompt = [int(t) for t in rng.integers(model.config.vocab_size, size=length)]
+            rows.update(shallow=0, deep=0)
+            result = generate(model, adapter, DraftPolicy(), prompt, 48)
+            assert rows["shallow"] == rows["deep"] > 0
+            kinds |= {kind(t) for t in result.rounds}
+        # desk drafts are rejected, deferred, until the session stops drafting
+        desk = {(False, False, True), (True, True, False)}
+        assert kinds == (desk if inputs == "desk-init" else ROUND_KINDS)
 
 
 class TestSimulateSpeedup:
@@ -82,7 +171,7 @@ class TestSimulateSpeedup:
         # Two rounds of one draft each, four tokens total, draft probes cost
         # one unit against a big forward of ten.
         traces = [trace(1, 2), trace(1, 2)]
-        lat = LatencyModel(c_big=10.0, c_shallow=0.0, c_adapter=1.0, c_overhead=0.0)
+        lat = LatencyModel(c_big=10.0, c_row=0.0, c_adapter=1.0, c_overhead=0.0)
         assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(40.0 / 22.0)
 
     def test_free_draft_limit_equals_cr(self):
@@ -99,7 +188,7 @@ class TestSimulateSpeedup:
         # A gamma_max=0 run: each round is one shallow row and a one-row
         # verification, which is what a greedy step costs.
         traces = [trace(0, 1)] * 5
-        lat = LatencyModel(c_big=3.0, c_shallow=0.5, c_adapter=2.0)
+        lat = LatencyModel(c_big=3.5, c_row=0.5, c_adapter=2.0)
         assert simulate_speedup([request(traces)] * 2, lat, 10) == 1.0
 
     def test_token_mismatch_rejected(self):
@@ -123,11 +212,11 @@ class TestSimulateSpeedup:
         # deferred.  The first runs eager, the others deferred.
         thr = StopReason.THRESHOLD
         traces = [trace(1, 1, thr), trace(2, 1, thr, True), trace(1, 2, thr, True)]
-        lat = LatencyModel(c_big=10.0, c_shallow=1.0)
-        # eager 2 + 10, deferred and rejected 2 + 10, deferred and accepted
-        # 2 + 2 * 10, against four greedy steps of 1 + 10
+        lat = LatencyModel(c_big=11.0, c_row=1.0)
+        # eager 11 + 1, deferred and rejected 11 + 1, deferred and accepted
+        # 2 * 11, against four greedy steps of 11
         assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(44.0 / 46.0)
-        # a rejected round costs a shallow pass less when it deferred
+        # a rejected round verifies one position less when it deferred
         eager = simulate_speedup([request(traces[:1])] * 2, lat, 2)
         assert eager == pytest.approx(22.0 / 24.0)
         deferred = simulate_speedup([request([trace(1, 1, thr, True)])] * 2, lat, 2)
@@ -136,9 +225,9 @@ class TestSimulateSpeedup:
     def test_monotone_in_each_cost(self):
         traces = [trace(3, 2), trace(2, 4), trace(3, 1)]
         n = 7
-        base = LatencyModel(c_big=5.0, c_shallow=0.2, c_adapter=0.1, c_overhead=0.3)
+        base = LatencyModel(c_big=5.2, c_row=0.2, c_adapter=0.1, c_overhead=0.3)
         s0 = simulate_speedup([request(traces)], base, n)
-        for field in ("c_shallow", "c_adapter", "c_overhead", "c_row"):
+        for field in ("c_row", "c_adapter", "c_overhead"):
             bumped = {**base.__dict__, field: getattr(base, field) + 0.2}
             assert simulate_speedup([request(traces)], LatencyModel(**bumped), n) < s0
 
@@ -158,7 +247,7 @@ def grid(etas, gammas):
 
 class TestSweep:
     def test_grid_shape(self, small_model, small_adapter, prompts):
-        lat = LatencyModel(c_big=1.0, c_shallow=0.2, c_adapter=0.1)
+        lat = LatencyModel(c_big=1.2, c_row=0.2, c_adapter=0.1)
         policies = grid([0.0, 0.5], [0, 3, 6])
         report = sweep(small_model, small_adapter, prompts, policies, lat, n_tokens=24)
         assert len(report) == 2 * 3
@@ -183,7 +272,7 @@ class TestSweep:
         assert all(p.pooled_cr == 1.0 for p in report)
 
     def test_eta_zero_attains_max_cr(self, small_model, small_adapter, prompts):
-        lat = LatencyModel(c_big=1.0, c_shallow=0.1, c_adapter=0.1)
+        lat = LatencyModel(c_big=1.1, c_row=0.1, c_adapter=0.1)
         report = sweep(
             small_model, small_adapter, prompts, grid([0.0, 0.3, 0.6, 1.0], [6]), lat, n_tokens=32
         )
@@ -206,7 +295,7 @@ class TestCalibration:
     def test_fit_is_positive_and_usable(self, small_model, small_adapter):
         lat = calibrate_latency(small_model, small_adapter, reps=3)
         assert lat.c_big > 0
-        assert min(lat.c_shallow, lat.c_adapter, lat.c_overhead, lat.c_row) >= 0.0
+        assert min(lat.c_row, lat.c_adapter, lat.c_overhead) >= 0.0
         assert lat.c_row <= lat.c_big
 
     def test_predicts_held_out_run(self, small_model, small_adapter):
