@@ -19,8 +19,9 @@ more than it costs (Leviathan et al.'s expected-speedup trade-off,
 estimated online).  Once it does not, no later round drafts.  A round
 with nothing to draft (also under ``gamma_max=0`` or on a request's last
 token) is a greedy step: greedy decoding's own ``greedy_step``, with no
-unit around it.  Until the session's first accepted draft, a round that
-stops on the threshold defers its final draft's feature, which serves
+unit around it, or in round 1 the prefill's token with no pass at all.
+Until the session's first accepted draft, a round that stops on the
+threshold defers its final draft's feature, which serves
 only the bonus token: its unit then holds ``d`` features, and the final
 draft's shallow pass and a one-row verification run only once every draft
 is accepted (``RoundTrace.deferred``).  The kernels are batch invariant,
@@ -217,13 +218,13 @@ class _Drafting:
     ``hits`` of the session's ``rounds`` drafting rounds, it saves one
     greedy step (``c_big``) and costs its probe and one further verified
     position (``c_adapter + c_row``); a tie does not pay.  Round 1 drafts
-    whatever the prior says; the first drafting round after which a first
-    draft no longer pays sets ``ended``, and no later round of the request
-    drafts.  The drafts after the first run only above the policy's
-    threshold, so the decision does not depend on the policy.  A
-    threshold-stopped round defers its final draft's row until a first draft
-    is accepted, so a session runs at most one deferred round's bonus pass:
-    a fully accepted round accepted its first draft.  The costs are
+    whatever the prior says, if it has anything to draft; the first drafting
+    round after which a first draft no longer pays sets ``ended``, and no
+    later round of the request drafts.  The drafts after the first run only
+    above the policy's threshold, so the decision does not depend on the
+    policy.  A threshold-stopped round defers its final draft's row until a
+    first draft is accepted, so a session runs at most one deferred round's
+    bonus pass: a fully accepted round accepted its first draft.  The costs are
     ``_decision_costs``' fixed table, so the decisions never read the clock.
     """
 
@@ -273,7 +274,10 @@ class DecodeSession:
     ``run_round`` is a session's one round under the budget rule.  A session
     drafts from round 1 until the first drafting round after which, by
     ``_Drafting``'s counts, drafting no longer pays; every later round of
-    the request has nothing to draft and is a greedy step.  A round that
+    the request has nothing to draft.  Every round with nothing to draft,
+    round 1 included, is a greedy step and ends drafting for the request;
+    round 1's takes the prefill's token, so a one-token request or round 1
+    under ``gamma_max=0`` builds no unit and runs no pass.  A round that
     stops on the threshold defers its final draft's feature until the
     session's first accepted draft, round 1 included.  Its verification
     computes that feature, and the bonus token from it, only after full
@@ -320,16 +324,22 @@ class DecodeSession:
         """One round of ``generate``: a drafting and verification round, or a greedy step.
 
         The draft budget is ``draft_window``'s, and zero once the session has
-        stopped drafting.  A round with nothing to draft, but for round 1 (whose
-        token comes from the prefill), is a greedy step traced as a zero-draft
-        round; it ends drafting for good and drops the backlog, as no probe follows.
+        stopped drafting.  Every round with nothing to draft is a greedy step
+        traced as a zero-draft round; it ends drafting for good and drops the
+        backlog, as no probe follows.  Round 1's greedy step takes the token
+        the prefill computed and runs no pass.
         A round that stops on the threshold defers while no first draft was accepted.
         A round after the request's last token raises ``CapacityError`` and
         changes nothing.
         """
-        if self._opening is None and (self._budget(policy) == 0 or self._drafting.ended):
+        if self._budget(policy) == 0 or self._drafting.ended:
             self._drafting.ended, self._backlog = True, []
-            self.tokens.append(greedy_step(self.model, self.tokens[-1], self.caches))
+            if self._opening is None:
+                token = greedy_step(self.model, self.tokens[-1], self.caches)
+            else:  # round 1: the prefill gave the token and verified the opening row
+                (token,) = self._targets
+                self._targets, self._opening = [], None
+            self.tokens.append(token)
             return RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
         window = self.draft_window(policy)
         accepted, _ = self.verify_window(window)

@@ -251,16 +251,15 @@ class LayerKVCache:
     """
 
     def __init__(self, capacity: int, n_heads: int, head_dim: int, dtype=np.float32,
-                 buffers: tuple[np.ndarray, np.ndarray] | None = None):
+                 buffers: tuple[np.ndarray, ...] | None = None):
         self.capacity = capacity
         self.length = 0
         if buffers is None:  # a standalone cache is the one cache of a stack of one
             (own,) = self.stack(1, capacity, n_heads, head_dim, dtype)
-            buffers = own.keys, own.values
-        self.keys, self.values = buffers
-        # (rows, heads, head_dim) views for ``extend``: cheaper per call than transposing rows
-        self._key_rows = self.keys.transpose(2, 0, 1)
-        self._value_rows = self.values.transpose(1, 0, 2)
+            buffers = own.keys, own.values, own._key_rows, own._value_rows
+        # the buffers and their (rows, heads, head_dim) views for ``extend``, cheaper
+        # per call than transposing rows; ``stack`` transposes once for all its caches
+        self.keys, self.values, self._key_rows, self._value_rows = buffers
 
     @classmethod
     def stack(cls, count: int, capacity: int, n_heads: int, head_dim: int,
@@ -269,7 +268,8 @@ class LayerKVCache:
         rows = -(-capacity // _KEY_CHUNK) * _KEY_CHUNK  # whole key chunks
         keys = np.zeros((count, n_heads, head_dim, rows), dtype=dtype)
         values = np.zeros((count, n_heads, rows, head_dim), dtype=dtype)
-        return [cls(capacity, n_heads, head_dim, dtype, pair) for pair in zip(keys, values)]
+        views = zip(keys, values, keys.transpose(0, 3, 1, 2), values.transpose(0, 2, 1, 3))
+        return [cls(capacity, n_heads, head_dim, dtype, four) for four in views]
 
     def extend(self, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         """Append ``(T, heads, head_dim)`` key and value rows."""

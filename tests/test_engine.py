@@ -978,9 +978,9 @@ class TestDraftingDecision:
     def test_greedy_step_equals_the_zero_draft_round(self, desk_low, monkeypatch,
                                                      gamma, n_tokens, cause):
         # One session takes the greedy step in each round with nothing to
-        # draft; its twin runs that round as ``draft_window`` under a
-        # ``gamma_max=0`` policy and ``verify_window``.  Tokens, traces and
-        # K/V bytes stay equal.
+        # draft, round 1 included; its twin runs that round as
+        # ``draft_window`` under a ``gamma_max=0`` policy and
+        # ``verify_window``.  Tokens, traces and K/V bytes stay equal.
         model, adapter = desk_low
         policy, prompt = DraftPolicy(eta=0.6, gamma_max=gamma), [9, 8, 7, 6, 5, 4]
         zero_drafts = DraftPolicy(eta=0.6, gamma_max=0)
@@ -996,7 +996,7 @@ class TestDraftingDecision:
         causes, out = [], 0
         while out < n_tokens:
             budget = min(gamma, n_tokens - out - 1)
-            if fast._opening is None and (fast._drafting.ended or budget == 0):
+            if fast._drafting.ended or budget == 0:
                 causes.append("ended" if fast._drafting.ended else
                               "gamma-zero" if gamma == 0 else "last-token")
                 window = slow.draft_window(zero_drafts)
@@ -1015,8 +1015,46 @@ class TestDraftingDecision:
                     assert ours.keys[:, :, :n].tobytes() == theirs.keys[:, :, :n].tobytes()
                     assert ours.values[:, :n].tobytes() == theirs.values[:, :n].tobytes()
             out += expected.emitted
-        assert cause in causes and len(steps) == len(causes)
+        # under gamma_max=0 round 1 is a greedy step too, on the prefill's
+        # token: it makes no ``greedy_step`` call
+        assert cause in causes and len(steps) == len(causes) - (gamma == 0)
         assert fast.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, n_tokens)
+
+    @pytest.mark.parametrize("length", [3, 70])
+    @pytest.mark.parametrize("gamma,n_tokens", [(6, 1), (0, 1), (0, 12)],
+                             ids=["one-token", "gamma-zero-one", "gamma-zero"])
+    def test_rounds_with_nothing_to_draft_build_no_unit(self, small_model, small_adapter,
+                                                        monkeypatch, gamma, n_tokens, length):
+        # Every round with nothing to draft is a greedy step, round 1 (the
+        # prefill's token) included: no round drafts a window or verifies one.
+        def unit(*_args):
+            raise AssertionError("a round with nothing to draft built a unit")
+
+        monkeypatch.setattr(DecodeSession, "draft_window", unit)
+        monkeypatch.setattr(DecodeSession, "verify_window", unit)
+        prompt = [int(t) for t in generator(length, "prompt").integers(64, size=length)]
+        result = generate(small_model, small_adapter, DraftPolicy(eta=0.6, gamma_max=gamma),
+                          prompt, n_tokens)
+        assert result.tokens == vanilla_greedy_decode(small_model, prompt, n_tokens)
+        step = RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
+        assert result.rounds == [step] * n_tokens
+
+    def test_zero_draft_round_one_ends_drafting(self, planted):
+        # A run_round caller that opens with nothing to draft takes a greedy
+        # step, and a greedy step ends drafting for the request: later rounds
+        # under a drafting policy draft nothing, though every planted draft
+        # would be accepted.
+        model, adapter = planted
+        prompt, drafting = [7, 3], DraftPolicy(eta=0.0, gamma_max=6)
+        assert DecodeSession(model, adapter, prompt, 12).run_round(drafting).drafted == 6
+        session = DecodeSession(model, adapter, prompt, 12)
+        adapter_rows = session.caches.adapter.length
+        step = RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
+        assert session.run_round(DraftPolicy(eta=0.0, gamma_max=0)) == step
+        assert session._drafting.ended and session._backlog == []
+        assert [session.run_round(drafting) for _ in range(11)] == [step] * 11
+        assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 12)
+        assert session.caches.adapter.length == adapter_rows  # no probe ran
 
     def test_ended_counts_first_drafts_and_holds(self):
         def ended_after(hits):

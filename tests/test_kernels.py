@@ -430,9 +430,19 @@ class TestCacheGrowth:
         for i, cache in enumerate(caches):
             assert cache.capacity == 300 and cache.length == 0
             assert cache.keys.flags["C_CONTIGUOUS"] and cache.values.flags["C_CONTIGUOUS"]
-            assert np.shares_memory(cache.keys, keys[i]) and np.shares_memory(cache.values, values[i])
-        caches[1].extend(*self._rows(70))
-        caches[1].truncate(20)
+            # ``extend`` writes through (rows, heads, head_dim) views of the same memory
+            assert cache._key_rows.shape == cache._value_rows.shape == (320, 2, 4)
+            for j in range(3):
+                for view in (cache.keys, cache._key_rows):
+                    assert np.shares_memory(view, keys[j]) == (i == j)
+                for view in (cache.values, cache._value_rows):
+                    assert np.shares_memory(view, values[j]) == (i == j)
+        standalone = LayerKVCache(300, 2, 4)
+        for cache in (caches[1], standalone):
+            cache.extend(*self._rows(70))
+            cache.truncate(20)
+        assert caches[1].keys.tobytes() == standalone.keys.tobytes()
+        assert caches[1].values.tobytes() == standalone.values.tobytes()
         assert not np.delete(keys, 1, axis=0).any() and not np.delete(values, 1, axis=0).any()
         assert keys[1, :, :, :70].all() and not values[1, :, 20:].any()
 
