@@ -9,7 +9,7 @@ and the target's LM head is reused unchanged, so the only trainable state is
 The attention is a sliding window: a row attends to the last ``WINDOW``
 positions, itself included (Longformer, arXiv 2004.05150), in drafting and
 in training alike.  A draft probe queries only its block's last row, so its
-cost does not grow with the context: it projects the rows it catches up on
+cost does not grow with the context: it projects the rows not yet probed
 and attends to at most ``WINDOW`` keys.  Drafts only change the speed,
 never a token, since verification keeps the target's own argmax.
 """
@@ -163,9 +163,9 @@ def draft_logits(
 
     Returns ``(logits, confidence, token)`` where confidence is the top-1
     softmax probability and token its greedy argmax.  Passing more than one
-    feature appends K/V for all of them (the catch-up batch of a fully
-    accepted round, or a session's last ``WINDOW`` prompt rows) while
-    attending only from the last, over the keys of the last ``WINDOW``
+    feature appends K/V for all of them (a session's rows not yet probed: a
+    fully accepted round's final feature, or its last ``WINDOW`` prompt rows)
+    while attending only from the last, over the keys of the last ``WINDOW``
     positions: the rows older than that are neither projected nor read.
 
     The top-1 probability is ``1 / sum(exp(logits - logits[token]))``: the

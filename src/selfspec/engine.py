@@ -4,14 +4,15 @@ Each round drafts tokens from the shallow layers + adapter until the draft
 confidence drops to the threshold (that low-confidence draft is kept, per
 the double-early-exit rule) or the step budget runs out; ``generate`` checks
 the context bound (``model.context_room``) once and tells the session its length.
-A round with ``d`` drafts produces a unit of ``d+1`` features, the newest
-committed token's and each draft's; one batched pass of the remaining layers
-verifies every draft and supplies the target's token at the first mismatch,
-or the bonus token after full acceptance.  Emitted tokens always come from the
-target's own argmax, which makes the output identical to plain greedy
-decoding for every adapter and policy.  The prompt goes through ``prefill``,
-the same call that opens the greedy reference, so round 1 takes its first
-target from the prefill logits and verifies only its draft rows.
+A round with ``d`` drafts verifies a unit of ``d+1`` features, the newest
+committed token's and each draft's, a slice of the session's one feature
+array; one batched pass of the remaining layers verifies every draft and
+supplies the target's token at the first mismatch, or the bonus token after
+full acceptance.  Emitted tokens always come from the target's own argmax,
+which makes the output identical to plain greedy decoding for every adapter
+and policy.  The prompt goes through ``prefill``, the same call that opens
+the greedy reference, so round 1 takes its first target from the prefill
+logits and verifies only its draft rows.
 
 Before each round the session decides, from its own counts and a fixed
 table of pass costs, whether the round's first draft is expected to save
@@ -42,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .adapter import WINDOW, AdapterWeights, draft_logits
-from .errors import CapacityError, ConfigError, LosslessnessError
+from .errors import CacheError, CapacityError, ConfigError, LosslessnessError
 from .kernels import argmax_token
 from .metrics import AcceptanceRecord
 from .model import (
@@ -122,7 +123,8 @@ class DraftWindow:
     """One round's drafting output: the feature unit plus its draft tokens.
 
     ``features`` holds ``drafted + 1`` rows, or ``drafted`` rows when the
-    round deferred its final draft's feature to verification.
+    round deferred its final draft's feature to verification.  Its values
+    are a view of the session's feature array, valid until the next round.
     """
 
     features: FeatureBlock
@@ -255,21 +257,23 @@ class DecodeSession:
 
     After every verification the shallow and deep caches cover every
     committed token except the newest one (whose shallow pass opens the next
-    round).  The adapter cache may additionally lag by the feature rows in
-    ``_backlog`` -- features that were computed but never probed, e.g. the
-    stopped token's feature after a fully accepted round; the next probe
-    consumes the backlog in one batched adapter pass, which is the single
-    saved adapter forward the carry optimization buys.
+    round).  Early features live in one array, a row per position, written
+    by the pass that computes it, and read twice.  A round's unit is its rows
+    from ``committed``; a probe reads the rows from the adapter cache's
+    length, the only record of what the adapter has probed, through the
+    newest feature.  So a fully accepted round's final feature, never probed,
+    leads the next probe (the adapter forward the carry saves), and rows past
+    a rollback are overwritten by the passes that recompute them.
 
     Each prompt row goes through the shallow and deep stacks once.  The
     session opens with ``prefill`` over the whole prompt, which fills the
     shallow and deep caches and gives the target's token after the prompt.
     The last prompt row is round 1's first feature, already verified: round
     1 verifies only its draft rows.  The adapter attends over a window of
-    ``WINDOW`` positions, so only the ``WINDOW - 1`` prompt rows before the
-    last one wait in ``_backlog`` for the first probe, and the adapter cache
-    starts at the first of them; older prompt rows never reach the adapter,
-    and a request that never drafts never runs it.
+    ``WINDOW`` positions, so only the last ``WINDOW`` prompt rows are written
+    to the array, and the adapter cache starts at the first of them; older
+    prompt rows never reach the adapter, and a request that never drafts
+    never runs it.
 
     ``run_round`` is a session's one round under the budget rule.  A session
     drafts from round 1 until the first drafting round after which, by
@@ -301,12 +305,12 @@ class DecodeSession:
         self._end = len(prompt) + n_tokens  # len(self.tokens) once the request is done
         self.caches = KVCacheSet(model.config, model.dtype, self._end - 1)
         self.tokens = list(prompt)
+        self._features = np.zeros((self._end - 1, model.config.d_model), model.dtype)
         features, logits = prefill(model, prompt, self.caches)
-        # the prompt rows that the first probe's window reaches
-        rows = features.values[max(self.committed - WINDOW + 1, 0) : self.committed]
-        self.caches.adapter.start_at(self.committed - len(rows))
-        self._backlog: list[np.ndarray] = [rows] if len(rows) else []
-        self._opening: FeatureBlock | None = FeatureBlock(self.committed, features.values[-1:])
+        # the prompt rows that the first probe's window reaches, round 1's opening row last
+        first = max(len(prompt) - WINDOW, 0)
+        self._features[first : len(prompt)] = features.values[first:]
+        self.caches.adapter.start_at(first)
         # targets already known for the leading rows of the next unit
         self._targets = [argmax_token(logits)]
         self._drafting = _Drafting(model.config)
@@ -316,33 +320,41 @@ class DecodeSession:
         """Number of committed positions: every token except the newest."""
         return len(self.tokens) - 1
 
-    def _probe(self, feature: FeatureBlock) -> tuple[np.ndarray, float, int]:
-        feature, self._backlog = _extend_back(self._backlog, feature), []
-        return draft_logits(self.model, self.adapter, feature, self.caches)
+    def _rows(self, start: int) -> FeatureBlock:
+        """The feature rows from position ``start`` through the newest one, as a view."""
+        return FeatureBlock(start, self._features[start : self.caches.shallow_len])
+
+    def _shallow(self, token: int) -> FeatureBlock:
+        """Run ``token``'s shallow pass and write its feature row in place."""
+        block = forward_shallow(self.model, [token], self.caches)
+        self._features[block.start] = block.values[0]
+        return block
 
     def run_round(self, policy: DraftPolicy) -> RoundTrace:
         """One round of ``generate``: a drafting and verification round, or a greedy step.
 
         The draft budget is ``draft_window``'s, and zero once the session has
-        stopped drafting.  Every round with nothing to draft is a greedy step
-        traced as a zero-draft round; it ends drafting for good and drops the
-        backlog, as no probe follows.  Round 1's greedy step takes the token
-        the prefill computed and runs no pass.
+        stopped drafting; only this method counts a drafting round for that
+        decision.  Every round with nothing to draft is a greedy step
+        traced as a zero-draft round; it ends drafting for good and writes no
+        feature row, as no probe follows.  Round 1's greedy step takes the
+        token the prefill computed and runs no pass.
         A round that stops on the threshold defers while no first draft was accepted.
         A round after the request's last token raises ``CapacityError`` and
         changes nothing.
         """
         if self._budget(policy) == 0 or self._drafting.ended:
-            self._drafting.ended, self._backlog = True, []
-            if self._opening is None:
+            self._drafting.ended = True
+            if self._targets:  # round 1: the prefill gave the token and verified the opening row
+                token = self._targets.pop()
+            else:
                 token = greedy_step(self.model, self.tokens[-1], self.caches)
-            else:  # round 1: the prefill gave the token and verified the opening row
-                (token,) = self._targets
-                self._targets, self._opening = [], None
             self.tokens.append(token)
             return RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
         window = self.draft_window(policy)
         accepted, _ = self.verify_window(window)
+        if window.drafts:
+            self._drafting.record(accepted > 0)
         return RoundTrace(len(window.drafts), accepted, window.confidences, window.stop_reason,
                           window.deferred)
 
@@ -350,32 +362,31 @@ class DecodeSession:
         """Draft until the threshold or the step budget (``_budget``); return the unit.
 
         A round that stops on the threshold leaves out its final draft's
-        feature when the session defers it.
+        feature when the session defers it.  Once the session has stopped
+        drafting, whose greedy steps write no feature row, a positive budget
+        raises ``CacheError`` before any pass.
         """
         gamma = self._budget(policy)
-        rows: list[np.ndarray] = []
+        if gamma and self._drafting.ended:
+            raise CacheError("the session has stopped drafting; run_round takes its greedy steps")
         drafts: list[int] = []
         confidences: list[float] = []
+        reason = StopReason.MAX_STEPS
         start = self.committed
-        block, self._opening = self._opening, None
-        if block is None:
-            block = forward_shallow(self.model, [self.tokens[-1]], self.caches)
-        while True:
-            rows.append(block.values[0])
-            if len(drafts) == gamma:
-                reason = StopReason.MAX_STEPS
-                break
-            _, confidence, token = self._probe(block)
+        if self.caches.shallow_len == start:  # else the prefill wrote round 1's opening row
+            self._shallow(self.tokens[-1])
+        while len(drafts) < gamma:
+            pending = self._rows(self.caches.adapter.length)
+            _, confidence, token = draft_logits(self.model, self.adapter, pending, self.caches)
             drafts.append(token)
             confidences.append(confidence)
             if not confidence > policy.eta:  # a NaN confidence stops too
                 reason = StopReason.THRESHOLD
                 if not self._drafting.defers:
-                    rows.append(forward_shallow(self.model, [token], self.caches).values[0])
+                    self._shallow(token)
                 break
-            block = forward_shallow(self.model, [token], self.caches)
-        features = FeatureBlock(start=start, values=np.stack(rows))
-        return DraftWindow(features, drafts, confidences, reason)
+            self._shallow(token)
+        return DraftWindow(self._rows(start), drafts, confidences, reason)
 
     def verify_window(self, window: DraftWindow) -> tuple[int, list[int]]:
         """One batched pass of the remaining layers over the feature unit.
@@ -383,31 +394,25 @@ class DecodeSession:
         Accepts the longest draft prefix matching the target's greedy tokens,
         emits it plus the target's own token at the first mismatch (or the
         bonus token after full acceptance), and rolls every cache back to the
-        new committed prefix.  A deferred unit gets its final draft's
-        shallow pass and a one-row pass for the bonus token only after full
-        acceptance.  Round 1's first row is the prompt's last, whose target
-        came with the prefill, so the pass runs over its draft rows only, and
-        not at all for a round without them.
+        new committed prefix; after full acceptance the final feature awaits
+        the next probe.  A deferred unit gets its final draft's shallow pass
+        and a one-row pass for the bonus token only after full acceptance.
+        Round 1's first row is the prompt's last, whose target came with the
+        prefill, so the pass runs over its draft rows only, and not at all for
+        a round without them.
         """
         targets, self._targets = self._targets, []
+        start = window.features.start
         rows = window.features.values[len(targets) :]
         if len(rows):
-            block = FeatureBlock(start=window.features.start + len(targets), values=rows)
+            block = FeatureBlock(start=start + len(targets), values=rows)
             targets += forward_remaining(self.model, block, self.caches).argmax(axis=-1).tolist()
         accepted = _accepted_prefix(window.drafts, targets)
-        if window.drafts:
-            self._drafting.record(accepted > 0)
-        if accepted == len(window.drafts):
-            # Full acceptance: nothing to discard; the final feature was
-            # never probed, so it stays pending for the next adapter batch.
-            final = window.features
-            if window.deferred:
-                final = forward_shallow(self.model, window.drafts[-1:], self.caches)
-                targets += forward_remaining(self.model, final, self.caches).argmax(axis=-1).tolist()
-            self._backlog.append(final.values[-1:])
-        else:
-            self.caches.rollback(window.features.start + accepted + 1)
-            self._backlog = []
+        if accepted < len(window.drafts):
+            self.caches.rollback(start + accepted + 1)
+        elif window.deferred:
+            final = self._shallow(window.drafts[-1])
+            targets += forward_remaining(self.model, final, self.caches).argmax(axis=-1).tolist()
         emitted = window.drafts[:accepted] + [targets[accepted]]
         self.tokens.extend(emitted)
         return accepted, emitted
@@ -419,14 +424,6 @@ class DecodeSession:
         if left < 1:
             raise CapacityError("the session has emitted every token of its request")
         return min(policy.gamma_max, left - 1)
-
-
-def _extend_back(pending: list[np.ndarray], block: FeatureBlock) -> FeatureBlock:
-    """``block`` preceded by the ``pending`` feature row blocks just before it."""
-    if not pending:
-        return block
-    values = np.concatenate([*pending, block.values])
-    return FeatureBlock(start=block.start + len(block) - len(values), values=values)
 
 
 def _accepted_prefix(drafts: list[int], targets: list[int]) -> int:

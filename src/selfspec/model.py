@@ -184,8 +184,8 @@ class KVCacheSet:
     attention cache.  During drafting the shallow cache runs ahead of the
     deep cache by at most the draft window; ``rollback`` truncates all three
     back to a committed prefix.  The adapter cache lags the others by the
-    feature rows a session has not yet probed (its backlog), and a session
-    starts it at the first prompt row within the adapter's attention window
+    feature rows a session has not yet probed, and a session starts it at
+    the first prompt row within the adapter's attention window
     (``LayerKVCache.start_at``): the rows before that stay zero and are
     never read.  The caches are allocated once, as views of one key and
     one value array (``LayerKVCache.stack``), for ``capacity`` positions:

@@ -21,7 +21,7 @@ from selfspec import (
 )
 from selfspec.adapter import WINDOW
 from selfspec.engine import DecodeSession, run_corpus
-from selfspec.errors import CapacityError, ConfigError, LosslessnessError
+from selfspec.errors import CacheError, CapacityError, ConfigError, LosslessnessError
 from selfspec.seeding import generator
 
 
@@ -221,15 +221,17 @@ class TestVerifyWindow:
             assert (accepted, emitted) == oracle_verify(prompt, window.drafts)
 
     def test_caches_consistent_after_round(self, small_model, small_adapter):
+        # The adapter cache lags by the rows no probe has read: a fully
+        # accepted round's final feature, and nothing after a rejection.
         session = DecodeSession(small_model, small_adapter, [3, 1, 4])
         for _ in range(4):
             window = session.draft_window(DraftPolicy(eta=0.3, gamma_max=4))
-            session.verify_window(window)
+            accepted, _ = session.verify_window(window)
             committed = len(session.tokens) - 1
             assert session.caches.shallow_len == committed
             assert session.caches.deep_len == committed
-            backlog = sum(len(rows) for rows in session._backlog)
-            assert session.caches.adapter.length == committed - backlog
+            pending = accepted == len(window.drafts)
+            assert session.caches.adapter.length == committed - pending
 
     def test_shallow_deep_slack_bounded(self, small_model, small_adapter):
         # Mid-round, the shallow cache runs ahead of the deep cache by the
@@ -662,9 +664,10 @@ class TestBoundedProbe:
         monkeypatch.setattr(selfspec.adapter, "causal_attention", recorded)
         prompt = [int(t) for t in generator(448, "prompt").integers(256, size=448)]
         session = DecodeSession(model, adapter, prompt)
-        # the adapter cache starts at the oldest prompt row the first probe sees
+        # the adapter cache starts at the oldest prompt row the first probe
+        # sees, and the WINDOW prompt rows up to round 1's opening row wait for it
         assert session.caches.adapter.length == 448 - WINDOW
-        assert sum(len(rows) for rows in session._backlog) == WINDOW - 1
+        assert session.caches.shallow_len - session.caches.adapter.length == WINDOW
         session.draft_window(DraftPolicy(eta=1.0, gamma_max=1))
         assert calls == [(WINDOW, 448 - WINDOW, 1)]
         calls.clear()
@@ -672,6 +675,68 @@ class TestBoundedProbe:
         assert result.tokens == vanilla_greedy_decode(model, prompt, 16)
         assert calls[0] == (WINDOW, 448 - WINDOW, 1) and len(calls) > 1
         assert all(rows <= 2 and out == 1 for rows, _, out in calls[1:])
+
+
+class TestProbeInput:
+    """A probe reads the session's feature rows from the adapter cache's length."""
+
+    def test_probe_reads_the_rows_its_passes_wrote(self, planted, mixed_desk, monkeypatch):
+        # Each probe's block starts at the adapter cache's length, and its
+        # rows are, bit for bit, the newest rows the prefill or a shallow
+        # pass produced at those positions.  A fully accepted round's final
+        # feature, never probed, leads the next probe: planted eta 0.75
+        # defers round 1 and accepts it fully, then runs eager rounds.
+        written, probes = {}, []
+        prefill = selfspec.engine.prefill
+        shallow = selfspec.engine.forward_shallow
+        probe = selfspec.engine.draft_logits
+
+        def record(block):
+            for offset, row in enumerate(block.values):
+                written[block.start + offset] = row.tobytes()
+
+        def prompt_pass(*args):
+            features, logits = prefill(*args)
+            record(features)
+            return features, logits
+
+        def shallow_pass(*args):
+            block = shallow(*args)
+            record(block)
+            return block
+
+        def probed(model, adapter, features, caches):
+            assert features.start == caches.adapter.length
+            rows = [row.tobytes() for row in features.values]
+            assert rows == [written.get(features.start + i) for i in range(len(features))]
+            probes.append((features.start, len(features)))
+            return probe(model, adapter, features, caches)
+
+        monkeypatch.setattr(selfspec.engine, "prefill", prompt_pass)
+        monkeypatch.setattr(selfspec.engine, "forward_shallow", shallow_pass)
+        monkeypatch.setattr(selfspec.engine, "draft_logits", probed)
+        long_prompt = [int(t) for t in generator(70, "prompt").integers(64, size=70)]
+        carried = set()  # whether each fully accepted round that led a probe was deferred
+        for (model, adapter), prompt, policy in (
+            (planted, long_prompt, DraftPolicy(eta=0.75, gamma_max=6)),
+            (mixed_desk, MIXED_PROMPT, DraftPolicy(eta=0.6, gamma_max=6)),
+        ):
+            written.clear()
+            session = DecodeSession(model, adapter, prompt, 40)
+            final = None  # the final feature's position after a fully accepted round
+            while len(session.tokens) < len(prompt) + 40:
+                probed_before = len(probes)
+                trace = session.run_round(policy)
+                if len(probes) > probed_before and final is not None:
+                    # the final feature, then the newest
+                    assert probes[probed_before] == (final, 2)
+                    carried.add(deferred)
+                full = trace.drafted and trace.accepted_drafts == trace.drafted
+                final, deferred = (session.committed - 1 if full else None), trace.deferred
+            assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 40)
+        assert carried == {True, False}
+        # the 70-token prompt's first probe read its last WINDOW rows
+        assert probes[0] == (70 - WINDOW, WINDOW)
 
 
 class TestHeadRows:
@@ -847,11 +912,14 @@ class TestDeferredBonus:
                 assert window.stop_reason is StopReason.THRESHOLD
                 assert window.deferred == defers and accepted == len(window.drafts)
                 caches = session.caches
+                # the final feature, which no probe has read yet
+                pending = session._features[caches.adapter.length : caches.shallow_len]
+                assert len(pending) == 1
                 states.append((
                     emitted,
                     logits[-1][-1].tobytes(),  # the bonus token's logits
                     (caches.shallow_len, caches.deep_len, caches.adapter.length),
-                    np.concatenate(session._backlog).tobytes(),
+                    pending.tobytes(),
                     [(c.keys[:, :, : c.length].tobytes(), c.values[:, : c.length].tobytes())
                      for c in (*caches.shallow, *caches.deep, caches.adapter)],
                 ))
@@ -948,12 +1016,13 @@ class TestDraftingDecision:
     @staticmethod
     def drive(model, adapter, prompt, n_tokens):
         """Each round of one request: (drafted, whether drafting has ended,
-        backlog rows, adapter cache length), the last three after the round."""
+        whether the round wrote a feature row, adapter cache length)."""
         session, rounds = DecodeSession(model, adapter, prompt), []
         for _ in range(n_tokens):
+            features = session._features.copy()
             trace = session.run_round(DraftPolicy(eta=0.6, gamma_max=6))
-            backlog = sum(len(rows) for rows in session._backlog)
-            rounds.append((trace.drafted, session._drafting.ended, backlog,
+            written = not np.array_equal(session._features, features)
+            rounds.append((trace.drafted, session._drafting.ended, written,
                            session.caches.adapter.length))
         return rounds
 
@@ -961,15 +1030,16 @@ class TestDraftingDecision:
         # the first losing drafting round ends drafting for the whole request
         model, adapter = planted
         paying = self.drive(model, adapter, [7, 3], 10)
-        assert all(drafted > 0 and not ended for drafted, ended, _, _ in paying)
+        assert all(drafted > 0 and not ended and written for drafted, ended, written, _ in paying)
         model, adapter = desk_low
         monkeypatch.setattr(selfspec.engine, "_accepted_prefix", lambda drafts, targets: 0)
         losing = self.drive(model, adapter, [9, 8, 7, 6, 5, 4], 200)
         assert [drafted > 0 for drafted, *_ in losing] == [True] * 3 + [False] * 197
         assert [ended for _, ended, _, _ in losing] == [False] * 2 + [True] * 198
-        # once drafting has ended no feature row waits for a probe, and the
-        # adapter cache stays where the last drafting round left it
-        assert [backlog for _, _, backlog, _ in losing[2:]] == [0] * 198
+        # once drafting has ended no feature row is written, and the adapter
+        # cache stays where the last drafting round left it; the deferred
+        # round 1, rejected, ran no pass and wrote none either
+        assert [written for _, _, written, _ in losing] == [False] + [True] * 2 + [False] * 197
         assert [n for *_, n in losing] == [6, 7, 8] + [8] * 197
 
     @pytest.mark.parametrize("gamma,n_tokens,cause", [
@@ -1048,13 +1118,34 @@ class TestDraftingDecision:
         prompt, drafting = [7, 3], DraftPolicy(eta=0.0, gamma_max=6)
         assert DecodeSession(model, adapter, prompt, 12).run_round(drafting).drafted == 6
         session = DecodeSession(model, adapter, prompt, 12)
-        adapter_rows = session.caches.adapter.length
+        adapter_rows, features = session.caches.adapter.length, session._features.copy()
         step = RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
         assert session.run_round(DraftPolicy(eta=0.0, gamma_max=0)) == step
-        assert session._drafting.ended and session._backlog == []
+        assert session._drafting.ended
         assert [session.run_round(drafting) for _ in range(11)] == [step] * 11
         assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 12)
         assert session.caches.adapter.length == adapter_rows  # no probe ran
+        # and no feature row was written past the prefill's
+        assert session._features.tobytes() == features.tobytes()
+
+    def test_draft_window_after_drafting_ended_raises_and_changes_nothing(self, desk_low):
+        # A greedy step writes no feature row, so a session that has stopped
+        # drafting has no rows for a probe: ``draft_window`` raises before
+        # any pass, and the next round still takes the greedy step.
+        model, adapter = desk_low
+        prompt = [1, 2, 3, 4, 5]
+        session = DecodeSession(model, adapter, prompt, 8)
+        for _ in range(2):
+            session.run_round(DraftPolicy(eta=0.6, gamma_max=0))
+        caches = session.caches
+        lengths = [c.length for c in (*caches.shallow, *caches.deep, caches.adapter)]
+        with pytest.raises(CacheError, match="stopped drafting"):
+            session.draft_window(DraftPolicy(eta=0.6, gamma_max=6))
+        assert [c.length for c in (*caches.shallow, *caches.deep, caches.adapter)] == lengths
+        assert len(session.tokens) == len(prompt) + 2
+        step = RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
+        assert session.run_round(DraftPolicy(eta=0.6, gamma_max=6)) == step
+        assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 3)
 
     def test_ended_counts_first_drafts_and_holds(self):
         def ended_after(hits):
