@@ -58,14 +58,20 @@ def _load_adapter(args, model: TargetWeights):
     return adapter
 
 
-def _load_corpus(args) -> list[list[int]]:
+def _load_corpus(args, config: ModelConfig) -> list[list[int]]:
+    """The corpus's sequences, every id of every line checked against the vocabulary."""
     path = Path(args.corpus)
     if not path.is_file():
         raise UsageError(f"corpus file not found: {path}")
-    sequences = serialize.read_corpus(path)
-    if not sequences:
+    numbered = serialize.read_numbered_corpus(path)
+    if not numbered:
         raise UsageError(f"corpus is empty: {path}")
-    return sequences
+    for line_no, seq in numbered:
+        try:
+            check_prompt(seq, config)
+        except ConfigError as exc:
+            raise UsageError(f"corpus line {line_no}: {exc}") from exc
+    return [seq for _, seq in numbered]
 
 
 def _check_output_dirs(args) -> None:
@@ -116,7 +122,7 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     model = _load_model(args)
-    sequences = _load_corpus(args)
+    sequences = _load_corpus(args, model.config)
     cfg = TrainConfig(
         learning_rate=args.lr,
         betas=(args.beta1, args.beta2),
@@ -147,12 +153,7 @@ def _decoding_inputs(args) -> tuple[TargetWeights, AdapterWeights, list[list[int
     limit = context_room(model.config, args.n_tokens)  # the longest prompt that fits
     if limit < 1:
         raise UsageError(f"--n-tokens {args.n_tokens} leaves no room for prompts")
-    prompts = [seq[:limit] for seq in _load_corpus(args)]
-    for i, prompt in enumerate(prompts):
-        try:
-            check_prompt(prompt, model.config)
-        except ConfigError as exc:
-            raise UsageError(f"corpus line {i + 1}: {exc}") from exc
+    prompts = [seq[:limit] for seq in _load_corpus(args, model.config)]
     return model, adapter, prompts
 
 

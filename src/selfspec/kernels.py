@@ -32,14 +32,15 @@ The stable kernels, concretely:
   stacked ``(3, d, d)`` weights: the same GEMV per row and plane as three
   separate products, in one dispatch.
 - Every per-row dot product is one BLAS dot, ``np.vecdot``.
-- Attention runs per block of query rows over a key span of whole 64-key
-  chunks, from position 0 through the chunk that holds the block's last
-  row (the buffers hold whole chunks).  A windowed call (the draft
-  adapter's) starts its span at the chunk that holds the block's oldest
-  visible key instead.  The cache holds each head's keys as the columns of
-  a ``(head_dim, rows)`` matrix, so a row's scores are one GEMV per head
-  of the query against the span's key columns, which BLAS vectorises
-  across the keys: each key's score is a fixed-order sum over ``head_dim``.
+- Attention runs all of a call's query rows in one masked pass over a key
+  span of whole 64-key chunks, from position 0 through the chunk that
+  holds the call's last row (the buffers hold whole chunks).  A windowed
+  call (the draft adapter's) starts its span at the chunk that holds the
+  first row's oldest visible key instead.  The cache holds each head's
+  keys as the columns of a ``(head_dim, rows)`` matrix, so a row's scores
+  are one GEMV per head of the query against the span's key columns, which
+  BLAS vectorises across the keys: each key's score is a fixed-order sum
+  over ``head_dim``.
   A GEMV over a row's own keys would not do: BLAS handles the keys in
   vector-wide groups plus a remainder, so a key's arithmetic would depend
   on how many keys the call holds, and that count differs between the rows
@@ -78,7 +79,7 @@ from .errors import CacheError, CapacityError, ConfigError, ShapeError
 
 
 _KEY_CHUNK = 64  # attention spans come in whole chunks; so do cache buffers
-_ROW_BLOCK = 32  # query rows per masked attention pass; bounds the score buffer
+_ROW_BLOCK = 32  # query rows per prompt-kernel GEMM pass; bounds its score buffer
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,10 +315,10 @@ def causal_attention(
     ``start_pos+t-window+1..start_pos+t``.  With ``last_row`` only row T-1 is
     queried and returned: the call still appends every row's K/V.
 
-    Query rows go through one masked pass per block of ``_ROW_BLOCK`` rows,
-    with the same code for T=1 and T>1.  A block's keys span whole 64-key
-    chunks up to its last row, from position 0, or under a window from the
-    chunk that holds its first row's oldest key; older keys are never read.
+    The query rows go through one masked pass, with the same code for T=1
+    and T>1.  Its keys span whole 64-key chunks up to the last row, from
+    position 0, or under a window from the chunk that holds the first row's
+    oldest key; older keys are never read.
     Per row and head, the scores are one GEMV over the span's key columns,
     the context numerator one GEMV over its value rows and the weight sum
     one dot with ones.  Chunks of exact-zero weights before or after a
@@ -341,31 +342,24 @@ def causal_attention(
     (scale,) = _scalars(x.dtype, 1.0 / math.sqrt(hd))
     first = n_rows - 1 if last_row and n_rows else 0  # the first query row
     q = qk[first:, :h] * scale
-    q_pos = start_pos + first
 
     size = cache.values.shape[1]
     mask = _causal_mask(size) if window is None else _causal_mask(size, window)
-    ones = _ones(x.dtype, size)
-    blocks = []
-    for b0 in range(0, len(q), _ROW_BLOCK):
-        b1 = min(b0 + _ROW_BLOCK, len(q))
-        p0, p1 = q_pos + b0, q_pos + b1
-        k1 = -(-p1 // _KEY_CHUNK) * _KEY_CHUNK
-        # The span is keys k0..k1-1; keys before m0 are visible to every row of the block.
-        if window is None:
-            k0, m0 = 0, p0
-        else:
-            k0 = m0 = max(p0 - window + 1, 0) // _KEY_CHUNK * _KEY_CHUNK
-        # w[t, h, p]: one GEMV per (row, head) against the span's key columns
-        w = np.vecmat(q[b0:b1], cache.keys[:, :, k0:k1])
-        np.copyto(w[..., m0 - k0 :], -np.inf, where=mask[p0:p1, None, m0:k1])
-        w -= np.fmax.reduce(w, axis=-1, keepdims=True, initial=_lowest(x.dtype))
-        np.exp(w, out=w)
-        den = np.vecdot(w, ones[: k1 - k0])  # one dot per (row, head) with the span's ones
-        # one GEMV per (row, head) of the weights against the span's values
-        blocks.append(np.vecmat(w, cache.values[:, k0:k1]) / den[..., None])
-    # one block is the whole context; q[:0] gives a zero-row call its empty one
-    ctx = blocks[0] if len(blocks) == 1 else np.concatenate([q[:0], *blocks])
+    p0, p1 = start_pos + first, start_pos + n_rows  # the query rows' positions
+    k1 = -(-p1 // _KEY_CHUNK) * _KEY_CHUNK
+    # The span is keys k0..k1-1; keys before m0 are visible to every query row.
+    if window is None:
+        k0, m0 = 0, p0
+    else:
+        k0 = m0 = max(p0 - window + 1, 0) // _KEY_CHUNK * _KEY_CHUNK
+    # w[t, h, p]: one GEMV per (row, head) against the span's key columns
+    w = np.vecmat(q, cache.keys[:, :, k0:k1])
+    np.copyto(w[..., m0 - k0 :], -np.inf, where=mask[p0:p1, None, m0:k1])
+    w -= np.fmax.reduce(w, axis=-1, keepdims=True, initial=_lowest(x.dtype))
+    np.exp(w, out=w)
+    den = np.vecdot(w, _ones(x.dtype, size)[: k1 - k0])  # one dot per (row, head) with ones
+    # one GEMV per (row, head) of the weights against the span's values
+    ctx = np.vecmat(w, cache.values[:, k0:k1]) / den[..., None]
     return np.vecmat(ctx.reshape(len(q), d), params.wo)
 
 

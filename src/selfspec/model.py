@@ -212,12 +212,8 @@ class KVCacheSet:
         return self.deep[0].length
 
     def rollback(self, to_length: int) -> None:
-        """Truncate every cache to ``to_length`` committed positions."""
-        for cache in self._all:
-            if cache.length != to_length:
-                break
-        else:
-            return  # every cache is there already, as after a rejected deferred round
+        """Truncate every cache to ``to_length`` committed positions, or none if
+        any is shorter.  A cache already there zeroes an empty range."""
         for cache in self._all:
             if to_length > cache.length:
                 raise CacheError(

@@ -124,7 +124,12 @@ def write_corpus(sequences: list[list[int]], path: str | Path) -> None:
 
 
 def read_corpus(path: str | Path) -> list[list[int]]:
-    sequences = []
+    return [seq for _, seq in read_numbered_corpus(path)]
+
+
+def read_numbered_corpus(path: str | Path) -> list[tuple[int, list[int]]]:
+    """Each non-blank line of the corpus as ``(line number, token ids)``."""
+    numbered = []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.isascii():
@@ -138,5 +143,5 @@ def read_corpus(path: str | Path) -> list[list[int]]:
                 raise FormatError(f"{path}:{line_no}: non-integer token id") from exc
             if any(t < 0 for t in seq):
                 raise FormatError(f"{path}:{line_no}: negative token id")
-            sequences.append(seq)
-    return sequences
+            numbered.append((line_no, seq))
+    return numbered

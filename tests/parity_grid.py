@@ -22,8 +22,8 @@ confidences::
 
 The grid covers float32 and float64, the deep-residual dial alpha 1 and 0.1
 (deep ``wo`` and ``down`` scaled by alpha), model seeds 1 and 2, the init
-and passthrough adapters, prompt lengths around the 32-row attention block,
-the 64-key chunk and the context limit, four draft policies and three
+and passthrough adapters, prompt lengths around the prompt kernel's 32-row
+block, the 64-key chunk and the context limit, four draft policies and three
 request lengths.  Under policy (1.0, 6) every drafting round stops on the
 threshold, and until a session's first accepted draft the engine defers
 such a round's final draft's feature, round 1 included: the grid covers

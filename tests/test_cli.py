@@ -179,6 +179,15 @@ class TestTrain:
         assert code == 2
         assert "latin.txt:2" in capsys.readouterr().err
 
+    def test_corpus_id_outside_the_vocabulary_exit_2(self, tmp_path, artifacts, capsys):
+        model, _, _ = artifacts
+        corpus, out = tmp_path / "wide.txt", tmp_path / "x.knga"
+        corpus.write_text("1 2 3 4\n5 6 64 7\n")  # the fixture model's vocabulary is 64
+        code = main(["train", "--model", str(model), "--corpus", str(corpus), "--out", str(out)])
+        assert code == 2
+        assert "corpus line 2: prompt token id outside vocabulary" in capsys.readouterr().err
+        assert not out.exists()  # refused before any training
+
     def test_oversized_model_header_exit_2(self, tmp_path, artifacts, capsys):
         model, _, corpus = artifacts
         raw = bytearray(model.read_bytes())
@@ -341,16 +350,23 @@ class TestVerifyLossless:
             assert code == expected
         assert "--n-tokens 33 leaves no room for prompts" in capsys.readouterr().err
 
-    def test_corpus_line_outside_the_vocabulary_exit_2(self, tmp_path, artifacts, capsys):
+    @pytest.mark.parametrize("text,line", [
+        ("1 2 3\n4 64 5\n", 2),
+        ("1 2 3 4\n\n\n5 6 64 7\n", 4),  # blank lines keep the file's numbering
+        ("1 2 3\n4 5 6 64\n", 2),  # an id past the 3-token prompt is checked too
+    ], ids=["line-2", "after-blank-lines", "past-the-prompt"])
+    def test_corpus_line_outside_the_vocabulary_exit_2(self, tmp_path, artifacts, capsys,
+                                                       text, line):
         model, adapter, _ = artifacts
         corpus = tmp_path / "wide.txt"
-        corpus.write_text("1 2 3\n4 64 5\n")  # the fixture model's vocabulary is 64
-        code = main([
+        corpus.write_text(text)  # the fixture model's vocabulary is 64
+        code = main([  # 126 new tokens leave 3-token prompts at max_seq_len 128
             "verify-lossless", "--model", str(model), "--adapter", str(adapter),
-            "--corpus", str(corpus), "--n-tokens", "4",
+            "--corpus", str(corpus), "--n-tokens", "126",
         ])
         assert code == 2
-        assert "corpus line 2: prompt token id outside vocabulary" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"corpus line {line}: prompt token id outside vocabulary" in err
 
     def test_missing_model_exit_2(self, tmp_path, artifacts):
         _, adapter, corpus = artifacts

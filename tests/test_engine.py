@@ -267,8 +267,8 @@ class TestGenerate:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128])
     def test_lossless_across_prompt_lengths(self, small_model, dtype, length):
-        # Prompt lengths around the 32-row attention blocks, the 64-key
-        # chunks and the context limit (max_seq_len 128).
+        # Prompt lengths around the prompt kernel's 32-row blocks, the
+        # 64-key chunks and the context limit (max_seq_len 128).
         model = small_model.astype(dtype)
         adapter = randomized_adapter(small_model, seed=3).astype(dtype)
         prompt = [int(t) for t in generator(length, "grid-prompt").integers(64, size=length)]

@@ -731,7 +731,8 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("start", [100, 318])
     def test_causal_attention_across_row_blocks(self, dtype, start):
-        # 33 and 45 rows span two query-row blocks and several key chunks
+        # 33 and 45 rows span several key chunks in one masked pass, and
+        # more query rows than a one-round call holds
         self._check_after_prefix(dtype, start, (33, 45))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -739,8 +740,9 @@ class TestBatchInvariance:
     def test_windowed_attention_after_cached_prefix(self, dtype, start):
         # A row sees the last 64 positions.  From 125 and 318 the windows of
         # one call's rows begin in different 64-key chunks, so a row's span
-        # in the batched call holds a leading chunk that it does not see.
-        self._check_after_prefix(dtype, start, (2, 7), window=64)
+        # in the batched call holds leading chunks that it does not see: one
+        # at 7 rows, two for the last rows of 70.
+        self._check_after_prefix(dtype, start, (2, 7, 70), window=64)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window", [None, 64])
@@ -793,8 +795,8 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("start", [0, 21])
     def test_causal_attention_long_prefill_matches_incremental(self, dtype, start):
-        # 420 rows cross several query-row blocks and 64-key chunks; from 21
-        # the blocks are not aligned with the chunks.
+        # 420 rows cross several 64-key chunks in one masked pass; from 21
+        # the call does not start at a chunk boundary.
         rng, params, table = self._attention_setup(dtype)
         prefix = rng.standard_normal((start, self.D)).astype(dtype)
         x = rng.standard_normal((420, self.D)).astype(dtype)
