@@ -164,7 +164,8 @@ def draft_logits(
     Returns ``(logits, confidence, token)`` where confidence is the top-1
     softmax probability and token its greedy argmax.  Passing more than one
     feature appends K/V for all of them (a session's rows not yet probed: a
-    fully accepted round's final feature, or its last ``WINDOW`` prompt rows)
+    fully accepted round's final feature, its last ``WINDOW`` prompt rows,
+    or the rows of greedy steps taken since its last probe)
     while attending only from the last, over the keys of the last ``WINDOW``
     positions: the rows older than that are neither projected nor read.
 

@@ -58,8 +58,9 @@ def _load_adapter(args, model: TargetWeights):
     return adapter
 
 
-def _load_corpus(args, config: ModelConfig) -> list[list[int]]:
-    """The corpus's sequences, every id of every line checked against the vocabulary."""
+def _load_corpus(args, config: ModelConfig, whole: bool = False) -> list[list[int]]:
+    """The corpus's sequences, every id of every line checked against the vocabulary
+    and, for lines that run ``whole`` rather than cut to fit, against ``max_seq_len``."""
     path = Path(args.corpus)
     if not path.is_file():
         raise UsageError(f"corpus file not found: {path}")
@@ -71,6 +72,10 @@ def _load_corpus(args, config: ModelConfig) -> list[list[int]]:
             check_prompt(seq, config)
         except ConfigError as exc:
             raise UsageError(f"corpus line {line_no}: {exc}") from exc
+        if whole and len(seq) > config.max_seq_len:
+            raise UsageError(
+                f"corpus line {line_no}: {len(seq)} tokens exceed max_seq_len {config.max_seq_len}"
+            )
     return [seq for _, seq in numbered]
 
 
@@ -122,7 +127,7 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     model = _load_model(args)
-    sequences = _load_corpus(args, model.config)
+    sequences = _load_corpus(args, model.config, whole=True)  # each line is one prefill
     cfg = TrainConfig(
         learning_rate=args.lr,
         betas=(args.beta1, args.beta2),

@@ -19,8 +19,9 @@ table of pass costs, whether the round's first draft is expected to save
 more than it costs (Leviathan et al.'s expected-speedup trade-off,
 estimated online).  Once it does not, no later round drafts.  A round
 with nothing to draft (also under ``gamma_max=0`` or on a request's last
-token) is a greedy step: greedy decoding's own ``greedy_step``, with no
-unit around it, or in round 1 the prefill's token with no pass at all.
+token) is a greedy step with no unit around it: the newest token's shallow
+pass and a one-row verification (a deferred round's bonus takes the same
+step), or in round 1 the prefill's token with no pass at all.
 Until the session's first accepted draft, a round that stops on the
 threshold defers its final draft's feature, which serves
 only the bonus token: its unit then holds ``d`` features, and the final
@@ -43,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .adapter import WINDOW, AdapterWeights, draft_logits
-from .errors import CacheError, CapacityError, ConfigError, LosslessnessError
+from .errors import CapacityError, ConfigError, LosslessnessError
 from .kernels import argmax_token
 from .metrics import AcceptanceRecord
 from .model import (
@@ -55,7 +56,6 @@ from .model import (
     context_room,
     forward_remaining,
     forward_shallow,
-    greedy_step,
     prefill,
     vanilla_greedy_decode,
 )
@@ -279,9 +279,9 @@ class DecodeSession:
     drafts from round 1 until the first drafting round after which, by
     ``_Drafting``'s counts, drafting no longer pays; every later round of
     the request has nothing to draft.  Every round with nothing to draft,
-    round 1 included, is a greedy step and ends drafting for the request;
-    round 1's takes the prefill's token, so a one-token request or round 1
-    under ``gamma_max=0`` builds no unit and runs no pass.  A round that
+    round 1 included, is a greedy step that writes its feature row; round
+    1's takes the prefill's token, so a one-token request or round 1 under
+    ``gamma_max=0`` builds no unit and runs no pass.  A round that
     stops on the threshold defers its final draft's feature until the
     session's first accepted draft, round 1 included.  Its verification
     computes that feature, and the bonus token from it, only after full
@@ -330,25 +330,29 @@ class DecodeSession:
         self._features[block.start] = block.values[0]
         return block
 
+    def _targets_after(self, block: FeatureBlock) -> list[int]:
+        """The target's token after each row of ``block``: the remaining layers' argmax."""
+        return forward_remaining(self.model, block, self.caches).argmax(axis=-1).tolist()
+
+    def _step(self, token: int) -> int:
+        """Cache ``token`` through both stacks, writing its feature row; the target's next token."""
+        return self._targets_after(self._shallow(token))[0]
+
     def run_round(self, policy: DraftPolicy) -> RoundTrace:
         """One round of ``generate``: a drafting and verification round, or a greedy step.
 
         The draft budget is ``draft_window``'s, and zero once the session has
         stopped drafting; only this method counts a drafting round for that
-        decision.  Every round with nothing to draft is a greedy step
-        traced as a zero-draft round; it ends drafting for good and writes no
-        feature row, as no probe follows.  Round 1's greedy step takes the
-        token the prefill computed and runs no pass.
+        decision, which a round with nothing to draft leaves as it is.  Every
+        such round is a greedy step traced as a zero-draft round (``_step``);
+        round 1's takes the token the prefill computed and runs no pass.
         A round that stops on the threshold defers while no first draft was accepted.
         A round after the request's last token raises ``CapacityError`` and
         changes nothing.
         """
         if self._budget(policy) == 0 or self._drafting.ended:
-            self._drafting.ended = True
-            if self._targets:  # round 1: the prefill gave the token and verified the opening row
-                token = self._targets.pop()
-            else:
-                token = greedy_step(self.model, self.tokens[-1], self.caches)
+            # round 1: the prefill gave the token and verified the opening row
+            token = self._targets.pop() if self._targets else self._step(self.tokens[-1])
             self.tokens.append(token)
             return RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
         window = self.draft_window(policy)
@@ -362,13 +366,11 @@ class DecodeSession:
         """Draft until the threshold or the step budget (``_budget``); return the unit.
 
         A round that stops on the threshold leaves out its final draft's
-        feature when the session defers it.  Once the session has stopped
-        drafting, whose greedy steps write no feature row, a positive budget
-        raises ``CacheError`` before any pass.
+        feature when the session defers it.  Called after the session has
+        stopped drafting, its first probe also reads the rows the greedy
+        steps wrote since the last probe.
         """
         gamma = self._budget(policy)
-        if gamma and self._drafting.ended:
-            raise CacheError("the session has stopped drafting; run_round takes its greedy steps")
         drafts: list[int] = []
         confidences: list[float] = []
         reason = StopReason.MAX_STEPS
@@ -405,14 +407,12 @@ class DecodeSession:
         start = window.features.start
         rows = window.features.values[len(targets) :]
         if len(rows):
-            block = FeatureBlock(start=start + len(targets), values=rows)
-            targets += forward_remaining(self.model, block, self.caches).argmax(axis=-1).tolist()
+            targets += self._targets_after(FeatureBlock(start=start + len(targets), values=rows))
         accepted = _accepted_prefix(window.drafts, targets)
         if accepted < len(window.drafts):
             self.caches.rollback(start + accepted + 1)
         elif window.deferred:
-            final = self._shallow(window.drafts[-1])
-            targets += forward_remaining(self.model, final, self.caches).argmax(axis=-1).tolist()
+            targets.append(self._step(window.drafts[-1]))
         emitted = window.drafts[:accepted] + [targets[accepted]]
         self.tokens.extend(emitted)
         return accepted, emitted

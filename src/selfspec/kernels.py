@@ -237,7 +237,7 @@ def _causal_mask(rows: int, window: int | None = None) -> np.ndarray:
 
 
 class LayerKVCache:
-    """Per-layer key/value store of ``capacity`` rows, with O(1) truncate.
+    """Per-layer key/value store of ``capacity`` rows.
 
     The buffers are allocated once, zeroed, at ``capacity`` rows padded to
     whole key chunks; ``length`` marks how many positions are filled.

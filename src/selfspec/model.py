@@ -77,6 +77,8 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary embedding, got {self.head_dim}")
         if self.ffn_hidden < 1 or self.max_seq_len < 1:
             raise ConfigError("ffn_hidden and max_seq_len must be positive")
+        if not 0 < self.rope_theta < np.inf:  # NaN fails too
+            raise ConfigError(f"rope_theta must be finite and > 0, got {self.rope_theta}")
 
 
 def desk_config(**overrides) -> ModelConfig:

@@ -128,6 +128,14 @@ class TestGenerators:
         code = main(["gen-model", "--out", str(tmp_path / "x.kngr"), "--heads", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("theta", ["0", "-1", "nan", "inf"])
+    def test_rope_theta_outside_the_positive_reals_exit_2(self, tmp_path, capsys, theta):
+        out = tmp_path / "x.kngr"
+        code = main(["gen-model", "--out", str(out), "--rope-theta", theta])
+        assert code == 2
+        assert "rope_theta must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_width_model_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.kngr"
         with warnings.catch_warnings():
@@ -187,6 +195,17 @@ class TestTrain:
         assert code == 2
         assert "corpus line 2: prompt token id outside vocabulary" in capsys.readouterr().err
         assert not out.exists()  # refused before any training
+
+    def test_corpus_line_longer_than_the_context_exit_2(self, tmp_path, artifacts, capsys):
+        # the fixture model's max_seq_len is 128; decoding commands cut such a
+        # line to fit, but training runs each line whole
+        model, _, _ = artifacts
+        corpus, out = tmp_path / "long.txt", tmp_path / "x.knga"
+        corpus.write_text("1 2 3 4\n" + " ".join(["5"] * 129) + "\n")
+        code = main(["train", "--model", str(model), "--corpus", str(corpus), "--out", str(out)])
+        assert code == 2
+        assert "corpus line 2: 129 tokens exceed max_seq_len 128" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_model_header_exit_2(self, tmp_path, artifacts, capsys):
         model, _, corpus = artifacts

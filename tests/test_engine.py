@@ -1,8 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import parity_grid
+import selfspec
 import selfspec.adapter
 import selfspec.engine
 import selfspec.model
@@ -21,7 +24,7 @@ from selfspec import (
 )
 from selfspec.adapter import WINDOW
 from selfspec.engine import DecodeSession, run_corpus
-from selfspec.errors import CacheError, CapacityError, ConfigError, LosslessnessError
+from selfspec.errors import CapacityError, ConfigError, LosslessnessError
 from selfspec.seeding import generator
 
 
@@ -279,6 +282,14 @@ class TestGenerate:
                 result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=gamma), prompt, n)
                 assert result.tokens == reference
                 assert result.truncated == (n > room)
+
+    def test_parity_grid_desk_low_lines_are_lossless(self):
+        # tests/parity_grid.py compares trees byte for byte; its desk-low
+        # lines, run here on this tree, keep the script itself working
+        lines = [json.dumps(line) for line in parity_grid.desk_low(selfspec, np)]
+        assert len(lines) == len(parity_grid.DESK_LOW_PROMPT_LENGTHS)
+        for line in map(json.loads, lines):
+            assert "error" not in line and line["lossless"] is True
 
     def test_planted_fixture_two_full_rounds(self, planted):
         model, adapter = planted
@@ -569,18 +580,17 @@ class TestPromptPass:
                 return _fn(*args)
 
             monkeypatch.setattr(selfspec.engine, name, counted)
-        greedy_step = selfspec.engine.greedy_step
+        step = DecodeSession._step
 
-        def step(weights, token, caches):
+        def checked(session, token):
             # a greedy step is one shallow pass and a one-row verification
+            caches = session.caches
             shallow, deep = caches.shallow_len, caches.deep_len
-            out = greedy_step(weights, token, caches)
+            out = step(session, token)
             assert caches.shallow_len - shallow == caches.deep_len - deep == 1
-            for name in ("forward_shallow", "forward_remaining"):
-                counts[name] = counts.get(name, 0) + 1
             return out
 
-        monkeypatch.setattr(selfspec.engine, "greedy_step", step)
+        monkeypatch.setattr(DecodeSession, "_step", checked)
         return counts
 
     @pytest.mark.parametrize("policy,n", [
@@ -815,20 +825,22 @@ class TestDeferredBonus:
         # greedy step verifies the newest token's one feature and no draft.
         model, passthrough = mixed_desk
         windows = []
-        draft_window = DecodeSession.draft_window
-        greedy_step = selfspec.engine.greedy_step
+        draft_window, run_round = DecodeSession.draft_window, DecodeSession.run_round
 
         def recorded(session, *args):
             window = draft_window(session, *args)
             windows.append((len(window.features), len(window.drafts), window.deferred))
             return window
 
-        def step(*args):
-            windows.append((1, 0, False))
-            return greedy_step(*args)
+        def round_or_step(session, *args):
+            drafted = len(windows)
+            trace = run_round(session, *args)
+            if len(windows) == drafted:  # the round was a greedy step
+                windows.append((1, 0, False))
+            return trace
 
         monkeypatch.setattr(DecodeSession, "draft_window", recorded)
-        monkeypatch.setattr(selfspec.engine, "greedy_step", step)
+        monkeypatch.setattr(DecodeSession, "run_round", round_or_step)
         for adapter in (passthrough, init_adapter(model, 2)):
             windows.clear()
             result = generate(model, adapter, DraftPolicy(eta=eta, gamma_max=6), MIXED_PROMPT, 40)
@@ -1036,10 +1048,10 @@ class TestDraftingDecision:
         losing = self.drive(model, adapter, [9, 8, 7, 6, 5, 4], 200)
         assert [drafted > 0 for drafted, *_ in losing] == [True] * 3 + [False] * 197
         assert [ended for _, ended, _, _ in losing] == [False] * 2 + [True] * 198
-        # once drafting has ended no feature row is written, and the adapter
-        # cache stays where the last drafting round left it; the deferred
-        # round 1, rejected, ran no pass and wrote none either
-        assert [written for _, _, written, _ in losing] == [False] + [True] * 2 + [False] * 197
+        # every greedy step writes its feature row, while the adapter cache
+        # stays where the last drafting round left it; the deferred round 1,
+        # rejected, ran no pass and wrote none
+        assert [written for _, _, written, _ in losing] == [False] + [True] * 199
         assert [n for *_, n in losing] == [6, 7, 8] + [8] * 197
 
     @pytest.mark.parametrize("gamma,n_tokens,cause", [
@@ -1054,19 +1066,20 @@ class TestDraftingDecision:
         model, adapter = desk_low
         policy, prompt = DraftPolicy(eta=0.6, gamma_max=gamma), [9, 8, 7, 6, 5, 4]
         zero_drafts = DraftPolicy(eta=0.6, gamma_max=0)
-        steps = []
-        greedy_step = selfspec.engine.greedy_step
+        steps, greedy_steps = [], 0
+        step = DecodeSession._step
 
-        def step(*args):
+        def counted(*args):
             steps.append(None)
-            return greedy_step(*args)
+            return step(*args)
 
-        monkeypatch.setattr(selfspec.engine, "greedy_step", step)
+        monkeypatch.setattr(DecodeSession, "_step", counted)
         fast, slow = (DecodeSession(model, adapter, prompt, n_tokens) for _ in range(2))
         causes, out = [], 0
         while out < n_tokens:
             budget = min(gamma, n_tokens - out - 1)
-            if fast._drafting.ended or budget == 0:
+            greedy = fast._drafting.ended or budget == 0
+            if greedy:
                 causes.append("ended" if fast._drafting.ended else
                               "gamma-zero" if gamma == 0 else "last-token")
                 window = slow.draft_window(zero_drafts)
@@ -1076,7 +1089,9 @@ class TestDraftingDecision:
                 assert len(emitted) == expected.emitted
             else:
                 expected = slow.run_round(policy)
+            taken = len(steps)  # a drafting round steps only for a deferred bonus
             assert fast.run_round(policy) == expected
+            greedy_steps += greedy * (len(steps) - taken)
             assert fast.tokens == slow.tokens
             for stack in ("shallow", "deep"):
                 for ours, theirs in zip(getattr(fast.caches, stack), getattr(slow.caches, stack)):
@@ -1086,8 +1101,8 @@ class TestDraftingDecision:
                     assert ours.values[:, :n].tobytes() == theirs.values[:, :n].tobytes()
             out += expected.emitted
         # under gamma_max=0 round 1 is a greedy step too, on the prefill's
-        # token: it makes no ``greedy_step`` call
-        assert cause in causes and len(steps) == len(causes) - (gamma == 0)
+        # token: it makes no ``_step`` call
+        assert cause in causes and greedy_steps == len(causes) - (gamma == 0)
         assert fast.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, n_tokens)
 
     @pytest.mark.parametrize("length", [3, 70])
@@ -1109,43 +1124,63 @@ class TestDraftingDecision:
         step = RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
         assert result.rounds == [step] * n_tokens
 
-    def test_zero_draft_round_one_ends_drafting(self, planted):
-        # A run_round caller that opens with nothing to draft takes a greedy
-        # step, and a greedy step ends drafting for the request: later rounds
-        # under a drafting policy draft nothing, though every planted draft
-        # would be accepted.
+    def test_zero_draft_rounds_leave_the_decision(self, planted):
+        # A round with nothing to draft is a greedy step and leaves the
+        # drafting decision as it is: each later round under a drafting
+        # policy drafts its whole budget, every planted draft accepted, its
+        # first probe reading the rows the greedy steps wrote.
         model, adapter = planted
-        prompt, drafting = [7, 3], DraftPolicy(eta=0.0, gamma_max=6)
-        assert DecodeSession(model, adapter, prompt, 12).run_round(drafting).drafted == 6
-        session = DecodeSession(model, adapter, prompt, 12)
-        adapter_rows, features = session.caches.adapter.length, session._features.copy()
+        prompt = [7, 3]
         step = RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
-        assert session.run_round(DraftPolicy(eta=0.0, gamma_max=0)) == step
-        assert session._drafting.ended
-        assert [session.run_round(drafting) for _ in range(11)] == [step] * 11
-        assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 12)
-        assert session.caches.adapter.length == adapter_rows  # no probe ran
-        # and no feature row was written past the prefill's
-        assert session._features.tobytes() == features.tobytes()
+        session = DecodeSession(model, adapter, prompt, 32)
+        for gamma in (0, 6, 0, 0, 6, 0, 6):
+            trace = session.run_round(DraftPolicy(eta=0.0, gamma_max=gamma))
+            if gamma:
+                assert trace.drafted == trace.accepted_drafts == 6
+            else:
+                assert trace == step
+            assert not session._drafting.ended
+        assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 25)
 
-    def test_draft_window_after_drafting_ended_raises_and_changes_nothing(self, desk_low):
-        # A greedy step writes no feature row, so a session that has stopped
-        # drafting has no rows for a probe: ``draft_window`` raises before
-        # any pass, and the next round still takes the greedy step.
+    def test_draft_window_after_drafting_ended_reads_the_greedy_rows(self, desk_low, monkeypatch):
+        # Greedy steps write their feature rows, so a session that has stopped
+        # drafting can still draft a window: its first probe reads, from the
+        # adapter cache's length, the rows the greedy steps' shallow passes
+        # wrote, then the newest token's.
         model, adapter = desk_low
-        prompt = [1, 2, 3, 4, 5]
-        session = DecodeSession(model, adapter, prompt, 8)
-        for _ in range(2):
-            session.run_round(DraftPolicy(eta=0.6, gamma_max=0))
-        caches = session.caches
-        lengths = [c.length for c in (*caches.shallow, *caches.deep, caches.adapter)]
-        with pytest.raises(CacheError, match="stopped drafting"):
-            session.draft_window(DraftPolicy(eta=0.6, gamma_max=6))
-        assert [c.length for c in (*caches.shallow, *caches.deep, caches.adapter)] == lengths
-        assert len(session.tokens) == len(prompt) + 2
-        step = RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
-        assert session.run_round(DraftPolicy(eta=0.6, gamma_max=6)) == step
-        assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 3)
+        prompt, n_tokens = [9, 8, 7, 6, 5, 4], 40
+        written, probes = {}, []
+        shallow, probe = selfspec.engine.forward_shallow, selfspec.engine.draft_logits
+
+        def shallow_pass(*args):
+            block = shallow(*args)
+            written[block.start] = block.values[0].tobytes()
+            return block
+
+        def probed(model_, adapter_, features, caches):
+            probes.append((features.start, [row.tobytes() for row in features.values]))
+            return probe(model_, adapter_, features, caches)
+
+        monkeypatch.setattr(selfspec.engine, "forward_shallow", shallow_pass)
+        monkeypatch.setattr(selfspec.engine, "draft_logits", probed)
+        session, policy = DecodeSession(model, adapter, prompt, n_tokens), DraftPolicy()
+        while not session._drafting.ended:
+            session.run_round(policy)
+        probed_to = session.caches.adapter.length
+        for _ in range(5):
+            assert session.run_round(policy).drafted == 0
+        assert session.caches.adapter.length == probed_to
+        del probes[:]
+        window = session.draft_window(DraftPolicy(eta=0.0, gamma_max=3))
+        assert len(window.drafts) == 3
+        start, rows = probes[0]
+        assert start == probed_to and start + len(rows) == session.committed + 1
+        assert len(rows) > 5  # the five greedy rows and the newest
+        assert rows == [written[start + i] for i in range(len(rows))]
+        session.verify_window(window)
+        while len(session.tokens) < len(prompt) + n_tokens:
+            assert session.run_round(policy).drafted == 0
+        assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, n_tokens)
 
     def test_ended_counts_first_drafts_and_holds(self):
         def ended_after(hits):

@@ -730,7 +730,7 @@ class TestBatchInvariance:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("start", [100, 318])
-    def test_causal_attention_across_row_blocks(self, dtype, start):
+    def test_causal_attention_across_key_chunks(self, dtype, start):
         # 33 and 45 rows span several key chunks in one masked pass, and
         # more query rows than a one-round call holds
         self._check_after_prefix(dtype, start, (33, 45))

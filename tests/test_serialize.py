@@ -91,13 +91,18 @@ class TestModelFile:
         with pytest.raises(FormatError):
             load_weights(path)
 
-    def test_invalid_header_config(self, small_cfg, tmp_path):
+    @pytest.mark.parametrize("fmt,offset,value", [
+        ("<Q", 8 + 6 * 8, 0),  # exit_layer
+        ("<d", 8 + 8 * 8, 0.0),  # rope_theta
+        ("<d", 8 + 8 * 8, float("nan")),
+    ], ids=["exit-layer-0", "rope-theta-0", "rope-theta-nan"])
+    def test_invalid_header_config(self, small_cfg, tmp_path, fmt, offset, value):
         path = tmp_path / "cfg.kngr"
         save_weights(gen_model(small_cfg, seed=3), path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<Q", raw, 8 + 6 * 8, 0)  # exit_layer = 0
+        struct.pack_into(fmt, raw, offset, value)
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="invalid header config"):
             load_weights(path)
 
     def test_trailing_bytes(self, small_cfg, tmp_path):
