@@ -8,10 +8,11 @@ and the target's LM head is reused unchanged, so the only trainable state is
 
 The attention is a sliding window: a row attends to the last ``WINDOW``
 positions, itself included (Longformer, arXiv 2004.05150), in drafting and
-in training alike.  A draft probe queries only its block's last row, so its
-cost does not grow with the context: it projects the rows not yet probed
-and attends to at most ``WINDOW`` keys.  Drafts only change the speed,
-never a token, since verification keeps the target's own argmax.
+in training alike.  A draft probe queries only its block's last row and
+projects at most the last ``WINDOW`` rows not yet probed, so its cost grows
+neither with the context nor with the rows a session left unprobed.  Drafts
+only change the speed, never a token, since verification keeps the
+target's own argmax.
 """
 
 from __future__ import annotations
@@ -162,17 +163,20 @@ def draft_logits(
     """Draft prediction after the block's last feature.
 
     Returns ``(logits, confidence, token)`` where confidence is the top-1
-    softmax probability and token its greedy argmax.  Passing more than one
-    feature appends K/V for all of them (a session's rows not yet probed: a
-    fully accepted round's final feature, its last ``WINDOW`` prompt rows,
-    or the rows of greedy steps taken since its last probe)
-    while attending only from the last, over the keys of the last ``WINDOW``
-    positions: the rows older than that are neither projected nor read.
+    softmax probability and token its greedy argmax.  The block holds the
+    session's rows not yet probed (prompt rows, a fully accepted round's
+    final feature, greedy steps' rows).  Only the last ``WINDOW`` of them
+    are projected and only the last is queried: the adapter cache skips to
+    the first kept row (``LayerKVCache.skip_to``), and the older rows, which
+    no later query sees either, are neither projected nor read.
 
     The top-1 probability is ``1 / sum(exp(logits - logits[token]))``: the
     same bits as ``max(softmax(logits))``, whose top entry is ``exp(0) = 1``
     over the same sum, without building the probability vector.
     """
+    if len(features) > WINDOW:  # keep the rows the last one's window reaches
+        features = FeatureBlock(features.start + len(features) - WINDOW, features.values[-WINDOW:])
+        caches.adapter.skip_to(features.start)
     refined = adapter_forward(adapter, features, caches.adapter, model.rope, last_row=True)
     logits = matmul(refined, model.lm_head)[0]
     token = argmax_token(logits)

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adapter import WINDOW, AdapterWeights, draft_logits
+from .adapter import AdapterWeights, draft_logits
 from .errors import CapacityError, ConfigError, LosslessnessError
 from .kernels import argmax_token
 from .metrics import AcceptanceRecord
@@ -193,8 +193,8 @@ class LatencyModel:
 # depths are an extrapolation, measured at the desk depth only.  Integer
 # costs sum exactly, so no decision hangs on the order of a float sum.
 SHALLOW_ROW = 18  # one row through one shallow layer
-# one adapter probe: norms, LM head and one attention row over the last
-# WINDOW keys, so its cost no longer grows with the context
+# one adapter probe: norms, LM head and one attention row over the adapter's
+# window of keys, so its cost no longer grows with the context
 PROBE = 18
 VERIFY_PASS = 17  # a: one remaining layer's pass, whatever its rows
 VERIFY_ROW = 3  # b: each row of that pass, per remaining layer
@@ -269,11 +269,11 @@ class DecodeSession:
     session opens with ``prefill`` over the whole prompt, which fills the
     shallow and deep caches and gives the target's token after the prompt.
     The last prompt row is round 1's first feature, already verified: round
-    1 verifies only its draft rows.  The adapter attends over a window of
-    ``WINDOW`` positions, so only the last ``WINDOW`` prompt rows are written
-    to the array, and the adapter cache starts at the first of them; older
-    prompt rows never reach the adapter, and a request that never drafts
-    never runs it.
+    1 verifies only its draft rows, and the prefill's target waiting for it
+    is how the session tells round 1 apart.  Every prompt row is written to
+    the array, and the first probe is handed them all, like any probe its
+    pending rows; the adapter projects only those its window reaches
+    (``draft_logits``), and a request that never drafts never runs it.
 
     ``run_round`` is a session's one round under the budget rule.  A session
     drafts from round 1 until the first drafting round after which, by
@@ -307,10 +307,7 @@ class DecodeSession:
         self.tokens = list(prompt)
         self._features = np.zeros((self._end - 1, model.config.d_model), model.dtype)
         features, logits = prefill(model, prompt, self.caches)
-        # the prompt rows that the first probe's window reaches, round 1's opening row last
-        first = max(len(prompt) - WINDOW, 0)
-        self._features[first : len(prompt)] = features.values[first:]
-        self.caches.adapter.start_at(first)
+        self._features[: len(prompt)] = features.values
         # targets already known for the leading rows of the next unit
         self._targets = [argmax_token(logits)]
         self._drafting = _Drafting(model.config)
@@ -375,7 +372,7 @@ class DecodeSession:
         confidences: list[float] = []
         reason = StopReason.MAX_STEPS
         start = self.committed
-        if self.caches.shallow_len == start:  # else the prefill wrote round 1's opening row
+        if not self._targets:  # else round 1, whose opening row the prefill wrote
             self._shallow(self.tokens[-1])
         while len(drafts) < gamma:
             pending = self._rows(self.caches.adapter.length)

@@ -281,13 +281,12 @@ class LayerKVCache:
         self._value_rows[self.length : end] = v_rows
         self.length = end
 
-    def start_at(self, position: int) -> None:
-        """Open an empty cache at ``position``: the rows before it stay zero.
-
-        For a windowed reader (the draft adapter), which never reads them.
-        """
-        if self.length != 0 or not 0 <= position <= self.capacity:
-            raise CacheError(f"cannot start a cache of length {self.length} at {position}")
+    def skip_to(self, position: int) -> None:
+        """Move the length forward to ``position``, for a windowed reader (the
+        draft adapter) that never reads the skipped rows: their values stay
+        zero, and any keys a truncation left there are masked by its window."""
+        if not self.length <= position <= self.capacity:
+            raise CacheError(f"cannot skip a cache of length {self.length} to {position}")
         self.length = position
 
     def truncate(self, to_length: int) -> None:

@@ -186,12 +186,11 @@ class KVCacheSet:
     attention cache.  During drafting the shallow cache runs ahead of the
     deep cache by at most the draft window; ``rollback`` truncates all three
     back to a committed prefix.  The adapter cache lags the others by the
-    feature rows a session has not yet probed, and a session starts it at
-    the first prompt row within the adapter's attention window
-    (``LayerKVCache.start_at``): the rows before that stay zero and are
-    never read.  The caches are allocated once, as views of one key and
-    one value array (``LayerKVCache.stack``), for ``capacity`` positions:
-    a request's length, or by default the whole context.
+    feature rows a session has not yet probed; a probe skips it past the
+    pending rows older than its window (``LayerKVCache.skip_to``), which
+    are never read.  The caches are allocated once, as views of one key and
+    one value array (``LayerKVCache.stack``), for ``capacity`` positions: a
+    request's length, or by default the whole context.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, capacity: int | None = None):

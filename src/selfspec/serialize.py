@@ -34,10 +34,13 @@ _ADAPTER_HEADER = struct.Struct("<3Q")  # d_model, n_heads, head_dim
 
 
 def _save(path, magic: bytes, header: struct.Struct, fields, tensors) -> None:
+    with np.errstate(over="ignore"):  # past float32's range is inf, refused as the reader does
+        data = [np.ascontiguousarray(tensor, dtype="<f4") for tensor in tensors]
+    if not all(np.isfinite(tensor).all() for tensor in data):
+        raise FormatError(f"{path}: tensor contains non-finite values")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<I", FORMAT_VERSION) + header.pack(*fields))
-        for tensor in tensors:
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        fh.writelines(data)
 
 
 def _read_tensor(fh, shape: tuple[int, ...], path) -> np.ndarray:

@@ -28,7 +28,7 @@ from .engine import (
     round_passes,
     run_corpus,
 )
-from .errors import CalibrationError, ConfigError, MetricsDomainError
+from .errors import CalibrationError, ConfigError
 from .metrics import BenchReport, aggregate
 from .model import (
     FeatureBlock,
@@ -44,12 +44,10 @@ from .seeding import generator
 PROBE_LENGTHS = (8, 24, 48)  # contexts at which calibration times single passes
 
 
-def simulate_speedup(results: list[GenerationResult], lat: LatencyModel, n_tokens: int) -> float:
-    """Predicted vanilla-time over speculative-time for one run's requests."""
+def simulate_speedup(results: list[GenerationResult], lat: LatencyModel) -> float:
+    """Predicted vanilla-time over speculative-time for the tokens one run's traces emit."""
     emitted = sum(t.emitted for r in results for t in r.rounds)
-    if emitted != n_tokens:
-        raise MetricsDomainError(f"traces emit {emitted} tokens but n_tokens is {n_tokens}")
-    return n_tokens * lat.c_big / sum(lat.request_cost(r) for r in results)
+    return emitted * lat.c_big / sum(lat.request_cost(r) for r in results)
 
 
 def sweep(
@@ -72,7 +70,7 @@ def sweep(
         report = aggregate(run.records, vanilla_seconds, run.seconds, subtask)
         traces = run.rounds
         report.eta, report.gamma = run.policy.eta, run.policy.gamma_max
-        report.simulated_speedup = simulate_speedup(run.results, lat, report.total_tokens)
+        report.simulated_speedup = simulate_speedup(run.results, lat)
         report.nonfinite_confidences = sum(
             not math.isfinite(c) for trace in traces for c in trace.confidences
         )

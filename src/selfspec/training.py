@@ -40,13 +40,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("learning_rate", "weight_decay"):  # NaN fails too
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         b1, b2 = self.betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
         if self.epochs < 1 or self.batch < 1:
             raise ConfigError("epochs and batch must be >= 1")
 

@@ -31,7 +31,13 @@ deferred rounds that are rejected and deferred rounds that are fully
 accepted.  The ``desk-low`` cases are the
 benchmark's shape (the default desk config, alpha 1, the init adapter,
 policy (0.6, 6), 48 tokens), whose sessions stop drafting for good once their
-first few drafts are rejected.  A ``generate`` line holds the tokens,
+first few drafts are rejected.  The ``resumed`` cases take 3 or 100 greedy
+steps on the desk model after prompts of 5, 70 and 200 tokens, then run one
+round by hand (``DecodeSession.draft_window`` and ``verify_window``), whose
+first probe is handed every row the prompt and the greedy steps wrote (more
+than the adapter's window in all but the shortest case), and finish the
+request with ``run_round``; their lines hold the fields a ``generate`` line holds
+except ``truncated``.  A ``generate`` line holds the tokens,
 ``truncated`` and every ``RoundTrace`` field, with confidences as
 ``float.hex``, and ``lossless``: whether its tokens equal the same tree's
 ``vanilla_greedy_decode`` for as many tokens as fit the context, so one
@@ -70,6 +76,13 @@ ADAPTERS = ("init", "passthrough")
 PROMPT_LENGTHS = (1, 2, 31, 32, 33, 63, 64, 65, MAX_SEQ_LEN - 1, MAX_SEQ_LEN, MAX_SEQ_LEN + 1)
 DESK_LOW_PROMPT_LENGTHS = (6, 7, 8, 9, 10, 11, 12)
 POLICIES = ((0.6, 6), (0.0, 3), (1.0, 0), (1.0, 6))
+# The resumed cases: prompts, greedy steps before the first probe, the
+# policy after them and the tokens that follow; on the desk model, whose
+# adapter window is 64 positions.
+RESUMED_PROMPT_LENGTHS = (5, 70, 200)
+RESUMED_STEPS = (3, 100)
+RESUMED_POLICY = (0.6, 6)
+RESUMED_TAIL = 20
 N_TOKENS = (1, 2, 48)
 SEED_63 = (1 << 63) - 25
 # (n_seqs, len_range, corpus seed, epochs, batch) of each train line; the
@@ -139,13 +152,8 @@ def _generate_line(ss, model, adapter, policy, prompt: list[int], n_tokens: int,
         result = ss.generate(model, adapter, policy, prompt, n_tokens)
     except Exception as exc:  # noqa: BLE001
         return {"error": _error(exc)}
-    rounds = [
-        [r.drafted, r.accepted_drafts, r.emitted, [float(c).hex() for c in r.confidences],
-         r.stop_reason.value] + ([r.deferred] if hasattr(r, "deferred") else [])
-        for r in result.rounds
-    ]
-    return {"tokens": result.tokens, "truncated": result.truncated, "rounds": rounds,
-            "lossless": result.tokens == greedy}
+    return {"tokens": result.tokens, "truncated": result.truncated,
+            "rounds": _rounds(result.rounds), "lossless": result.tokens == greedy}
 
 
 def _weights_line(ss, weights) -> dict:
@@ -198,11 +206,61 @@ def desk_low(ss, np):
                                         _greedy(ss, model, prompt, 48))}
 
 
+def _rounds(traces) -> list:
+    return [
+        [r.drafted, r.accepted_drafts, r.emitted, [float(c).hex() for c in r.confidences],
+         r.stop_reason.value] + ([r.deferred] if hasattr(r, "deferred") else [])
+        for r in traces
+    ]
+
+
+def _resumed_line(ss, model, adapter, prompt: list[int], steps: int) -> dict:
+    """A session that takes ``steps`` greedy steps, then drafts: its tokens and rounds.
+
+    After the greedy rounds (``gamma_max=0``) one round is run by hand
+    (``draft_window``, then ``verify_window``), so its first probe reads
+    every row the greedy steps wrote; then ``run_round`` finishes the request.
+    """
+    policy = ss.DraftPolicy(eta=RESUMED_POLICY[0], gamma_max=RESUMED_POLICY[1])
+    n_tokens = steps + RESUMED_TAIL
+    try:
+        session = ss.DecodeSession(model, adapter, prompt, n_tokens)
+        traces = [session.run_round(ss.DraftPolicy(eta=policy.eta, gamma_max=0))
+                  for _ in range(steps)]
+        window = session.draft_window(policy)
+        accepted, emitted = session.verify_window(window)
+        traces.append(ss.RoundTrace(len(window.drafts), accepted, window.confidences,
+                                    window.stop_reason, window.deferred))
+        while len(session.tokens) < len(prompt) + n_tokens:
+            traces.append(session.run_round(policy))
+    except Exception as exc:  # noqa: BLE001
+        return {"error": _error(exc)}
+    tokens = session.tokens[len(prompt):]
+    return {"tokens": tokens, "rounds": _rounds(traces),
+            "lossless": tokens == _greedy(ss, model, prompt, n_tokens)}
+
+
+def resumed(ss, np):
+    """Sessions whose first probe follows greedy steps, one line per case."""
+    for seed in SEEDS:
+        model = ss.gen_model(ss.desk_config(), seed)
+        for kind in ADAPTERS:
+            adapter = ss.init_adapter(model, 2) if kind == "init" else ss.passthrough_adapter(model)
+            for length in RESUMED_PROMPT_LENGTHS:
+                prompt = list(range(1, 6)) if length == 5 else _prompt(np, 256, seed, length)
+                for steps in RESUMED_STEPS:
+                    case = {"case": "resumed", "seed": seed, "adapter": kind,
+                            "prompt_len": length, "steps": steps, "eta": RESUMED_POLICY[0],
+                            "gamma": RESUMED_POLICY[1]}
+                    yield {**case, **_resumed_line(ss, model, adapter, prompt, steps)}
+
+
 def grid(ss):
     """Yield one JSON-ready dict per case, in a fixed order."""
     import numpy as np
 
     yield from desk_low(ss, np)
+    yield from resumed(ss, np)
 
     for dtype in DTYPES:
         for alpha in ALPHAS:

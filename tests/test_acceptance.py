@@ -146,7 +146,7 @@ def test_criterion_4_planted_full_acceptance():
     assert result.emitted_per_round == [7, 7]
     cr = compression_rate(AcceptanceRecord(result.emitted_per_round))
     assert cr == 7.0
-    speedup = simulate_speedup([result], LatencyModel(c_big=1.0), 14)
+    speedup = simulate_speedup([result], LatencyModel(c_big=1.0))
     assert abs(speedup - 7.0) <= 1e-9
     assert result.tokens == vanilla_greedy_decode(model, [7], 14)
     print(f"\nACCEPTANCE 4 PASS: planted fixture S={result.emitted_per_round}, CR={cr}, free-draft speedup={speedup}")

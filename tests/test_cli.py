@@ -207,6 +207,34 @@ class TestTrain:
         assert "corpus line 2: 129 tokens exceed max_seq_len 128" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rate_outside_the_finite_non_negatives_exit_2(self, tmp_path, artifacts, capsys,
+                                                          monkeypatch, flag, value):
+        model, _, corpus = artifacts
+        out = tmp_path / "x.knga"
+
+        def never(*args):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(selfspec.cli, "train_adapter", never)
+        code = main(["train", "--model", str(model), "--corpus", str(corpus), "--out", str(out),
+                     flag, value])
+        assert code == 2
+        assert "must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_adapter_past_the_float32_range_exit_2(self, tmp_path, artifacts, capsys):
+        # a huge learning rate trains to float64 weights that no float32 holds
+        model, _, corpus = artifacts
+        out = tmp_path / "x.knga"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["train", "--model", str(model), "--corpus", str(corpus),
+                         "--out", str(out), "--lr", "1e38"])
+        assert code == 2
+        assert "tensor contains non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_model_header_exit_2(self, tmp_path, artifacts, capsys):
         model, _, corpus = artifacts
         raw = bytearray(model.read_bytes())

@@ -674,17 +674,44 @@ class TestBoundedProbe:
         monkeypatch.setattr(selfspec.adapter, "causal_attention", recorded)
         prompt = [int(t) for t in generator(448, "prompt").integers(256, size=448)]
         session = DecodeSession(model, adapter, prompt)
-        # the adapter cache starts at the oldest prompt row the first probe
-        # sees, and the WINDOW prompt rows up to round 1's opening row wait for it
-        assert session.caches.adapter.length == 448 - WINDOW
-        assert session.caches.shallow_len - session.caches.adapter.length == WINDOW
+        # every prompt row waits for the first probe, which skips the
+        # adapter cache to the oldest row its window reaches
+        assert session.caches.adapter.length == 0
         session.draft_window(DraftPolicy(eta=1.0, gamma_max=1))
         assert calls == [(WINDOW, 448 - WINDOW, 1)]
+        assert session.caches.adapter.length == 448
         calls.clear()
         result = generate(model, adapter, DraftPolicy(eta=0.0, gamma_max=6), prompt, 16)
         assert result.tokens == vanilla_greedy_decode(model, prompt, 16)
         assert calls[0] == (WINDOW, 448 - WINDOW, 1) and len(calls) > 1
         assert all(rows <= 2 and out == 1 for rows, _, out in calls[1:])
+
+    def test_a_probe_after_greedy_steps_projects_the_window(self, desk_low, monkeypatch):
+        # 100 greedy steps leave 105 rows pending; the probe that resumes
+        # drafting projects the last WINDOW of them, and its round rolls back
+        model, adapter = desk_low
+        calls = []
+        attention = selfspec.adapter.causal_attention
+
+        def recorded(params, x, cache, start, *args, **kwargs):
+            calls.append((len(x), start))
+            return attention(params, x, cache, start, *args, **kwargs)
+
+        monkeypatch.setattr(selfspec.adapter, "causal_attention", recorded)
+        prompt = [1, 2, 3, 4, 5]
+        session = DecodeSession(model, adapter, prompt, 120)
+        for _ in range(100):
+            session.run_round(DraftPolicy(eta=0.6, gamma_max=0))
+        assert calls == [] and session.caches.adapter.length == 0
+        window = session.draft_window(DraftPolicy(eta=0.6, gamma_max=6))
+        assert calls[0] == (WINDOW, 105 - WINDOW)
+        assert all(rows == 1 for rows, _ in calls[1:])
+        accepted, _ = session.verify_window(window)
+        assert accepted < len(window.drafts)  # a rejection: every cache rolled back
+        assert session.caches.adapter.length == session.committed
+        while len(session.tokens) < len(prompt) + 120:
+            session.run_round(DraftPolicy(eta=0.6, gamma_max=6))
+        assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 120)
 
 
 class TestProbeInput:
@@ -722,9 +749,17 @@ class TestProbeInput:
             probes.append((features.start, len(features)))
             return probe(model, adapter, features, caches)
 
+        attended = []
+        attention = selfspec.adapter.causal_attention
+
+        def projected(params, x, cache, start, *args, **kwargs):
+            attended.append((len(x), start))
+            return attention(params, x, cache, start, *args, **kwargs)
+
         monkeypatch.setattr(selfspec.engine, "prefill", prompt_pass)
         monkeypatch.setattr(selfspec.engine, "forward_shallow", shallow_pass)
         monkeypatch.setattr(selfspec.engine, "draft_logits", probed)
+        monkeypatch.setattr(selfspec.adapter, "causal_attention", projected)
         long_prompt = [int(t) for t in generator(70, "prompt").integers(64, size=70)]
         carried = set()  # whether each fully accepted round that led a probe was deferred
         for (model, adapter), prompt, policy in (
@@ -745,8 +780,10 @@ class TestProbeInput:
                 final, deferred = (session.committed - 1 if full else None), trace.deferred
             assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 40)
         assert carried == {True, False}
-        # the 70-token prompt's first probe read its last WINDOW rows
-        assert probes[0] == (70 - WINDOW, WINDOW)
+        # the 70-token prompt's first probe is handed every prompt row, and
+        # the adapter projects the last WINDOW of them
+        assert probes[0] == (0, 70)
+        assert attended[0] == (WINDOW, 70 - WINDOW)
 
 
 class TestHeadRows:

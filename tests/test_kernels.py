@@ -354,19 +354,27 @@ class TestPromptAttention:
 
 
 class TestCacheAndFfn:
-    def test_start_at_opens_an_empty_cache_past_zero_rows(self):
+    def test_skip_to_moves_the_length_forward_past_zero_rows(self):
         cache = LayerKVCache(200, 2, 4)
-        cache.start_at(130)
+        cache.skip_to(130)  # from an empty cache
         assert cache.length == 130 and cache.values.shape[1] >= 130
         assert not cache.keys.any() and not cache.values.any()
         row = np.ones((1, 2, 4), dtype=np.float32)
         cache.extend(row, row)
         assert cache.length == 131 and cache.keys[:, :, 130].all()
-        assert not cache.keys[:, :, :130].any()
+        cache.skip_to(131)  # to its own length: nothing moves
+        cache.skip_to(150)  # from a filled one
+        cache.extend(row, row)
+        assert cache.length == 151 and cache.values[:, 150].all()
+        filled = (cache.keys.any(axis=(0, 1)), cache.values.any(axis=(0, 2)))
+        for rows in filled:
+            assert rows.nonzero()[0].tolist() == [130, 150]
+        for bad in (150, 201):  # backward, past capacity
+            with pytest.raises(CacheError):
+                cache.skip_to(bad)
+            assert cache.length == 151
         with pytest.raises(CacheError):
-            cache.start_at(5)  # not empty
-        with pytest.raises(CacheError):
-            LayerKVCache(8, 2, 4).start_at(9)
+            LayerKVCache(8, 2, 4).skip_to(9)
 
     def test_truncate_bounds(self):
         cache = LayerKVCache(8, 2, 4)

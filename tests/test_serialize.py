@@ -130,12 +130,34 @@ class TestModelFile:
             load_weights(path)
 
     def test_non_finite_tensor(self, small_cfg, tmp_path):
-        weights = gen_model(small_cfg, seed=3)
-        weights.lm_head[0, 0] = np.nan
         path = tmp_path / "nan.kngr"
-        save_weights(weights, path)
-        with pytest.raises(FormatError):
+        save_weights(gen_model(small_cfg, seed=3), path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()  # the LM head's last entry
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
             load_weights(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+class TestSaveRefusesNonFinite:
+    """A tensor that is not finite as float32 is refused before the file opens."""
+
+    def test_model(self, small_cfg, tmp_path, value):
+        weights = gen_model(small_cfg, seed=3).astype(np.float64)
+        weights.lm_head[0, 0] = value
+        path = tmp_path / "bad.kngr"
+        with pytest.raises(FormatError, match="non-finite"):
+            save_weights(weights, path)
+        assert not path.exists()
+
+    def test_adapter(self, small_model, tmp_path, value):
+        adapter = init_adapter(small_model, seed=4).astype(np.float64)
+        adapter.attn.wo[1, 2] = value
+        path = tmp_path / "bad.knga"
+        with pytest.raises(FormatError, match="non-finite"):
+            save_adapter(adapter, path)
+        assert not path.exists()
 
 
 class TestAdapterFile:

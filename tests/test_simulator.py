@@ -21,7 +21,7 @@ from selfspec import (
     sweep,
 )
 from selfspec.engine import GenerationResult, RoundTrace, StopReason
-from selfspec.errors import CalibrationError, ConfigError, MetricsDomainError
+from selfspec.errors import CalibrationError, ConfigError
 from selfspec.metrics import CTAR_WINDOWS, to_csv
 from selfspec.seeding import generator
 
@@ -124,7 +124,7 @@ class TestFourCosts:
                 assert lat.request_cost(r) == pytest.approx(charge, rel=1e-12)
             step = c_shallow + c_big
             expected = n_tokens * step / sum(charges)
-            assert simulate_speedup(requests, lat, n_tokens) == pytest.approx(expected, rel=1e-12)
+            assert simulate_speedup(requests, lat) == pytest.approx(expected, rel=1e-12)
         assert seen == ROUND_KINDS
 
     @pytest.mark.parametrize("inputs", ["desk-init", "dial-passthrough"])
@@ -172,28 +172,24 @@ class TestSimulateSpeedup:
         # one unit against a big forward of ten.
         traces = [trace(1, 2), trace(1, 2)]
         lat = LatencyModel(c_big=10.0, c_row=0.0, c_adapter=1.0, c_overhead=0.0)
-        assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(40.0 / 22.0)
+        assert simulate_speedup([request(traces)], lat) == pytest.approx(40.0 / 22.0)
 
     def test_free_draft_limit_equals_cr(self):
         traces = [trace(6, 7), trace(6, 7)]
         lat = LatencyModel(c_big=1.0)
-        assert simulate_speedup([request(traces)], lat, 14) == pytest.approx(7.0, abs=1e-9)
+        assert simulate_speedup([request(traces)], lat) == pytest.approx(7.0, abs=1e-9)
 
     def test_vanilla_identity(self):
         traces = [trace(0, 1)] * 5
         lat = LatencyModel(c_big=3.0)
-        assert simulate_speedup([request(traces)], lat, 5) == pytest.approx(1.0, abs=1e-12)
+        assert simulate_speedup([request(traces)], lat) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_draft_rounds_cost_a_greedy_step(self):
         # A gamma_max=0 run: each round is one shallow row and a one-row
         # verification, which is what a greedy step costs.
         traces = [trace(0, 1)] * 5
         lat = LatencyModel(c_big=3.5, c_row=0.5, c_adapter=2.0)
-        assert simulate_speedup([request(traces)] * 2, lat, 10) == 1.0
-
-    def test_token_mismatch_rejected(self):
-        with pytest.raises(MetricsDomainError):
-            simulate_speedup([request([trace(1, 2)])], LatencyModel(c_big=1.0), 5)
+        assert simulate_speedup([request(traces)] * 2, lat) == 1.0
 
     def test_free_draft_limit_random_traces(self):
         rng = generator(0, "traces")
@@ -204,7 +200,7 @@ class TestSimulateSpeedup:
             ]
             n = sum(t.emitted for t in traces)
             cr = n / len(traces)
-            speedup = simulate_speedup([request(traces)], LatencyModel(c_big=1.0), n)
+            speedup = simulate_speedup([request(traces)], LatencyModel(c_big=1.0))
             assert speedup == pytest.approx(cr, abs=1e-9)
 
     def test_deferred_rounds_are_charged_their_passes(self):
@@ -215,21 +211,20 @@ class TestSimulateSpeedup:
         lat = LatencyModel(c_big=11.0, c_row=1.0)
         # eager 11 + 1, deferred and rejected 11 + 1, deferred and accepted
         # 2 * 11, against four greedy steps of 11
-        assert simulate_speedup([request(traces)], lat, 4) == pytest.approx(44.0 / 46.0)
+        assert simulate_speedup([request(traces)], lat) == pytest.approx(44.0 / 46.0)
         # a rejected round verifies one position less when it deferred
-        eager = simulate_speedup([request(traces[:1])] * 2, lat, 2)
+        eager = simulate_speedup([request(traces[:1])] * 2, lat)
         assert eager == pytest.approx(22.0 / 24.0)
-        deferred = simulate_speedup([request([trace(1, 1, thr, True)])] * 2, lat, 2)
+        deferred = simulate_speedup([request([trace(1, 1, thr, True)])] * 2, lat)
         assert deferred == pytest.approx(22.0 / 22.0)
 
     def test_monotone_in_each_cost(self):
         traces = [trace(3, 2), trace(2, 4), trace(3, 1)]
-        n = 7
         base = LatencyModel(c_big=5.2, c_row=0.2, c_adapter=0.1, c_overhead=0.3)
-        s0 = simulate_speedup([request(traces)], base, n)
+        s0 = simulate_speedup([request(traces)], base)
         for field in ("c_row", "c_adapter", "c_overhead"):
             bumped = {**base.__dict__, field: getattr(base, field) + 0.2}
-            assert simulate_speedup([request(traces)], LatencyModel(**bumped), n) < s0
+            assert simulate_speedup([request(traces)], LatencyModel(**bumped)) < s0
 
 
 @pytest.fixture(scope="module")

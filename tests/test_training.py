@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,18 @@ class TestAdapterBackward:
         probs = tape[5]
         assert probs.shape == (adapter.attn.n_heads, t_len, t_len)
         assert np.all(probs[:, ~band] == 0.0) and np.all(probs[:, band] > 0.0)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-9])
+    def test_rates_are_finite_and_non_negative(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0"):
+            TrainConfig(**{field: value})
+
+    def test_zero_and_large_finite_rates_accepted(self):
+        TrainConfig(learning_rate=0.0, weight_decay=0.0)
+        TrainConfig(learning_rate=1e38, weight_decay=1e38)
 
 
 class TestAdamW:
