@@ -32,7 +32,7 @@ from .kernels import (
     matmul,
     rmsnorm,
 )
-from .model import RMS_EPS, FeatureBlock, KVCacheSet, TargetWeights
+from .model import RMS_EPS, FeatureBlock, TargetWeights
 from .seeding import generator
 
 # Positions a row of the adapter attends to: one 64-key chunk, longer than
@@ -158,17 +158,18 @@ def draft_logits(
     model: TargetWeights,
     adapter: AdapterWeights,
     features: FeatureBlock,
-    caches: KVCacheSet,
+    cache: LayerKVCache,
 ) -> tuple[np.ndarray, float, int]:
     """Draft prediction after the block's last feature.
 
     Returns ``(logits, confidence, token)`` where confidence is the top-1
     softmax probability and token its greedy argmax.  The block holds the
     session's rows not yet probed (prompt rows, a fully accepted round's
-    final feature, greedy steps' rows).  Only the last ``WINDOW`` of them
-    are projected and only the last is queried: the adapter cache skips to
-    the first kept row (``LayerKVCache.skip_to``), and the older rows, which
-    no later query sees either, are neither projected nor read.
+    final feature, greedy steps' rows), and ``cache`` is the adapter's own
+    attention cache, filled up to the block's start.  Only the last
+    ``WINDOW`` rows are projected and only the last is queried: the cache
+    skips to the first kept row (``LayerKVCache.skip_to``), and the older
+    rows, which no later query sees either, are neither projected nor read.
 
     The top-1 probability is ``1 / sum(exp(logits - logits[token]))``: the
     same bits as ``max(softmax(logits))``, whose top entry is ``exp(0) = 1``
@@ -176,8 +177,8 @@ def draft_logits(
     """
     if len(features) > WINDOW:  # keep the rows the last one's window reaches
         features = FeatureBlock(features.start + len(features) - WINDOW, features.values[-WINDOW:])
-        caches.adapter.skip_to(features.start)
-    refined = adapter_forward(adapter, features, caches.adapter, model.rope, last_row=True)
+        cache.skip_to(features.start)
+    refined = adapter_forward(adapter, features, cache, model.rope, last_row=True)
     logits = matmul(refined, model.lm_head)[0]
     token = argmax_token(logits)
     confidence = 1 / np.add.reduce(np.exp(logits - logits[token]))

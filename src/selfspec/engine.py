@@ -45,7 +45,7 @@ import numpy as np
 
 from .adapter import AdapterWeights, draft_logits
 from .errors import CapacityError, ConfigError, LosslessnessError
-from .kernels import argmax_token
+from .kernels import LayerKVCache, argmax_token
 from .metrics import AcceptanceRecord
 from .model import (
     FeatureBlock,
@@ -255,15 +255,17 @@ class _Drafting:
 class DecodeSession:
     """One speculative decoding session owning its caches and token state.
 
-    After every verification the shallow and deep caches cover every
-    committed token except the newest one (whose shallow pass opens the next
-    round).  Early features live in one array, a row per position, written
-    by the pass that computes it, and read twice.  A round's unit is its rows
-    from ``committed``; a probe reads the rows from the adapter cache's
-    length, the only record of what the adapter has probed, through the
-    newest feature.  So a fully accepted round's final feature, never probed,
-    leads the next probe (the adapter forward the carry saves), and rows past
-    a rollback are overwritten by the passes that recompute them.
+    After every verification the target's shallow and deep caches
+    (``caches``) cover every committed token except the newest one (whose
+    shallow pass opens the next round), and the adapter's own cache
+    (``adapter_cache``), which only probes extend, no more.  Early features
+    live in one array, a row per position, written by the pass that
+    computes it, and read twice.  A round's unit is its rows from
+    ``committed``; a probe reads the rows from the adapter cache's length,
+    the only record of what the adapter has probed, through the newest
+    feature.  So a fully accepted round's final feature, never probed, leads
+    the next probe (the adapter forward the carry saves), and rows past a
+    rollback are overwritten by the passes that recompute them.
 
     Each prompt row goes through the shallow and deep stacks once.  The
     session opens with ``prefill`` over the whole prompt, which fills the
@@ -303,14 +305,16 @@ class DecodeSession:
         self.model = model
         self.adapter = adapter
         self._end = len(prompt) + n_tokens  # len(self.tokens) once the request is done
-        self.caches = KVCacheSet(model.config, model.dtype, self._end - 1)
+        cfg = model.config
+        self.caches = KVCacheSet(cfg, model.dtype, self._end - 1)
+        self.adapter_cache = LayerKVCache(self._end - 1, cfg.n_heads, cfg.head_dim, model.dtype)
         self.tokens = list(prompt)
-        self._features = np.zeros((self._end - 1, model.config.d_model), model.dtype)
+        self._features = np.zeros((self._end - 1, cfg.d_model), model.dtype)
         features, logits = prefill(model, prompt, self.caches)
         self._features[: len(prompt)] = features.values
         # targets already known for the leading rows of the next unit
         self._targets = [argmax_token(logits)]
-        self._drafting = _Drafting(model.config)
+        self._drafting = _Drafting(cfg)
 
     @property
     def committed(self) -> int:
@@ -354,8 +358,7 @@ class DecodeSession:
             return RoundTrace(0, 0, [], StopReason.MAX_STEPS, deferred=False)
         window = self.draft_window(policy)
         accepted, _ = self.verify_window(window)
-        if window.drafts:
-            self._drafting.record(accepted > 0)
+        self._drafting.record(accepted > 0)
         return RoundTrace(len(window.drafts), accepted, window.confidences, window.stop_reason,
                           window.deferred)
 
@@ -375,8 +378,8 @@ class DecodeSession:
         if not self._targets:  # else round 1, whose opening row the prefill wrote
             self._shallow(self.tokens[-1])
         while len(drafts) < gamma:
-            pending = self._rows(self.caches.adapter.length)
-            _, confidence, token = draft_logits(self.model, self.adapter, pending, self.caches)
+            pending = self._rows(self.adapter_cache.length)
+            _, confidence, token = draft_logits(self.model, self.adapter, pending, self.adapter_cache)
             drafts.append(token)
             confidences.append(confidence)
             if not confidence > policy.eta:  # a NaN confidence stops too
@@ -408,6 +411,8 @@ class DecodeSession:
         accepted = _accepted_prefix(window.drafts, targets)
         if accepted < len(window.drafts):
             self.caches.rollback(start + accepted + 1)
+            # the probes read the unit's first len(drafts) rows: the adapter cache is no shorter
+            self.adapter_cache.truncate(start + accepted + 1)
         elif window.deferred:
             targets.append(self._step(window.drafts[-1]))
         emitted = window.drafts[:accepted] + [targets[accepted]]

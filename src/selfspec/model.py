@@ -179,30 +179,23 @@ class FeatureBlock:
 
 
 class KVCacheSet:
-    """The three coordinated caches of one decoding session.
+    """The target's caches of one decoding session, one per layer.
 
-    ``shallow`` covers layers ``[0, exit_layer)``, ``deep`` covers
-    ``[exit_layer, n_layers)`` and ``adapter`` is the draft adapter's single
-    attention cache.  During drafting the shallow cache runs ahead of the
-    deep cache by at most the draft window; ``rollback`` truncates all three
-    back to a committed prefix.  The adapter cache lags the others by the
-    feature rows a session has not yet probed; a probe skips it past the
-    pending rows older than its window (``LayerKVCache.skip_to``), which
-    are never read.  The caches are allocated once, as views of one key and
-    one value array (``LayerKVCache.stack``), for ``capacity`` positions: a
-    request's length, or by default the whole context.
+    ``shallow`` covers layers ``[0, exit_layer)`` and ``deep`` covers
+    ``[exit_layer, n_layers)``.  During drafting the shallow caches run
+    ahead of the deep ones by at most the draft window; ``rollback``
+    truncates both back to a committed prefix.  The caches are allocated
+    once, as views of one key and one value array (``LayerKVCache.stack``),
+    for ``capacity`` positions: a request's length, or by default the whole
+    context.  ``values`` is that stacked value array.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32, capacity: int | None = None):
-        self.config = config
         capacity = config.max_seq_len if capacity is None else capacity
-        caches = LayerKVCache.stack(
-            config.n_layers + 1, capacity, config.n_heads, config.head_dim, dtype
-        )
+        caches = LayerKVCache.stack(config.n_layers, capacity, config.n_heads, config.head_dim, dtype)
         self.shallow = caches[: config.exit_layer]
-        self.deep = caches[config.exit_layer : -1]
-        self.adapter = caches[-1]
-        self._all = tuple(caches)
+        self.deep = caches[config.exit_layer :]
+        self.values = caches[0].values.base  # (n_layers, heads, rows, head_dim)
 
     @property
     def shallow_len(self) -> int:
@@ -214,14 +207,15 @@ class KVCacheSet:
 
     def rollback(self, to_length: int) -> None:
         """Truncate every cache to ``to_length`` committed positions, or none if
-        any is shorter.  A cache already there zeroes an empty range."""
-        for cache in self._all:
-            if to_length > cache.length:
-                raise CacheError(
-                    f"rollback to {to_length} exceeds cache length {cache.length}"
-                )
-        for cache in self._all:
-            cache.truncate(to_length)
+        any is shorter.  Every cache's value rows past its length are zero,
+        so one write zeroes the rows past ``to_length`` up to the longest."""
+        caches = self.shallow + self.deep
+        lengths = [cache.length for cache in caches]
+        if not 0 <= to_length <= min(lengths):
+            raise CacheError(f"cannot roll back caches of lengths {lengths} to {to_length}")
+        self.values[:, :, to_length : max(lengths)] = 0
+        for cache in caches:
+            cache.length = to_length
 
 
 # LM head drawn sharper than the hidden layers: a 1/sqrt(d) head makes
@@ -317,11 +311,6 @@ def full_forward(
     return forward_remaining(weights, forward_shallow(weights, tokens, caches), caches)
 
 
-def greedy_step(weights: TargetWeights, token: int, caches: KVCacheSet) -> int:
-    """One greedy decoding step: cache ``token`` and return the target's next token."""
-    return argmax_token(full_forward(weights, [token], caches)[-1])
-
-
 def _prompt_block(x, layer: LayerWeights, cache: LayerKVCache, rope: RopeTable, last_row: bool):
     attn = prompt_attention(layer.attn, rmsnorm(x, layer.attn_norm, RMS_EPS), cache, rope, last_row)
     h = (x[-1:] if last_row else x) + attn
@@ -413,5 +402,5 @@ def vanilla_greedy_decode(
     _, logits = prefill(weights, prompt, caches)
     out = [argmax_token(logits)]
     for _ in range(n_tokens - 1):
-        out.append(greedy_step(weights, out[-1], caches))
+        out.append(argmax_token(full_forward(weights, [out[-1]], caches)[-1]))
     return out

@@ -29,6 +29,7 @@ from .engine import (
     run_corpus,
 )
 from .errors import CalibrationError, ConfigError
+from .kernels import LayerKVCache
 from .metrics import BenchReport, aggregate
 from .model import (
     FeatureBlock,
@@ -123,12 +124,13 @@ def calibrate_latency(
 
     for ctx in PROBE_LENGTHS:
         caches = KVCacheSet(cfg, dtype=model.dtype)
+        adapter_cache = LayerKVCache(cfg.max_seq_len, cfg.n_heads, cfg.head_dim, model.dtype)
         feats, _ = prefill(model, tokens[:ctx], caches)
-        adapter_forward(adapter, feats, caches.adapter, model.rope)
+        adapter_forward(adapter, feats, adapter_cache, model.rope)
         shallow = timed(caches.shallow, forward_shallow, model, [tokens[ctx]], caches)
         probe = forward_shallow(model, [tokens[ctx]], caches)
         rows.append((0, 0, 1, 0))
-        times.append(timed([caches.adapter], draft_logits, model, adapter, probe, caches))
+        times.append(timed([adapter_cache], draft_logits, model, adapter, probe, adapter_cache))
         unit = forward_shallow(model, tokens[ctx + 1 : ctx + 1 + gamma], caches)
         values = np.concatenate([probe.values, unit.values])
         for n_rows in (1, gamma + 1):

@@ -277,22 +277,23 @@ def train_adapter(
     optimizer = AdamW(cfg)
     rng = generator(cfg.seed, "train")
     curve: list[float] = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(batches))
-        epoch_loss = 0.0
-        epoch_positions = 0
-        for chunk_start in range(0, len(order), cfg.batch):
-            chunk = order[chunk_start : chunk_start + cfg.batch]
-            grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
-            positions = 0
-            for idx in chunk:
-                loss, grads = adapter_backward(adapter, batches[idx], lm_head, rope)
-                epoch_loss += loss
-                positions += batches[idx].positions
-                for name, grad in grads.items():
-                    grad_sum[name] += grad
-            epoch_positions += positions
-            mean_grads = {name: g / positions for name, g in grad_sum.items()}
-            optimizer.step(params, mean_grads)
-        curve.append(epoch_loss / epoch_positions)
-    return adapter.astype(np.float32), curve
+    # a diverging run may overflow; weights past float32's range then fail to save
+    with np.errstate(over="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(batches))
+            epoch_loss, epoch_positions = 0.0, 0
+            for chunk_start in range(0, len(order), cfg.batch):
+                chunk = order[chunk_start : chunk_start + cfg.batch]
+                grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
+                positions = 0
+                for idx in chunk:
+                    loss, grads = adapter_backward(adapter, batches[idx], lm_head, rope)
+                    epoch_loss += loss
+                    positions += batches[idx].positions
+                    for name, grad in grads.items():
+                        grad_sum[name] += grad
+                epoch_positions += positions
+                mean_grads = {name: g / positions for name, g in grad_sum.items()}
+                optimizer.step(params, mean_grads)
+            curve.append(epoch_loss / epoch_positions)
+        return adapter.astype(np.float32), curve

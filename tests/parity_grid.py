@@ -37,7 +37,11 @@ round by hand (``DecodeSession.draft_window`` and ``verify_window``), whose
 first probe is handed every row the prompt and the greedy steps wrote (more
 than the adapter's window in all but the shortest case), and finish the
 request with ``run_round``; their lines hold the fields a ``generate`` line holds
-except ``truncated``.  A ``generate`` line holds the tokens,
+except ``truncated``, and ``caches``: for each of the finished session's
+target caches (the shallow ones, then the deep ones) its length and the
+sha256 of its whole key and value buffers, rows past the length included,
+so a change to how caches are written, rolled back or zeroed is compared
+bit for bit at the cache.  A ``generate`` line holds the tokens,
 ``truncated`` and every ``RoundTrace`` field, with confidences as
 ``float.hex``, and ``lossless``: whether its tokens equal the same tree's
 ``vanilla_greedy_decode`` for as many tokens as fit the context, so one
@@ -236,8 +240,15 @@ def _resumed_line(ss, model, adapter, prompt: list[int], steps: int) -> dict:
     except Exception as exc:  # noqa: BLE001
         return {"error": _error(exc)}
     tokens = session.tokens[len(prompt):]
-    return {"tokens": tokens, "rounds": _rounds(traces),
+    return {"tokens": tokens, "rounds": _rounds(traces), "caches": _caches(session.caches),
             "lossless": tokens == _greedy(ss, model, prompt, n_tokens)}
+
+
+def _caches(caches) -> list:
+    """Each target cache's length and the sha256 of its whole key and value buffers."""
+    return [[cache.length, hashlib.sha256(cache.keys.tobytes()).hexdigest(),
+             hashlib.sha256(cache.values.tobytes()).hexdigest()]
+            for cache in (*caches.shallow, *caches.deep)]
 
 
 def resumed(ss, np):

@@ -14,7 +14,7 @@ from selfspec import (
 )
 from selfspec.adapter import WINDOW
 from selfspec.errors import CacheError, ConfigError
-from selfspec.kernels import softmax
+from selfspec.kernels import LayerKVCache, softmax
 from selfspec.model import FeatureBlock, forward_shallow
 
 from oracles import rms
@@ -25,12 +25,18 @@ RNG = np.random.default_rng(77)
 FULL_SCALE = dict(d_model=4096, vocab=32000, ffn_hidden=11008)
 
 
+def adapter_cache(model) -> LayerKVCache:
+    """An empty adapter cache for the whole context of ``model``."""
+    cfg = model.config
+    return LayerKVCache(cfg.max_seq_len, cfg.n_heads, cfg.head_dim, model.dtype)
+
+
 class TestAdapterForward:
     def test_passthrough_equals_final_norm(self, planted):
         model, adapter = planted
         caches = KVCacheSet(model.config)
         features = forward_shallow(model, [5, 1, 2], caches)
-        refined = adapter_forward(adapter, features, caches.adapter, model.rope)
+        refined = adapter_forward(adapter, features, adapter_cache(model), model.rope)
         assert np.allclose(refined, rms(features.values, model.final_norm), atol=1e-6)
 
     def test_passthrough_draft_logits_match_target(self, planted):
@@ -39,19 +45,19 @@ class TestAdapterForward:
         model, adapter = planted
         caches = KVCacheSet(model.config)
         features = forward_shallow(model, [5], caches)
-        _, _, token = draft_logits(model, adapter, features, caches)
+        _, _, token = draft_logits(model, adapter, features, adapter_cache(model))
         assert token == vanilla_greedy_decode(model, [5], 1)[0]
 
     def test_incremental_equals_batch(self, small_model, small_adapter):
         # 96 rows: from row 64 on, each row's window leaves out the oldest keys
-        caches_a = KVCacheSet(small_model.config)
-        caches_b = KVCacheSet(small_model.config)
-        features = forward_shallow(small_model, [3, 9, 2, 8, 1, 4, 4, 0] * 12, caches_a)
-        batch = adapter_forward(small_adapter, features, caches_a.adapter, small_model.rope)
-        rows = []
+        features = forward_shallow(small_model, [3, 9, 2, 8, 1, 4, 4, 0] * 12,
+                                   KVCacheSet(small_model.config))
+        batch = adapter_forward(small_adapter, features, adapter_cache(small_model),
+                                small_model.rope)
+        rows, cache = [], adapter_cache(small_model)
         for i in range(96):
             block = FeatureBlock(start=i, values=features.values[i : i + 1])
-            rows.append(adapter_forward(small_adapter, block, caches_b.adapter, small_model.rope))
+            rows.append(adapter_forward(small_adapter, block, cache, small_model.rope))
         steps = np.concatenate(rows)
         assert np.max(np.abs(batch - steps)) <= 1e-4
         assert np.array_equal(batch, steps)
@@ -63,11 +69,11 @@ class TestAdapterForward:
                                    KVCacheSet(small_model.config)).values
 
         def probe(values):
-            caches = KVCacheSet(small_model.config)
+            cache = adapter_cache(small_model)
             older = FeatureBlock(start=0, values=values[:-1])
-            adapter_forward(small_adapter, older, caches.adapter, small_model.rope)
+            adapter_forward(small_adapter, older, cache, small_model.rope)
             newest = FeatureBlock(start=95, values=values[-1:])
-            return draft_logits(small_model, small_adapter, newest, caches)[0]
+            return draft_logits(small_model, small_adapter, newest, cache)[0]
 
         base = probe(features)
         for position, read in ((95 - WINDOW, False), (95 - WINDOW + 1, True)):
@@ -78,7 +84,7 @@ class TestAdapterForward:
     def test_single_feature_single_row(self, small_model, small_adapter):
         caches = KVCacheSet(small_model.config)
         features = forward_shallow(small_model, [3], caches)
-        out = adapter_forward(small_adapter, features, caches.adapter, small_model.rope)
+        out = adapter_forward(small_adapter, features, adapter_cache(small_model), small_model.rope)
         assert out.shape == (1, small_model.config.d_model)
 
     def test_cache_mismatch(self, small_model, small_adapter):
@@ -86,14 +92,15 @@ class TestAdapterForward:
         features = forward_shallow(small_model, [3, 4], caches)
         stale = FeatureBlock(start=5, values=features.values)
         with pytest.raises(CacheError):
-            adapter_forward(small_adapter, stale, caches.adapter, small_model.rope)
+            adapter_forward(small_adapter, stale, adapter_cache(small_model), small_model.rope)
 
 
 class TestDraftLogits:
     def test_confidence_in_unit_interval(self, small_model, small_adapter):
         caches = KVCacheSet(small_model.config)
         features = forward_shallow(small_model, [8], caches)
-        _, confidence, token = draft_logits(small_model, small_adapter, features, caches)
+        _, confidence, token = draft_logits(small_model, small_adapter, features,
+                                            adapter_cache(small_model))
         assert 0.0 < confidence <= 1.0
         assert 0 <= token < small_model.config.vocab_size
 
@@ -104,7 +111,8 @@ class TestDraftLogits:
         try:
             caches = KVCacheSet(zero_head.config)
             features = forward_shallow(zero_head, [8], caches)
-            _, confidence, token = draft_logits(zero_head, small_adapter, features, caches)
+            _, confidence, token = draft_logits(zero_head, small_adapter, features,
+                                                adapter_cache(zero_head))
             assert confidence == pytest.approx(1.0 / zero_head.config.vocab_size)
             assert token == 0  # tie-break to the lowest index
         finally:
@@ -118,10 +126,10 @@ class TestDraftConfidence:
     def _probes(model, adapter, edit_head):
         model = model.astype(model.dtype)  # a private copy whose head may change
         edit_head(model.lm_head)
-        caches = KVCacheSet(model.config)
+        caches, cache = KVCacheSet(model.config), adapter_cache(model)
         for token in (8, 3, 5, 1):
             features = forward_shallow(model, [token], caches)
-            yield draft_logits(model, adapter, features, caches)
+            yield draft_logits(model, adapter, features, cache)
 
     def _assert_matches_softmax(self, model, adapter, edit_head):
         for logits, confidence, _ in self._probes(model, adapter, edit_head):

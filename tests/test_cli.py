@@ -228,9 +228,8 @@ class TestTrain:
         # a huge learning rate trains to float64 weights that no float32 holds
         model, _, corpus = artifacts
         out = tmp_path / "x.knga"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["train", "--model", str(model), "--corpus", str(corpus),
-                         "--out", str(out), "--lr", "1e38"])
+        code = main(["train", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(out), "--lr", "1e38"])
         assert code == 2
         assert "tensor contains non-finite values" in capsys.readouterr().err
         assert not out.exists()

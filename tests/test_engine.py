@@ -114,7 +114,7 @@ class TestDraftWindow:
             rounds += 1
         assert rounds == (k if gamma == 0 else 1 + (k > 7))
         assert session.tokens[len(prompt) :] == vanilla_greedy_decode(model, prompt, k)
-        caches = [*session.caches.shallow, *session.caches.deep, session.caches.adapter]
+        caches = [*session.caches.shallow, *session.caches.deep, session.adapter_cache]
         before = [(c.length, c.keys.tobytes(), c.values.tobytes()) for c in caches]
         for attempt in (session.run_round, session.draft_window):
             with pytest.raises(CapacityError, match="every token of its request"):
@@ -234,7 +234,7 @@ class TestVerifyWindow:
             assert session.caches.shallow_len == committed
             assert session.caches.deep_len == committed
             pending = accepted == len(window.drafts)
-            assert session.caches.adapter.length == committed - pending
+            assert session.adapter_cache.length == committed - pending
 
     def test_shallow_deep_slack_bounded(self, small_model, small_adapter):
         # Mid-round, the shallow cache runs ahead of the deep cache by the
@@ -429,28 +429,43 @@ class TestGenerate:
 
     def test_caches_allocated_once_for_the_request(self, small_model, small_adapter, monkeypatch):
         # 10 + 70 - 1 = 79 positions: 128 rows, where growing buffers would
-        # have been reallocated as the request crossed its first 64-key chunk
-        made, cache_set = [], selfspec.model.KVCacheSet
+        # have been reallocated as the request crossed its first 64-key chunk.
+        # A cache set holds the target's n_layers caches; only the session
+        # allocates an adapter cache, beside its set.
+        made, adapter_caches = [], []
+        cache_set, layer_cache = selfspec.model.KVCacheSet, selfspec.engine.LayerKVCache
 
         def recorded(*args):
             caches = cache_set(*args)
-            layers = [*caches.shallow, *caches.deep, caches.adapter]
-            made.append([(cache, cache.keys, cache.values) for cache in layers])
+            layers = [*caches.shallow, *caches.deep]
+            assert len(layers) == small_model.config.n_layers
+            made.append((caches.values, [(cache, cache.keys, cache.values) for cache in layers]))
             return caches
+
+        def recorded_adapter_cache(*args):
+            cache = layer_cache(*args)
+            adapter_caches.append((cache, cache.keys, cache.values))
+            return cache
 
         monkeypatch.setattr(selfspec.engine, "KVCacheSet", recorded)
         monkeypatch.setattr(selfspec.model, "KVCacheSet", recorded)
+        monkeypatch.setattr(selfspec.engine, "LayerKVCache", recorded_adapter_cache)
         prompt, n = [int(t) for t in range(3, 13)], 70
         result = generate(small_model, small_adapter, DraftPolicy(eta=0.2), prompt, n)
         assert result.tokens == vanilla_greedy_decode(small_model, prompt, n)
-        assert len(made) == 2  # one cache set per request
-        for layers in made:
+        assert len(made) == 2 and len(adapter_caches) == 1  # once per request
+        rows = -(-(len(prompt) + n - 1) // 64) * 64
+        for values, layers in made:
+            assert values.shape[:3] == (small_model.config.n_layers, small_model.config.n_heads, rows)
             for cache, k, v in layers:
                 assert cache.keys is k and cache.values is v
                 assert np.shares_memory(k, layers[0][1].base)
-                assert np.shares_memory(v, layers[0][2].base)
-                assert k.shape[2] == v.shape[1] == -(-(len(prompt) + n - 1) // 64) * 64 == 128
+                assert np.shares_memory(v, values)
+                assert k.shape[2] == v.shape[1] == rows == 128
             assert max(cache.length for cache, _, _ in layers) > 64
+        for cache, k, v in adapter_caches:
+            assert cache.keys is k and cache.values is v
+            assert k.shape[2] == v.shape[1] == 128
 
     @pytest.mark.parametrize("prompt", [[-1, 5], [256, 5]], ids=["negative", "vocab_size"])
     @pytest.mark.parametrize("decoder", ["vanilla", "speculative", "session"])
@@ -676,10 +691,10 @@ class TestBoundedProbe:
         session = DecodeSession(model, adapter, prompt)
         # every prompt row waits for the first probe, which skips the
         # adapter cache to the oldest row its window reaches
-        assert session.caches.adapter.length == 0
+        assert session.adapter_cache.length == 0
         session.draft_window(DraftPolicy(eta=1.0, gamma_max=1))
         assert calls == [(WINDOW, 448 - WINDOW, 1)]
-        assert session.caches.adapter.length == 448
+        assert session.adapter_cache.length == 448
         calls.clear()
         result = generate(model, adapter, DraftPolicy(eta=0.0, gamma_max=6), prompt, 16)
         assert result.tokens == vanilla_greedy_decode(model, prompt, 16)
@@ -702,13 +717,13 @@ class TestBoundedProbe:
         session = DecodeSession(model, adapter, prompt, 120)
         for _ in range(100):
             session.run_round(DraftPolicy(eta=0.6, gamma_max=0))
-        assert calls == [] and session.caches.adapter.length == 0
+        assert calls == [] and session.adapter_cache.length == 0
         window = session.draft_window(DraftPolicy(eta=0.6, gamma_max=6))
         assert calls[0] == (WINDOW, 105 - WINDOW)
         assert all(rows == 1 for rows, _ in calls[1:])
         accepted, _ = session.verify_window(window)
         assert accepted < len(window.drafts)  # a rejection: every cache rolled back
-        assert session.caches.adapter.length == session.committed
+        assert session.adapter_cache.length == session.committed
         while len(session.tokens) < len(prompt) + 120:
             session.run_round(DraftPolicy(eta=0.6, gamma_max=6))
         assert session.tokens[len(prompt):] == vanilla_greedy_decode(model, prompt, 120)
@@ -742,12 +757,12 @@ class TestProbeInput:
             record(block)
             return block
 
-        def probed(model, adapter, features, caches):
-            assert features.start == caches.adapter.length
+        def probed(model, adapter, features, cache):
+            assert features.start == cache.length
             rows = [row.tobytes() for row in features.values]
             assert rows == [written.get(features.start + i) for i in range(len(features))]
             probes.append((features.start, len(features)))
-            return probe(model, adapter, features, caches)
+            return probe(model, adapter, features, cache)
 
         attended = []
         attention = selfspec.adapter.causal_attention
@@ -960,17 +975,17 @@ class TestDeferredBonus:
                 accepted, emitted = session.verify_window(window)
                 assert window.stop_reason is StopReason.THRESHOLD
                 assert window.deferred == defers and accepted == len(window.drafts)
-                caches = session.caches
+                caches, adapter_cache = session.caches, session.adapter_cache
                 # the final feature, which no probe has read yet
-                pending = session._features[caches.adapter.length : caches.shallow_len]
+                pending = session._features[adapter_cache.length : caches.shallow_len]
                 assert len(pending) == 1
                 states.append((
                     emitted,
                     logits[-1][-1].tobytes(),  # the bonus token's logits
-                    (caches.shallow_len, caches.deep_len, caches.adapter.length),
+                    (caches.shallow_len, caches.deep_len, adapter_cache.length),
                     pending.tobytes(),
                     [(c.keys[:, :, : c.length].tobytes(), c.values[:, : c.length].tobytes())
-                     for c in (*caches.shallow, *caches.deep, caches.adapter)],
+                     for c in (*caches.shallow, *caches.deep, adapter_cache)],
                 ))
             assert max(len(state[0]) for state in states) > 2
             return states
@@ -1072,7 +1087,7 @@ class TestDraftingDecision:
             trace = session.run_round(DraftPolicy(eta=0.6, gamma_max=6))
             written = not np.array_equal(session._features, features)
             rounds.append((trace.drafted, session._drafting.ended, written,
-                           session.caches.adapter.length))
+                           session.adapter_cache.length))
         return rounds
 
     def test_losing_session_stops_drafting_for_good(self, desk_low, planted, monkeypatch):
@@ -1194,19 +1209,19 @@ class TestDraftingDecision:
             written[block.start] = block.values[0].tobytes()
             return block
 
-        def probed(model_, adapter_, features, caches):
+        def probed(model_, adapter_, features, cache):
             probes.append((features.start, [row.tobytes() for row in features.values]))
-            return probe(model_, adapter_, features, caches)
+            return probe(model_, adapter_, features, cache)
 
         monkeypatch.setattr(selfspec.engine, "forward_shallow", shallow_pass)
         monkeypatch.setattr(selfspec.engine, "draft_logits", probed)
         session, policy = DecodeSession(model, adapter, prompt, n_tokens), DraftPolicy()
         while not session._drafting.ended:
             session.run_round(policy)
-        probed_to = session.caches.adapter.length
+        probed_to = session.adapter_cache.length
         for _ in range(5):
             assert session.run_round(policy).drafted == 0
-        assert session.caches.adapter.length == probed_to
+        assert session.adapter_cache.length == probed_to
         del probes[:]
         window = session.draft_window(DraftPolicy(eta=0.0, gamma_max=3))
         assert len(window.drafts) == 3

@@ -97,7 +97,6 @@ class TestSplitExecution:
         forward_shallow(small_model, [1, 2, 3], caches)
         assert caches.shallow_len == 3
         assert caches.deep_len == 0
-        assert caches.adapter.length == 0
 
     def test_remaining_requires_contiguous_features(self, small_model):
         caches = KVCacheSet(small_model.config)
@@ -145,7 +144,6 @@ class TestPrefill:
         caches = KVCacheSet(model.config, dtype=dtype)
         features, logits = prefill(model, tokens, caches)
         assert caches.shallow_len == caches.deep_len == length
-        assert caches.adapter.length == 0
         assert features.start == 0 and len(features) == length
         split_caches = KVCacheSet(model.config, dtype=dtype)
         split_features = forward_shallow(model, tokens, split_caches)
@@ -270,18 +268,18 @@ class TestRollback:
         assert np.array_equal(first, again)
 
     def test_rollback_noop_at_current_length(self, small_model, small_adapter):
-        # One rejected round leaves all three caches at the committed length.
+        # One rejected round leaves every cache at the committed length.
         session = DecodeSession(small_model, small_adapter, [1, 2, 3])
         window = session.draft_window(DraftPolicy(eta=1.0, gamma_max=1))
         accepted, _ = session.verify_window(window)
         committed = len(session.tokens) - 1
         assert (accepted, committed) == (0, 3)
         caches = session.caches
-        assert caches.shallow_len == caches.deep_len == caches.adapter.length == committed
-        every = (*caches.shallow, *caches.deep, caches.adapter)
+        assert caches.shallow_len == caches.deep_len == session.adapter_cache.length == committed
+        every = (*caches.shallow, *caches.deep, session.adapter_cache)
         before = [(c.keys.copy(), c.values.copy()) for c in every]
         caches.rollback(committed)
-        assert caches.shallow_len == caches.deep_len == caches.adapter.length == committed
+        assert caches.shallow_len == caches.deep_len == session.adapter_cache.length == committed
         for c, (k, v) in zip(every, before):
             assert np.array_equal(c.keys, k) and np.array_equal(c.values, v)
 
@@ -290,6 +288,39 @@ class TestRollback:
         forward_shallow(small_model, [1, 2], caches)
         with pytest.raises(CacheError):
             caches.rollback(3)
+
+    @pytest.mark.parametrize("to_length", [-1, 4])
+    def test_rejected_rollback_changes_nothing(self, small_model, to_length):
+        # 4 passes the shallow caches' length but not the deep ones'
+        caches = KVCacheSet(small_model.config)
+        full_forward(small_model, [1, 2, 3], caches)
+        forward_shallow(small_model, [4, 5], caches)
+        before = caches.values.copy()
+        with pytest.raises(CacheError):
+            caches.rollback(to_length)
+        assert (caches.shallow_len, caches.deep_len) == (5, 3)
+        assert np.array_equal(caches.values, before)
+
+    @pytest.mark.parametrize("to_length", [0, 2, 3])
+    def test_rollback_equals_truncating_each_cache(self, small_model, to_length):
+        # The set's one write over its stacked values leaves every cache as
+        # truncating it alone would, with the shallow caches ahead of the deep.
+        cfg = small_model.config
+        ours, ref = KVCacheSet(cfg, capacity=70), KVCacheSet(cfg, capacity=70)
+        for caches in (ours, ref):
+            full_forward(small_model, [1, 2, 3], caches)
+            forward_shallow(small_model, [4, 5, 6], caches)
+        assert ours.values.shape == (cfg.n_layers, cfg.n_heads, 128, cfg.head_dim)
+        for i, cache in enumerate((*ours.shallow, *ours.deep)):
+            assert np.shares_memory(cache.values, ours.values[i])
+        ours.rollback(to_length)
+        for cache in (*ref.shallow, *ref.deep):
+            cache.truncate(to_length)
+        assert ours.shallow_len == ours.deep_len == to_length
+        for a, b in zip((*ours.shallow, *ours.deep), (*ref.shallow, *ref.deep)):
+            assert a.length == b.length
+            assert a.keys.tobytes() == b.keys.tobytes() and a.values.tobytes() == b.values.tobytes()
+        assert not ours.values[:, :, to_length:].any()
 
     def test_draft_rollback_continue_equals_fresh_replay(self, small_model, small_adapter):
         # Draft a window, roll back to the committed prefix, then check the

@@ -17,7 +17,7 @@ from selfspec import (
 )
 from selfspec.adapter import WINDOW
 from selfspec.errors import ConfigError, ShapeError
-from selfspec.kernels import RopeTable, _causal_mask, matmul, softmax
+from selfspec.kernels import LayerKVCache, RopeTable, _causal_mask, matmul, softmax
 from selfspec.model import forward_remaining, forward_shallow
 from selfspec.seeding import generator
 from selfspec.training import adapter_student_forward, build_distill_batches
@@ -106,9 +106,10 @@ class TestAdapterBackward:
             model64.config.max_seq_len, np.float64,
         )
         for tokens in ([4, 9, 9, 1, 3], [4, 9, 9, 1, 3, 7] * 15):
-            caches = KVCacheSet(model64.config, dtype=np.float64)
-            features = forward_shallow(model64, tokens, caches)
-            refined = adapter_forward(adapter64, features, caches.adapter, model64.rope)
+            cfg = model64.config
+            features = forward_shallow(model64, tokens, KVCacheSet(cfg, dtype=np.float64))
+            cache = LayerKVCache(cfg.max_seq_len, cfg.n_heads, cfg.head_dim, np.float64)
+            refined = adapter_forward(adapter64, features, cache, model64.rope)
             inference_logits = matmul(refined, model64.lm_head)
             tape_logits, _ = adapter_student_forward(
                 adapter64, features.values, model64.lm_head, rope64
